@@ -6,8 +6,9 @@ rows, trains tree detectors on normal plus adversarial data only, and
 scores them on the attacked trace. See the README for the CLI walkthrough.
 """
 
-from .accel import BACKEND, NUMBA_ENABLED
+# every kernel is plain numpy; kept as a name for tools that print it
+BACKEND = "numpy"
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "NUMBA_ENABLED", "__version__"]
+__all__ = ["BACKEND", "__version__"]

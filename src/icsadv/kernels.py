@@ -1,16 +1,20 @@
-"""Hot numeric kernels, each implemented twice.
+"""Hot numeric kernels: the two split scans, batched tree traversal and the
+tank farm step loop, one numpy implementation each.
 
-Every kernel here has a vectorized pure-numpy implementation and a numba
-``@njit`` twin. The module-level names (``gini_best_split``, ``sse_best_split``,
-``tree_apply``, ``tank_loop``) are bound to one backend at import time based
-on :data:`icsadv.accel.NUMBA_ENABLED`; the suffixed variants stay available
-for tests and the benchmark harness.
+The split scans work on a node's rows presorted per feature (SLIQ, Mehta et
+al. 1996): the tree builder sorts every feature once per fit and keeps each
+node's rows as one contiguous slice of that presort, so no scan sorts.
+Their three positional arguments are
 
-The two backends are written op-for-op identical so their outputs agree
-bitwise: split scans convert integer counts to float with the same formula
-per candidate, cumulative sums run in the same order (stable mergesort
-argsort on both sides), and best-candidate selection keeps the first
-maximum. The cross-backend agreement test relies on this.
+* ``order``: (m, d) int array; column j lists the node's m rows (indices
+  into ``X`` and the target) in ascending order of ``X[:, j]``. A row may
+  appear more than once (bootstrap draws). This is the layout of
+  ``np.argsort(X, axis=0, kind="mergesort")`` for a node holding every row;
+* the target indexed by row: 0/1 labels for Gini, float residuals for SSE;
+* ``feature_indices``: candidate columns in ascending order;
+
+and the keyword ``columns`` is ``X.T`` as a C-contiguous (d, n) array, so
+each feature's values are one contiguous row to gather from.
 
 Split-scan conventions shared by both criteria:
 
@@ -20,66 +24,90 @@ Split-scan conventions shared by both criteria:
   the upper block into the left child);
 * rows with value <= threshold go left;
 * ties on gain break toward the lowest feature index, then the lowest
-  threshold (scan order + strict improvement comparisons give this for free).
+  threshold: the scan takes the first maximum over candidates laid out
+  feature by feature, thresholds ascending.
+
+Gini gains depend only on class counts at boundaries between distinct
+values, so the order of tied rows within ``order`` does not change them.
+SSE gains add residuals in ``order``'s sequence, so a caller that needs
+reproducible bits must fix the tie order (the builder keeps ties in fit
+order, as a fresh stable sort of the node would).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .accel import NUMBA_ENABLED
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        raise RuntimeError("numba is not installed")
+# most sorted cells (rows x candidate features) one scan step holds, so a
+# scan's temporaries stay near 1 MB however many features a node weighs
+_CHUNK_CELLS = 1 << 13
 
 
-# ---------------------------------------------------------------------------
-# classification split (Gini)
-# ---------------------------------------------------------------------------
+def _scan(order, target, feature_indices, columns):
+    """Gather the node's sorted values and targets for every candidate
+    feature and locate the valid cuts.
+
+    Returns (st, valid, thr): the (k, m) sorted targets; the (k, m - 1)
+    mask of valid cuts (a cut at [c, i] falls between sorted positions i
+    and i + 1 of candidate c); and the thresholds of the valid cuts in scan
+    order (candidate by candidate, thresholds ascending).
+    """
+    rows = order.T[feature_indices]
+    sv = np.empty(rows.shape)
+    for c, j in enumerate(feature_indices):
+        columns[j].take(rows[c], out=sv[c])
+    hi = sv[:, 1:]
+    thr = (sv[:, :-1] + hi) * 0.5
+    # equal neighbours give thr == hi, so this also skips ties
+    valid = thr < hi
+    return target.take(rows), valid, thr[valid]
 
 
-def gini_best_split_numpy(X, y, feature_indices):
+def _left_counts(valid):
+    """Rows left of each valid cut, as float64, in scan order."""
+    counts = np.arange(1.0, valid.shape[1] + 1)
+    return np.broadcast_to(counts, valid.shape)[valid]
+
+
+def _first_max(gain, feature_indices, valid, thr):
+    """The first maximum of gain in scan order, if it beats the -1.0 floor."""
+    if gain.size == 0:
+        return -1, 0.0, -1.0
+    k = int(np.argmax(gain))
+    if not gain[k] > -1.0:
+        return -1, 0.0, -1.0
+    per_candidate = np.cumsum(np.count_nonzero(valid, axis=1))
+    c = int(np.searchsorted(per_candidate, k, side="right"))
+    return int(feature_indices[c]), float(thr[k]), float(gain[k])
+
+
+def _chunks(feature_indices, n):
+    """Candidate features in runs of at most ``_CHUNK_CELLS`` sorted cells,
+    one feature per run when a single column is larger."""
+    step = max(1, _CHUNK_CELLS // n)
+    for c in range(0, len(feature_indices), step):
+        yield feature_indices[c:c + step]
+
+
+def gini_best_split(order, y, feature_indices, *, columns):
     """Best (feature, threshold, gain) under Gini impurity for one node.
 
-    X: (n, d) float64, y: (n,) int64 in {0, 1}, feature_indices: int64
-    candidate feature columns in ascending order. Returns feature -1 when
-    no candidate split exists. gain is parent impurity minus the
+    y: int64 labels in {0, 1} indexed by row. Returns feature -1 (gain
+    -1.0) when no candidate split exists. gain is parent impurity minus the
     sample-weighted child impurity.
     """
-    n = X.shape[0]
-    n1 = int(y.sum())
+    n = order.shape[0]
+    n1 = int(y.take(order[:, 0]).sum())
     n0 = n - n1
     fn = float(n)
     p0 = n0 / fn
     p1 = n1 / fn
     g_parent = 1.0 - p0 * p0 - p1 * p1
 
-    best_feat = -1
-    best_thr = 0.0
-    best_gain = -1.0
-    for j in feature_indices:
-        col = X[:, j]
-        order = np.argsort(col, kind="mergesort")
-        sv = col[order]
-        if sv[0] == sv[n - 1]:
-            continue
-        sy = y[order]
-        cut = np.nonzero(sv[:-1] != sv[1:])[0]
-        thr = (sv[cut] + sv[cut + 1]) * 0.5
-        keep = thr < sv[cut + 1]
-        cut = cut[keep]
-        thr = thr[keep]
-        if cut.size == 0:
-            continue
-        cum1 = np.cumsum(sy)
-        nl = (cut + 1).astype(np.float64)
-        n1l = cum1[cut].astype(np.float64)
+    best = (-1, 0.0, -1.0)
+    for feats in _chunks(feature_indices, n):
+        sy, valid, thr = _scan(order, y, feats, columns)
+        nl = _left_counts(valid)
+        n1l = np.cumsum(sy, axis=1)[:, :-1][valid].astype(np.float64)
         n0l = nl - n1l
         nr = fn - nl
         n1r = float(n1) - n1l
@@ -91,165 +119,42 @@ def gini_best_split_numpy(X, y, feature_indices):
         p1r = n1r / nr
         gr = 1.0 - p0r * p0r - p1r * p1r
         gain = g_parent - ((nl / fn) * gl + (nr / fn) * gr)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_feat = int(j)
-            best_thr = float(thr[k])
-            best_gain = float(gain[k])
-    return best_feat, best_thr, best_gain
+        found = _first_max(gain, feats, valid, thr)
+        if found[2] > best[2]:
+            best = found
+    return best
 
 
-def _gini_best_split_loop(X, y, feature_indices):
-    n = X.shape[0]
-    n1 = 0
-    for i in range(n):
-        n1 += y[i]
-    n0 = n - n1
-    fn = float(n)
-    p0 = n0 / fn
-    p1 = n1 / fn
-    g_parent = 1.0 - p0 * p0 - p1 * p1
-
-    best_feat = -1
-    best_thr = 0.0
-    best_gain = -1.0
-    for jj in range(feature_indices.shape[0]):
-        j = feature_indices[jj]
-        col = X[:, j].copy()
-        order = np.argsort(col, kind="mergesort")
-        sv = col[order]
-        if sv[0] == sv[n - 1]:
-            continue
-        cum = 0
-        for i in range(n - 1):
-            cum += y[order[i]]
-            if sv[i] == sv[i + 1]:
-                continue
-            thr = (sv[i] + sv[i + 1]) * 0.5
-            if not thr < sv[i + 1]:
-                continue
-            nl = float(i + 1)
-            n1l = float(cum)
-            n0l = nl - n1l
-            nr = fn - nl
-            n1r = float(n1) - n1l
-            n0r = nr - n1r
-            p0l = n0l / nl
-            p1l = n1l / nl
-            gl = 1.0 - p0l * p0l - p1l * p1l
-            p0r = n0r / nr
-            p1r = n1r / nr
-            gr = 1.0 - p0r * p0r - p1r * p1r
-            gain = g_parent - ((nl / fn) * gl + (nr / fn) * gr)
-            if gain > best_gain:
-                best_feat = j
-                best_thr = thr
-                best_gain = gain
-    return best_feat, best_thr, best_gain
-
-
-# ---------------------------------------------------------------------------
-# regression split (sum of squared errors)
-# ---------------------------------------------------------------------------
-
-
-def sse_best_split_numpy(X, r, feature_indices):
+def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
     """Best (feature, threshold, gain) by SSE reduction for one node.
 
-    r is the float64 regression target. gain is parent SSE minus the sum
-    of child SSEs (absolute reduction, not sample-weighted variance).
+    r: float64 regression target indexed by row. parent_sums: the node's
+    (sum of r, sum of r * r). gain is parent SSE minus the sum of child
+    SSEs (absolute reduction, not sample-weighted variance).
     """
-    n = X.shape[0]
+    n = order.shape[0]
     fn = float(n)
-    total_s = float(np.cumsum(r)[-1])
-    total_q = float(np.cumsum(r * r)[-1])
+    total_s, total_q = parent_sums
     sse_parent = total_q - total_s * total_s / fn
 
-    best_feat = -1
-    best_thr = 0.0
-    best_gain = -1.0
-    for j in feature_indices:
-        col = X[:, j]
-        order = np.argsort(col, kind="mergesort")
-        sv = col[order]
-        if sv[0] == sv[n - 1]:
-            continue
-        sr = r[order]
-        cut = np.nonzero(sv[:-1] != sv[1:])[0]
-        thr = (sv[cut] + sv[cut + 1]) * 0.5
-        keep = thr < sv[cut + 1]
-        cut = cut[keep]
-        thr = thr[keep]
-        if cut.size == 0:
-            continue
-        cums = np.cumsum(sr)
-        cumq = np.cumsum(sr * sr)
-        nl = (cut + 1).astype(np.float64)
-        sl = cums[cut]
-        ql = cumq[cut]
+    best = (-1, 0.0, -1.0)
+    for feats in _chunks(feature_indices, n):
+        sr, valid, thr = _scan(order, r, feats, columns)
+        nl = _left_counts(valid)
+        sl = np.cumsum(sr, axis=1)[:, :-1][valid]
+        ql = np.cumsum(sr * sr, axis=1)[:, :-1][valid]
         nr = fn - nl
         sse_l = ql - sl * sl / nl
         sr_sum = total_s - sl
         sse_r = (total_q - ql) - sr_sum * sr_sum / nr
         gain = sse_parent - (sse_l + sse_r)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            best_feat = int(j)
-            best_thr = float(thr[k])
-            best_gain = float(gain[k])
-    return best_feat, best_thr, best_gain
+        found = _first_max(gain, feats, valid, thr)
+        if found[2] > best[2]:
+            best = found
+    return best
 
 
-def _sse_best_split_loop(X, r, feature_indices):
-    n = X.shape[0]
-    fn = float(n)
-    total_s = 0.0
-    total_q = 0.0
-    for i in range(n):
-        total_s += r[i]
-        total_q += r[i] * r[i]
-    sse_parent = total_q - total_s * total_s / fn
-
-    best_feat = -1
-    best_thr = 0.0
-    best_gain = -1.0
-    for jj in range(feature_indices.shape[0]):
-        j = feature_indices[jj]
-        col = X[:, j].copy()
-        order = np.argsort(col, kind="mergesort")
-        sv = col[order]
-        if sv[0] == sv[n - 1]:
-            continue
-        sl = 0.0
-        ql = 0.0
-        for i in range(n - 1):
-            ri = r[order[i]]
-            sl += ri
-            ql += ri * ri
-            if sv[i] == sv[i + 1]:
-                continue
-            thr = (sv[i] + sv[i + 1]) * 0.5
-            if not thr < sv[i + 1]:
-                continue
-            nl = float(i + 1)
-            nr = fn - nl
-            sse_l = ql - sl * sl / nl
-            sr_sum = total_s - sl
-            sse_r = (total_q - ql) - sr_sum * sr_sum / nr
-            gain = sse_parent - (sse_l + sse_r)
-            if gain > best_gain:
-                best_feat = j
-                best_thr = thr
-                best_gain = gain
-    return best_feat, best_thr, best_gain
-
-
-# ---------------------------------------------------------------------------
-# batched tree traversal
-# ---------------------------------------------------------------------------
-
-
-def tree_apply_numpy(feature, threshold, left, right, value, X):
+def tree_apply(feature, threshold, left, right, value, X):
     """Evaluate an array-encoded binary tree on every row of X.
 
     feature[i] == -1 marks node i as a leaf carrying value[i]; internal
@@ -270,53 +175,29 @@ def tree_apply_numpy(feature, threshold, left, right, value, X):
     return value[node]
 
 
-def _tree_apply_loop(feature, threshold, left, right, value, X):
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        node = 0
-        while feature[node] >= 0:
-            if X[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = value[node]
-    return out
+def tank_loop(level0, rates, noise, flips, n_steps):
+    """Tank farm simulation, one python step at a time.
 
-
-# ---------------------------------------------------------------------------
-# tank farm step loop
-# ---------------------------------------------------------------------------
-
-
-def _tank_loop_py(
-    level0,
-    inflow_rate,
-    outflow_rate,
-    level_low,
-    level_high,
-    capacity,
-    dt,
-    level_noise,
-    inflow_noise,
-    outflow_noise,
-    pump_flip,
-    valve_flip,
-    level_meas,
-    inflow_meas,
-    outflow_meas,
-    pump_out,
-    valve_out,
-):
-    """Shared step loop body; numba-compilable as written.
+    rates: (inflow_rate, outflow_rate, level_low, level_high, capacity, dt)
+    noise: (level_noise, inflow_noise, outflow_noise), each (n_steps, n_tanks)
+    flips: (pump_flip, valve_flip) boolean (n_steps, n_tanks)
+    Returns (level_meas, inflow_meas, outflow_meas, pump, valve).
 
     Per step: read noisy level, run the hysteresis pump controller on the
     reading, apply actuator-flip overrides, integrate the true level from
     the (possibly forced) actuator states. Controller memory keeps its own
     command so forcing an actuator does not corrupt the hysteresis state.
     """
-    n_steps = level_meas.shape[0]
-    n_tanks = level_meas.shape[1]
+    inflow_rate, outflow_rate, level_low, level_high, capacity, dt = rates
+    level_noise, inflow_noise, outflow_noise = noise
+    pump_flip, valve_flip = flips
+    n_tanks = level0.shape[0]
+    shape = (n_steps, n_tanks)
+    level_meas = np.empty(shape, dtype=np.float64)
+    inflow_meas = np.empty(shape, dtype=np.float64)
+    outflow_meas = np.empty(shape, dtype=np.float64)
+    pump_out = np.empty(shape, dtype=np.int64)
+    valve_out = np.empty(shape, dtype=np.int64)
     level = level0.copy()
     pump_cmd = np.zeros(n_tanks, dtype=np.int64)
     for t in range(n_steps):
@@ -345,86 +226,4 @@ def _tank_loop_py(
                 level[k] = 0.0
             elif level[k] > capacity:
                 level[k] = capacity
-
-
-def tank_loop_numpy(level0, rates, noise, flips, n_steps):
-    """Pure-python/numpy tank farm simulation.
-
-    rates: (inflow_rate, outflow_rate, level_low, level_high, capacity, dt)
-    noise: (level_noise, inflow_noise, outflow_noise), each (n_steps, n_tanks)
-    flips: (pump_flip, valve_flip) boolean (n_steps, n_tanks)
-    Returns (level_meas, inflow_meas, outflow_meas, pump, valve).
-    """
-    n_tanks = level0.shape[0]
-    out = _alloc_trace(n_steps, n_tanks)
-    _tank_loop_py(level0, *rates, *noise, *flips, *out)
-    return out
-
-
-def _alloc_trace(n_steps, n_tanks):
-    return (
-        np.empty((n_steps, n_tanks), dtype=np.float64),
-        np.empty((n_steps, n_tanks), dtype=np.float64),
-        np.empty((n_steps, n_tanks), dtype=np.float64),
-        np.empty((n_steps, n_tanks), dtype=np.int64),
-        np.empty((n_steps, n_tanks), dtype=np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _gini_jit = njit(cache=True)(_gini_best_split_loop)
-    _sse_jit = njit(cache=True)(_sse_best_split_loop)
-    _tree_apply_jit = njit(cache=True)(_tree_apply_loop)
-    _tank_loop_jit = njit(cache=True)(_tank_loop_py)
-
-    def gini_best_split_numba(X, y, feature_indices):
-        return _gini_jit(X, y, feature_indices)
-
-    def sse_best_split_numba(X, r, feature_indices):
-        return _sse_jit(X, r, feature_indices)
-
-    def tree_apply_numba(feature, threshold, left, right, value, X):
-        return _tree_apply_jit(feature, threshold, left, right, value, X)
-
-    def tank_loop_numba(level0, rates, noise, flips, n_steps):
-        n_tanks = level0.shape[0]
-        out = _alloc_trace(n_steps, n_tanks)
-        _tank_loop_jit(level0, *rates, *noise, *flips, *out)
-        return out
-
-    def warmup():
-        """Force JIT compilation of every kernel on tiny inputs."""
-        X = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-        y = np.array([0, 1, 0], dtype=np.int64)
-        feats = np.arange(2, dtype=np.int64)
-        gini_best_split_numba(X, y, feats)
-        sse_best_split_numba(X, y.astype(np.float64), feats)
-        tree_apply_numba(
-            np.array([0, -1, -1], dtype=np.int64),
-            np.array([0.5, 0.0, 0.0]),
-            np.array([1, -1, -1], dtype=np.int64),
-            np.array([2, -1, -1], dtype=np.int64),
-            np.array([0.0, 0.0, 1.0]),
-            X,
-        )
-        z = np.zeros((2, 1))
-        f = np.zeros((2, 1), dtype=np.bool_)
-        tank_loop_numba(
-            np.array([0.5]), (1.0, 0.5, 0.3, 0.7, 1.0, 1.0), (z, z, z), (f, f), 2
-        )
-
-
-if NUMBA_ENABLED:
-    gini_best_split = gini_best_split_numba
-    sse_best_split = sse_best_split_numba
-    tree_apply = tree_apply_numba
-    tank_loop = tank_loop_numba
-else:
-    gini_best_split = gini_best_split_numpy
-    sse_best_split = sse_best_split_numpy
-    tree_apply = tree_apply_numpy
-    tank_loop = tank_loop_numpy
+    return level_meas, inflow_meas, outflow_meas, pump_out, valve_out

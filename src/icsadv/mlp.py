@@ -19,7 +19,13 @@ import json
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ParseError, ShapeError
+from .errors import (
+    EmptyInputError,
+    IcsAdvError,
+    ParameterError,
+    ParseError,
+    ShapeError,
+)
 
 
 class MlpModel:
@@ -219,8 +225,13 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mlp":
-        raise ParseError("%s: not an mlp model document" % path)
-    return MlpModel(doc["layer_sizes"], doc["weights"], doc["biases"])
+    try:
+        with open(path, "r") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != "mlp":
+            raise ParseError("%s: not an mlp model document" % path)
+        return MlpModel(doc["layer_sizes"], doc["weights"], doc["biases"])
+    except IcsAdvError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("%s: malformed mlp model: %r" % (path, exc)) from exc

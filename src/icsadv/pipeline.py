@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import replace
 from importlib import resources
@@ -26,7 +25,6 @@ import numpy as np
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .accel import BACKEND
 from .errors import IcsAdvError, ParameterError, ParseError
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
@@ -262,18 +260,22 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         k: [] for k in DETECTOR_ORDER
     }
     X_eval, y_eval = attacked_n.X, attacked_n.y
+
+    def scored(model):
+        preds = trees.predict_classes(model, X_eval)
+        return model, evaluation.confusion(preds, y_eval)
+
+    # cart and gbc take no seed: one fit and one prediction serve every run
+    cart = scored(trees.train_cart(merged.X, merged.y, cart_p))
+    gbc = scored(trees.train_gbc(merged.X, merged.y, gbc_p))
     for r, run_seed in enumerate(run_seeds):
-        cart_m = trees.train_cart(merged.X, merged.y, cart_p)
-        rf_m = trees.train_forest(merged.X, merged.y, rf_p, seed=run_seed)
-        gbc_m = trees.train_gbc(merged.X, merged.y, gbc_p)
-        for kind, model in ((trees.CART, cart_m), (trees.FOREST, rf_m),
-                            (trees.GBC, gbc_m)):
+        rf = scored(trees.train_forest(merged.X, merged.y, rf_p, seed=run_seed))
+        for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, rf, gbc)):
             name = "models/%s_run%d.json" % (kind, r)
             trees.save_model(model, out / (name + ".tmp"))
             os.replace(out / (name + ".tmp"), out / name)
             record(name, out / name)
-            preds = trees.predict_classes(model, X_eval)
-            matrices[kind].append(evaluation.confusion(preds, y_eval))
+            matrices[kind].append(matrix)
 
     # stage 6: assessment report over the full attacked trace
     report = evaluation.build_report(matrices)
@@ -297,7 +299,6 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     manifest = {
         "format": "run-manifest",
         "version": 1,
-        "backend": BACKEND,
         "config": config,
         "seeds": {
             "scenario_normal": scenario["normal_seed"],
@@ -341,16 +342,6 @@ def evaluate_model(model, data: ds.Dataset) -> dict:
         "metrics": row.to_json(),
         "predicts_no_attacks": degenerate,
     }
-
-
-def feature_count_from_schema(schema: ds.Schema) -> int:
-    return schema.n_features
-
-
-def resolved_forest_features(params: trees.ForestParams, n_features: int) -> int:
-    if params.features_per_split is None:
-        return math.ceil(math.sqrt(n_features))
-    return params.features_per_split
 
 
 def simulate_to_dir(scenario: dict, out_dir) -> dict:

@@ -16,6 +16,17 @@ tests pin down:
 A forest with one tree, no bootstrap and all features per split grows the
 identical tree a plain CART would (the per-split feature draw is skipped
 when the subset covers every feature, to keep the RNG stream out of it).
+
+Growth sorts each feature once per fit, not once per node: CART sorts once,
+a forest once for all its trees (each bootstrap sample is the presort with
+every row repeated as often as it was drawn), boosting once for all its
+stages. Each split then partitions the node's presorted slice stably in
+place (see ``_TreeBuilder``), and the trees come out exactly as if every
+node had been sorted afresh.
+
+Training and prediction reject NaN and infinite features with
+``InputContractError``; ``load_model`` turns any malformed document into
+``ParseError``.
 """
 from __future__ import annotations
 
@@ -29,6 +40,8 @@ from . import kernels
 from .errors import (
     DegenerateTargetError,
     EmptyInputError,
+    IcsAdvError,
+    InputContractError,
     ParameterError,
     ParseError,
     ShapeError,
@@ -139,18 +152,6 @@ class TreeModel:
             self.feature, self.threshold, self.left, self.right, self.value, X
         )
 
-    def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Index of the leaf each row lands in."""
-        ids = kernels.tree_apply(
-            self.feature,
-            self.threshold,
-            self.left,
-            self.right,
-            np.arange(self.n_nodes, dtype=np.float64),
-            X,
-        )
-        return ids.astype(np.int64)
-
     def to_json(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -163,7 +164,7 @@ class TreeModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeModel":
-        return cls(
+        tree = cls(
             obj["feature"],
             obj["threshold"],
             obj["left"],
@@ -171,30 +172,47 @@ class TreeModel:
             obj["value"],
             obj["n_features"],
         )
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if {a.shape for a in arrays} != {(tree.n_nodes,)} or tree.n_nodes == 0:
+            raise ValueError("tree arrays must be 1-D, non-empty, of one length")
+        return tree
 
 
 class _TreeBuilder:
-    def __init__(self, X, target, criterion, max_depth, min_samples_split,
-                 min_impurity_decrease, features_per_split=None, rng=None):
-        self.X = X
+    """Greedy depth-first growth over two row buffers, partitioned in place.
+
+    ``columns`` is X.T, C-contiguous. ``rows`` holds the rows being fit in
+    fit order (bootstrap draw order for a forest tree, ascending otherwise);
+    ``order`` is (d, len(rows)) and its row j holds the same rows stably
+    sorted by feature j. Every node owns the slice [start, end) of both; a
+    split partitions that slice stably so the left child takes its front
+    and the right child its back. A stable partition keeps the tie order a
+    fresh stable sort of the child's rows would give, so split scans see
+    exactly what per-node sorting showed.
+    """
+
+    def __init__(self, columns, target, criterion, max_depth, min_samples_split,
+                 min_impurity_decrease, rows, order, features_per_split=None,
+                 rng=None):
+        self.columns = columns
         self.target = target
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
+        self.rows = rows
+        self.order = order
         self.features_per_split = features_per_split
         self.rng = rng
-        self.n_features = X.shape[1]
+        self.n_features = columns.shape[0]
         self.all_features = np.arange(self.n_features, dtype=np.int64)
+        self.goes_left = np.empty(columns.shape[1], dtype=bool)
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-
-    def _leaf_value(self, idx) -> float:
-        t = self.target[idx]
-        return float(t.mean())
+        self.leaves: list[tuple[int, int, int]] = []  # (node, start, end)
 
     def _candidate_features(self) -> np.ndarray:
         k = self.features_per_split
@@ -212,37 +230,70 @@ class _TreeBuilder:
         self.value.append(0.0)
         return node
 
-    def build(self, idx, depth) -> int:
-        node = self._new_node()
-        self.value[node] = self._leaf_value(idx)
-        n = idx.shape[0]
-        if depth >= self.max_depth or n < self.min_samples_split:
-            return node
+    def _best_split(self, start, end):
+        t = self.target[self.rows[start:end]]
+        order = self.order[:, start:end].T
         if self.criterion == _GINI:
-            t = self.target[idx]
             if t.min() == t.max():
-                return node
-            feat, thr, gain = kernels.gini_best_split(
-                self.X[idx], t, self._candidate_features()
+                return -1, 0.0, -1.0
+            return kernels.gini_best_split(
+                order, self.target, self._candidate_features(),
+                columns=self.columns,
             )
-        else:
-            feat, thr, gain = kernels.sse_best_split(
-                self.X[idx], self.target[idx], self._candidate_features()
-            )
+        # parent sums accumulate in fit order; the saved trees keep these bits
+        sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
+        return kernels.sse_best_split(
+            order, self.target, self._candidate_features(),
+            columns=self.columns, parent_sums=sums,
+        )
+
+    def _partition(self, start, end, feat, thr) -> int:
+        """Stable in-place partition of both buffers; returns the split point."""
+        rows = self.rows[start:end]
+        go = self.columns[feat].take(rows) <= thr
+        self.goes_left[rows] = go
+        mid = start + int(np.count_nonzero(go))
+        # gather both halves before writing either
+        lo, hi = rows[go], rows[~go]
+        self.rows[start:mid] = lo
+        self.rows[mid:end] = hi
+        block = self.order[:, start:end]
+        mask = self.goes_left.take(block)
+        d = block.shape[0]
+        lo, hi = block[mask].reshape(d, -1), block[~mask].reshape(d, -1)
+        block[:, :mid - start] = lo
+        block[:, mid - start:] = hi
+        return mid
+
+    def build(self, start, end, depth) -> int:
+        node = self._new_node()
+        self.value[node] = float(self.target[self.rows[start:end]].mean())
+        feat = -1
+        if depth < self.max_depth and end - start >= self.min_samples_split:
+            feat, thr, gain = self._best_split(start, end)
         if feat < 0 or not gain > self.min_impurity_decrease:
+            self.leaves.append((node, start, end))
             return node
-        mask = self.X[idx, feat] <= thr
+        mid = self._partition(start, end, feat, thr)
         self.feature[node] = feat
         self.threshold[node] = thr
-        self.left[node] = self.build(idx[mask], depth + 1)
-        self.right[node] = self.build(idx[~mask], depth + 1)
+        self.left[node] = self.build(start, mid, depth + 1)
+        self.right[node] = self.build(mid, end, depth + 1)
         return node
 
-    def finish(self) -> TreeModel:
+    def grow(self) -> TreeModel:
+        self.build(0, self.rows.shape[0], 0)
         return TreeModel(
             self.feature, self.threshold, self.left, self.right, self.value,
             self.n_features,
         )
+
+
+def _presort(X):
+    """X.T as a C-contiguous (d, n) array, and the (d, n) row indices whose
+    row j is stably sorted by X[:, j]."""
+    columns = np.ascontiguousarray(X.T)
+    return columns, np.argsort(columns, axis=1, kind="mergesort")
 
 
 def _check_xy(X, y, binary: bool):
@@ -251,9 +302,13 @@ def _check_xy(X, y, binary: bool):
         raise ShapeError("X must be 2-D")
     if X.shape[0] == 0:
         raise EmptyInputError("cannot train on an empty dataset")
+    if not np.isfinite(X).all():
+        raise InputContractError("X contains NaN or infinite values")
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ShapeError("y length does not match X")
+    if not np.isfinite(y).all():
+        raise InputContractError("y contains NaN or infinite values")
     if binary:
         y = y.astype(np.int64)
         if y.size and (y.min() < 0 or y.max() > 1):
@@ -270,12 +325,12 @@ class CartModel:
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
     X, y = _check_xy(X, y, binary=True)
+    columns, presorted = _presort(X)
     builder = _TreeBuilder(
-        X, y, _GINI, params.max_depth, params.min_samples_split,
-        params.min_impurity_decrease,
+        columns, y, _GINI, params.max_depth, params.min_samples_split,
+        params.min_impurity_decrease, np.arange(X.shape[0]), presorted,
     )
-    builder.build(np.arange(X.shape[0]), 0)
-    return CartModel(builder.finish(), params)
+    return CartModel(builder.grow(), params)
 
 
 class ForestModel:
@@ -297,17 +352,28 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
             "features_per_split %d exceeds feature count %d" % (k, d)
         )
     streams = np.random.SeedSequence(seed).spawn(params.n_trees)
+    columns, presorted = _presort(X)
+    order = np.empty_like(presorted)
     trees = []
-    rows = np.arange(n)
     for ss in streams:
         rng = np.random.default_rng(ss)
-        idx = rng.integers(0, n, size=n) if params.bootstrap else rows
+        if params.bootstrap:
+            idx = rng.integers(0, n, size=n)
+            # each row repeated as often as it was drawn keeps every presort
+            # row sorted; ties sit in row order rather than draw order, which
+            # Gini gains cannot see
+            counts = np.bincount(idx, minlength=n)
+            for j, sorted_rows in enumerate(presorted):
+                order[j] = np.repeat(sorted_rows, counts[sorted_rows])
+        else:
+            idx = np.arange(n)
+            order[:] = presorted
         builder = _TreeBuilder(
-            X, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, features_per_split=k, rng=rng,
+            columns, y, _GINI, params.max_depth, params.min_samples_split,
+            params.min_impurity_decrease, idx, order, features_per_split=k,
+            rng=rng,
         )
-        builder.build(idx, 0)
-        trees.append(builder.finish())
+        trees.append(builder.grow())
     return ForestModel(trees, params, seed)
 
 
@@ -351,25 +417,33 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
         )
     log_odds = math.log(p / (1.0 - p))
     yf = y.astype(np.float64)
-    scores = np.full(X.shape[0], log_odds)
+    n = X.shape[0]
+    scores = np.full(n, log_odds)
     stages = []
-    all_rows = np.arange(X.shape[0])
+    all_rows = np.arange(n)
+    columns, presorted = _presort(X)
+    rows, order = np.empty_like(all_rows), np.empty_like(presorted)
+    step = np.empty(n)
     for _ in range(params.n_stages):
         resid = yf - _sigmoid(scores)
+        rows[:] = all_rows
+        order[:] = presorted
         builder = _TreeBuilder(
-            X, resid, _SSE, params.max_depth, 2, 0.0,
+            columns, resid, _SSE, params.max_depth, 2, 0.0, rows, order,
         )
-        builder.build(all_rows, 0)
-        tree = builder.finish()
-        leaf_of_row = tree.leaf_ids(X)
+        tree = builder.grow()
         leaf_values = np.zeros(tree.n_nodes)
-        for leaf in np.unique(leaf_of_row):
-            r = resid[leaf_of_row == leaf]
+        # a leaf's rows stay in ascending row order, which fixes the order
+        # of the sums below
+        for leaf, start, end in builder.leaves:
+            leaf_rows = rows[start:end]
+            r = resid[leaf_rows]
             denom = float(np.sum(np.abs(r) * (1.0 - np.abs(r))))
             leaf_values[leaf] = float(r.sum()) / denom if denom > 0 else 0.0
+            step[leaf_rows] = leaf_values[leaf]
         tree.value = leaf_values
         stages.append(tree)
-        scores = scores + params.learning_rate * leaf_values[leaf_of_row]
+        scores = scores + params.learning_rate * step
     return GbcModel(log_odds, stages, params)
 
 
@@ -387,6 +461,8 @@ def _check_matrix(model, X) -> np.ndarray:
         raise ShapeError(
             "input has %d features, model expects %d" % (X.shape[1], d)
         )
+    if not np.isfinite(X).all():
+        raise InputContractError("X contains NaN or infinite values")
     return X
 
 
@@ -447,22 +523,35 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "detector":
-        raise ParseError("%s: not a detector model document" % path)
+    try:
+        with open(path, "r") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != "detector":
+            raise ParseError("%s: not a detector model document" % path)
+        return _model_from_json(doc, path)
+    except IcsAdvError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError("%s: malformed detector model: %r" % (path, exc)) from exc
+
+
+def _model_from_json(doc: dict, path):
     kind = doc.get("kind")
     if kind == CART:
         return CartModel(
             TreeModel.from_json(doc["tree"]), CartParams(**doc["params"])
         )
     if kind == FOREST:
+        if not doc["trees"]:
+            raise ValueError("forest has no trees")
         return ForestModel(
             [TreeModel.from_json(t) for t in doc["trees"]],
             ForestParams(**doc["params"]),
             int(doc.get("seed", 0)),
         )
     if kind == GBC:
+        if not doc["stages"]:
+            raise ValueError("boosted model has no stages")
         return GbcModel(
             doc["initial_log_odds"],
             [TreeModel.from_json(t) for t in doc["stages"]],

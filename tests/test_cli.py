@@ -82,6 +82,27 @@ class TestExitCodes:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "attack"])
+    def test_model_with_missing_key(self, tmp_path, capsys, command):
+        schema = ds.Schema((ds.Feature("A", "sensor"),))
+        data = ds.Dataset(schema, np.random.default_rng(0).random((20, 1)),
+                          (np.arange(20) % 2).astype(np.int64))
+        (tmp_path / "schema.json").write_text(json.dumps(schema.to_json()))
+        ds.save_csv(data, tmp_path / "data.csv")
+        model = tmp_path / "model.json"
+        if command == "evaluate":
+            model.write_text('{"format": "detector", "kind": "cart", "params": {}}')
+        else:
+            model.write_text('{"format": "mlp", "layer_sizes": [1, 2]}')
+        rc = cli.main(
+            [command, "--model", str(model), "--data", str(tmp_path / "data.csv"),
+             "--schema", str(tmp_path / "schema.json"),
+             "--out", str(tmp_path / "out.json")]
+        )
+        assert rc == 2
+        assert "model.json" in capsys.readouterr().err
+
+
 class TestStageWalkthrough:
     def test_full_chain(self, tmp_path, tiny_scenario, capsys):
         scenario = write_scenario(tmp_path, tiny_scenario)

@@ -1,16 +1,33 @@
-"""Kernel-level tests: backend agreement and split-scan correctness.
-
-The numpy and numba implementations are written to agree bitwise, so the
-cross-backend checks below use exact equality on purpose.
-"""
+"""Kernel-level tests: presorted split scans, tree traversal, tank loop."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsadv import kernels as K
 
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
+
+def presorted(X):
+    """Every row of X as one node: (n, d) stable per-feature sort order."""
+    return np.argsort(X, axis=0, kind="mergesort")
+
+
+def gini_split(X, y, feats):
+    X = np.asarray(X, dtype=np.float64)
+    return K.gini_best_split(
+        presorted(X), y, feats, columns=np.ascontiguousarray(X.T)
+    )
+
+
+def sse_split(X, r, feats):
+    X = np.asarray(X, dtype=np.float64)
+    sums = (float(np.cumsum(r)[-1]), float(np.cumsum(r * r)[-1]))
+    return K.sse_best_split(
+        presorted(X), r, feats, columns=np.ascontiguousarray(X.T),
+        parent_sums=sums,
+    )
 
 
 def _random_split_case(seed: int, quantize: bool):
@@ -61,7 +78,7 @@ class TestGiniSplit:
             X, y, feats = _random_split_case(seed, quantize=seed % 2 == 0)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            feat, thr, gain = K.gini_best_split_numpy(X, y, feats)
+            feat, thr, gain = gini_split(X, y, feats)
             efeat, ethr, egain = exhaustive_gini_split(X, y, feats)
             assert (feat, thr) == (efeat, ethr)
             assert gain == pytest.approx(egain, abs=1e-12)
@@ -69,7 +86,7 @@ class TestGiniSplit:
     def test_textbook_case(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 0, 1, 1], dtype=np.int64)
-        feat, thr, gain = K.gini_best_split_numpy(X, y, np.array([0], dtype=np.int64))
+        feat, thr, gain = gini_split(X, y, np.array([0], dtype=np.int64))
         assert feat == 0
         assert thr == 2.5
         assert gain == pytest.approx(0.5)
@@ -77,7 +94,7 @@ class TestGiniSplit:
     def test_constant_feature_gives_no_split(self):
         X = np.ones((10, 1))
         y = np.array([0, 1] * 5, dtype=np.int64)
-        feat, _, gain = K.gini_best_split_numpy(X, y, np.array([0], dtype=np.int64))
+        feat, _, gain = gini_split(X, y, np.array([0], dtype=np.int64))
         assert feat == -1
         assert gain == -1.0  # sentinel: no candidate at all
 
@@ -85,14 +102,14 @@ class TestGiniSplit:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         X = np.hstack([X, X])  # identical columns, identical gains
         y = np.array([0, 0, 1, 1], dtype=np.int64)
-        feat, _, _ = K.gini_best_split_numpy(X, y, np.array([0, 1], dtype=np.int64))
+        feat, _, _ = gini_split(X, y, np.array([0, 1], dtype=np.int64))
         assert feat == 0
 
     def test_tie_prefers_lowest_threshold(self):
         # gains at thresholds 1.5 and 3.5 are equal by symmetry
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 1, 1, 0], dtype=np.int64)
-        _, thr, _ = K.gini_best_split_numpy(X, y, np.array([0], dtype=np.int64))
+        _, thr, _ = gini_split(X, y, np.array([0], dtype=np.int64))
         assert thr == 1.5
 
     def test_adjacent_float_midpoint_skipped(self):
@@ -103,7 +120,7 @@ class TestGiniSplit:
         assert (a + b) / 2.0 == b
         X = np.array([[a], [b]])
         y = np.array([0, 1], dtype=np.int64)
-        feat, _, _ = K.gini_best_split_numpy(X, y, np.array([0], dtype=np.int64))
+        feat, _, _ = gini_split(X, y, np.array([0], dtype=np.int64))
         assert feat == -1
 
 
@@ -113,7 +130,7 @@ class TestSseSplit:
         X = np.round(rng.random((40, 3)), 2)
         r = rng.normal(size=40)
         feats = np.arange(3, dtype=np.int64)
-        feat, thr, gain = K.sse_best_split_numpy(X, r, feats)
+        feat, thr, gain = sse_split(X, r, feats)
         best = (-1, 0.0, 0.0)
         parent = float(((r - r.mean()) ** 2).sum())
         for f in feats:
@@ -132,6 +149,145 @@ class TestSseSplit:
         assert gain == pytest.approx(best[2], abs=1e-9)
 
 
+class TestScanRuns:
+    """A scan cut into runs of one feature each must pick exactly what a
+    single run over every feature picks, ties across runs included."""
+
+    def test_one_feature_runs_agree(self, monkeypatch):
+        cases = []
+        for seed in range(25):
+            X, y, feats = _random_split_case(seed, quantize=seed % 2 == 0)
+            X = np.hstack([X, X])  # every gain tied with a later run's
+            feats = np.arange(X.shape[1], dtype=np.int64)
+            cases.append((X, y, y - 0.5 * X[:, 0], feats))
+        whole = [(gini_split(X, y, f), sse_split(X, r, f)) for X, y, r, f in cases]
+        monkeypatch.setattr(K, "_CHUNK_CELLS", 1)
+        runs = [(gini_split(X, y, f), sse_split(X, r, f)) for X, y, r, f in cases]
+        assert runs == whole
+
+
+def node_slice(X, idx):
+    """A node holding rows ``idx`` (duplicates allowed) as tree growth
+    lays it out: the global presort, each row repeated as often as drawn."""
+    P = presorted(X)
+    counts = np.bincount(idx, minlength=X.shape[0])
+    return np.stack(
+        [np.repeat(P[:, j], counts[P[:, j]]) for j in range(X.shape[1])], axis=1
+    )
+
+
+def direct_gini_split(X, y, feature_indices):
+    """Every candidate midpoint scored straight from masks, with the
+    kernel's float formula, so the result must match bit for bit."""
+    n = X.shape[0]
+    fn = float(n)
+    n1 = int(y.sum())
+    p0, p1 = (n - n1) / fn, n1 / fn
+    g_parent = 1.0 - p0 * p0 - p1 * p1
+    best = (-1, 0.0, -1.0)
+    for f in feature_indices:
+        vals = np.unique(X[:, f])
+        for a, b in zip(vals[:-1], vals[1:]):
+            thr = (a + b) * 0.5
+            if not thr < b:
+                continue
+            mask = X[:, f] <= thr
+            nl = float(mask.sum())
+            n1l = float(y[mask].sum())
+            nr = fn - nl
+            n1r = float(n1) - n1l
+            p0l, p1l = (nl - n1l) / nl, n1l / nl
+            p0r, p1r = (nr - n1r) / nr, n1r / nr
+            gl = 1.0 - p0l * p0l - p1l * p1l
+            gr = 1.0 - p0r * p0r - p1r * p1r
+            gain = g_parent - ((nl / fn) * gl + (nr / fn) * gr)
+            if gain > best[2]:
+                best = (int(f), float(thr), float(gain))
+    return best
+
+
+def direct_sse_gain(X, r, f, thr):
+    m = X[:, f] <= thr
+    parent = float(((r - r.mean()) ** 2).sum())
+    sl = float(((r[m] - r[m].mean()) ** 2).sum())
+    sr = float(((r[~m] - r[~m].mean()) ** 2).sum())
+    return parent - sl - sr
+
+
+node_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # data seed
+    st.integers(2, 80),  # rows in the fit
+    st.integers(1, 6),  # features
+    st.integers(1, 8),  # grid levels per feature: few levels, many ties
+    st.booleans(),  # bootstrap draw (duplicate rows) or a plain subset
+)
+
+
+def draw_node(case):
+    seed, n, d, levels, bootstrap = case
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.random((n, d)) * levels) / levels
+    m = int(rng.integers(1, n + 1))
+    if bootstrap:
+        idx = rng.integers(0, n, size=m)
+    else:
+        idx = np.sort(rng.choice(n, size=m, replace=False))
+    feats = np.flatnonzero(rng.random(d) < 0.7)
+    if feats.size == 0:
+        feats = np.array([d - 1])
+    return rng, X, idx, feats
+
+
+class TestPresortedNodes:
+    @settings(max_examples=150, deadline=None)
+    @given(node_cases)
+    def test_gini_matches_oracles_on_node_slices(self, case):
+        rng, X, idx, feats = draw_node(case)
+        y = rng.integers(0, 2, X.shape[0]).astype(np.int64)
+        got = K.gini_best_split(
+            node_slice(X, idx), y, feats, columns=np.ascontiguousarray(X.T)
+        )
+        assert got == direct_gini_split(X[idx], y[idx], feats)
+        efeat, _, egain = exhaustive_gini_split(X[idx], y[idx], feats)
+        assert (got[0] < 0) == (efeat < 0)
+        assert got[2] == pytest.approx(egain, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(node_cases)
+    def test_sse_finds_an_optimal_split_on_node_slices(self, case):
+        rng, X, idx, feats = draw_node(case)
+        r = rng.normal(size=X.shape[0])
+        rn = r[idx]
+        sums = (float(np.cumsum(rn)[-1]), float(np.cumsum(rn * rn)[-1]))
+        feat, thr, gain = K.sse_best_split(
+            node_slice(X, idx), r, feats, columns=np.ascontiguousarray(X.T),
+            parent_sums=sums,
+        )
+        Xn = X[idx]
+        cands = [
+            direct_sse_gain(Xn, rn, f, (a + b) * 0.5)
+            for f in feats
+            for a, b in zip(np.unique(Xn[:, f])[:-1], np.unique(Xn[:, f])[1:])
+        ]
+        if not cands:
+            assert (feat, gain) == (-1, -1.0)
+            return
+        assert feat in feats
+        assert gain == pytest.approx(max(cands), abs=1e-9)
+        assert direct_sse_gain(Xn, rn, feat, thr) == pytest.approx(gain, abs=1e-9)
+
+
+def reference_tree_apply(feature, threshold, left, right, value, X):
+    """One row at a time, straight down the tree."""
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        out[i] = value[node]
+    return out
+
+
 class TestTreeApply:
     def _stump(self):
         feature = np.array([0, -1, -1], dtype=np.int64)
@@ -144,7 +300,7 @@ class TestTreeApply:
     def test_routing_and_boundary(self):
         tree = self._stump()
         X = np.array([[0.2], [0.5], [0.7]])
-        out = K.tree_apply_numpy(*tree, X)
+        out = K.tree_apply(*tree, X)
         # x == threshold goes left
         assert out.tolist() == [0.25, 0.25, 0.75]
 
@@ -157,8 +313,8 @@ class TestTreeApply:
         right = np.array([2, 4, 6, -1, -1, -1, -1], dtype=np.int64)
         value = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
         X = rng.random((200, 3))
-        a = K.tree_apply_numpy(feature, threshold, left, right, value, X)
-        b = K._tree_apply_loop(feature, threshold, left, right, value, X)
+        a = K.tree_apply(feature, threshold, left, right, value, X)
+        b = reference_tree_apply(feature, threshold, left, right, value, X)
         assert np.array_equal(a, b)
 
 
@@ -172,7 +328,7 @@ class TestTankLoopNumpy:
             valve_flip if valve_flip is not None else np.zeros((n_steps, 1), bool),
         )
         rates = (1.2, 0.8, 40.0, 60.0, 100.0, 1.0)
-        return K.tank_loop_numpy(np.array([50.0]), rates, noise, flips, n_steps)
+        return K.tank_loop(np.array([50.0]), rates, noise, flips, n_steps)
 
     def test_noise_free_sawtooth(self):
         level, inflow, outflow, pump, valve = self._run(n_steps=60)
@@ -215,56 +371,3 @@ class TestTankLoopNumpy:
         assert (outflow[100:, 0] == 0.0).all()
         # inflow stops once the reading passes level_high; level parks there
         assert 60.0 <= level[-1, 0] <= 60.0 + 1.2
-
-
-@needs_numba
-class TestBackendAgreement:
-    @classmethod
-    def setup_class(cls):
-        K.warmup()
-
-    def test_gini_bitwise(self):
-        for seed in range(30):
-            X, y, feats = _random_split_case(seed, quantize=seed % 3 == 0)
-            a = K.gini_best_split_numpy(X, y, feats)
-            b = K.gini_best_split_numba(X, y, feats)
-            assert a == b  # exact, including the float threshold and gain
-
-    def test_sse_bitwise(self):
-        rng = np.random.default_rng(77)
-        for _ in range(20):
-            n = int(rng.integers(5, 90))
-            d = int(rng.integers(1, 6))
-            X = np.round(rng.random((n, d)), 2)
-            r = rng.normal(size=n)
-            feats = np.arange(d, dtype=np.int64)
-            assert K.sse_best_split_numpy(X, r, feats) == K.sse_best_split_numba(
-                X, r, feats
-            )
-
-    def test_tree_apply_bitwise(self):
-        rng = np.random.default_rng(5)
-        feature = np.array([0, 1, -1, -1, -1], dtype=np.int64)
-        threshold = np.array([0.3, 0.7, 0.0, 0.0, 0.0])
-        left = np.array([1, 3, -1, -1, -1], dtype=np.int64)
-        right = np.array([2, 4, -1, -1, -1], dtype=np.int64)
-        value = np.array([0.0, 0.0, 0.5, 0.1, 0.9])
-        X = rng.random((500, 2))
-        a = K.tree_apply_numpy(feature, threshold, left, right, value, X)
-        b = K.tree_apply_numba(feature, threshold, left, right, value, X)
-        assert np.array_equal(a, b)
-
-    def test_tank_loop_bitwise(self):
-        rng = np.random.default_rng(9)
-        n_steps, n_tanks = 300, 2
-        noise = tuple(rng.normal(0, 0.2, (n_steps, n_tanks)) for _ in range(3))
-        flips = (
-            rng.random((n_steps, n_tanks)) < 0.05,
-            rng.random((n_steps, n_tanks)) < 0.05,
-        )
-        rates = (1.2, 0.8, 40.0, 60.0, 100.0, 1.0)
-        level0 = np.array([45.0, 55.0])
-        a = K.tank_loop_numpy(level0, rates, noise, flips, n_steps)
-        b = K.tank_loop_numba(level0, rates, noise, flips, n_steps)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)

@@ -1,6 +1,8 @@
 """Network oracle: init, forward pass, gradients, training, serialization."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -243,4 +245,22 @@ class TestSerialization:
         p = tmp_path / "m.json"
         p.write_text('{"format": "something-else"}')
         with pytest.raises(ParseError, match="mlp"):
+            mlp.load_model(p)
+
+    @pytest.mark.parametrize("key", ["layer_sizes", "weights", "biases"])
+    def test_missing_key_is_a_parse_error(self, key, tmp_path):
+        p = tmp_path / "m.json"
+        mlp.save_model(mlp.init([2, 3, 2], seed=0), p)
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            mlp.load_model(p)
+
+    @pytest.mark.parametrize("text", ["[]", "{broken",
+                                      '{"format": "mlp", "layer_sizes": 3}'])
+    def test_malformed_documents_are_parse_errors(self, text, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(ParseError):
             mlp.load_model(p)

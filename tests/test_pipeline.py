@@ -186,6 +186,30 @@ class TestRunPipeline:
         ]
 
 
+def test_seed_free_detectors_train_once(tmp_path, tiny_scenario, tiny_config,
+                                        monkeypatch):
+    calls = {"train_cart": 0, "train_forest": 0, "train_gbc": 0,
+             "predict_classes": 0}
+    for name in calls:
+        real = getattr(trees, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(trees, name, counted)
+    n_runs = tiny_config["n_runs"] = 3
+    pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+    assert calls == {"train_cart": 1, "train_forest": n_runs, "train_gbc": 1,
+                     "predict_classes": 2 + n_runs}
+    report = json.loads((tmp_path / "report.json").read_text())
+    for kind in ("cart", "rf", "gbc"):
+        assert len(report["detectors"][kind]["matrices"]) == n_runs
+        docs = {(tmp_path / ("models/%s_run%d.json" % (kind, r))).read_bytes()
+                for r in range(n_runs)}
+        assert len(docs) == (n_runs if kind == "rf" else 1)
+
+
 class TestEvaluateModel:
     def test_flags_detector_that_never_alarms(self):
         rng = np.random.default_rng(0)

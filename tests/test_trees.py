@@ -1,6 +1,9 @@
 """Detector training: CART growth rules, forest voting, boosting math."""
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from icsadv import trees
 from icsadv.errors import (
     DegenerateTargetError,
     EmptyInputError,
+    InputContractError,
     ParameterError,
     ParseError,
     ShapeError,
@@ -137,6 +141,20 @@ class TestCart:
             trees.train_cart(np.zeros((4, 2)), np.zeros(3, dtype=int))
         with pytest.raises(ParameterError):
             trees.train_cart(np.zeros((4, 2)), np.array([0, 1, 2, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("train", [trees.train_cart, trees.train_forest,
+                                       trees.train_gbc])
+    def test_non_finite_features_rejected(self, train, bad):
+        X, y = blob_data(n=30)
+        X[4, 1] = bad
+        with pytest.raises(InputContractError, match="NaN or infinite"):
+            train(X, y)
+
+    def test_non_finite_labels_rejected(self):
+        X, y = blob_data(n=30)
+        with pytest.raises(InputContractError):
+            trees.train_cart(X, np.where(np.arange(30) == 3, np.nan, y))
 
 
 class TestForest:
@@ -292,8 +310,54 @@ class TestSerialization:
         with pytest.raises(ParseError, match="svm"):
             trees.load_model(p)
 
+    @pytest.mark.parametrize("kind, path", [
+        ("cart", ("params",)),
+        ("cart", ("tree",)),
+        ("cart", ("tree", "feature")),
+        ("rf", ("trees",)),
+        ("rf", ("trees", 0, "threshold")),
+        ("gbc", ("initial_log_odds",)),
+        ("gbc", ("stages", 1, "value")),
+    ])
+    def test_missing_key_is_a_parse_error(self, kind, path, tmp_path):
+        X, y = blob_data(n=60, seed=3)
+        p = tmp_path / "m.json"
+        trees.save_model(GOLDEN_TRAIN[kind](X, y), p)
+        doc = json.loads(p.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=path[-1]):
+            trees.load_model(p)
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        "{broken",
+        '{"format": "detector", "kind": "cart", "params": {}, "tree": 5}',
+        '{"format": "detector", "kind": "rf", "params": {}, "trees": []}',
+        '{"format": "detector", "kind": "cart", "params": {}, "tree": '
+        '{"feature": [0], "threshold": [], "left": [1], "right": [2], '
+        '"value": [0.5], "n_features": 1}}',
+    ])
+    def test_malformed_documents_are_parse_errors(self, text, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(ParseError):
+            trees.load_model(p)
+
 
 class TestPredictionApi:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        X, y = blob_data(n=50)
+        m = trees.train_cart(X, y)
+        with pytest.raises(InputContractError):
+            trees.predict_classes(m, np.full((2, 3), bad))
+        with pytest.raises(InputContractError):
+            trees.predict_class(m, [0.5, bad, 0.5])
+
     def test_feature_count_checked(self):
         X, y = blob_data(n=50)
         m = trees.train_cart(X, y)
@@ -304,3 +368,41 @@ class TestPredictionApi:
         X, y = blob_data(n=50, seed=12)
         m = trees.train_cart(X, y)
         assert trees.predict_class(m, X[0]) == trees.predict_classes(m, X[:1])[0]
+
+
+def golden_data():
+    rng = np.random.default_rng(20240501)
+    X = rng.random((400, 6))
+    noise = 0.3 * rng.standard_normal(400)
+    y = (X[:, 0] + 0.5 * X[:, 1] + noise > 0.8).astype(np.int64)
+    return X, y
+
+
+GOLDEN_TRAIN = {
+    "cart": lambda X, y: trees.train_cart(X, y),
+    # a coarse grid gives many tied values inside every bootstrap sample
+    "rf": lambda X, y: trees.train_forest(
+        np.round(X * 8) / 8, y, trees.ForestParams(n_trees=8, max_depth=8), seed=5
+    ),
+    # tied values make the SSE sums depend on the tie order in every node
+    "gbc": lambda X, y: trees.train_gbc(
+        np.round(X, 1), y, trees.GbcParams(n_stages=20)
+    ),
+}
+
+# SHA-256 of the saved model JSON, as grown by per-node sorting
+GOLDEN_SHA256 = {
+    "cart": "1a45d174b02c2fdc3bcf24d1c9f9ee36a748ab0085ce45fe6de897d9c46cb72d",
+    "rf": "39ac8afdb3edaa69773b285c91d7babdf34ad5ad70cd6125e66c9af48fc9a557",
+    "gbc": "b57a46ba7f82deff9884918b1a4e68026df35818057b38c39cffdefac7dc0bb5",
+}
+
+
+class TestGoldenModels:
+    """Presorted growth must reproduce per-node sorting byte for byte."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
+    def test_saved_model_digest(self, kind, tmp_path):
+        p = tmp_path / "m.json"
+        trees.save_model(GOLDEN_TRAIN[kind](*golden_data()), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]
