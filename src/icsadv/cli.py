@@ -39,6 +39,14 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
+def _block(args, name: str) -> dict:
+    """Config block ``name`` of default_pipeline.json with every flag that
+    was given (not None) put over its default."""
+    block = pipeline.default_config()[name]
+    block.update((k, getattr(args, k)) for k in block if getattr(args, k) is not None)
+    return block
+
+
 def cmd_simulate(args) -> int:
     if args.scenario is None:
         scenario = plantsim.bundled_scenario()
@@ -76,26 +84,14 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
-    schema = _load_schema(args.schema)
-    data = ds.load_csv(args.train, schema)
-    if args.train_fraction < 1.0:
-        data, _ = ds.split(data, args.train_fraction, args.split_seed)
-    layer_sizes = [schema.n_features] + _int_list(args.hidden) + [2]
-    model = mlp.init(layer_sizes, args.seed)
-    model, history = mlp.train(
-        model,
-        data.X,
-        data.y,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        l2_penalty=args.l2_penalty,
-        seed=args.seed,
+    data = ds.load_csv(args.train, _load_schema(args.schema))
+    model, history = pipeline.train_oracle(
+        data, _block(args, "mlp"), args.split_seed, args.seed, args.seed
     )
-    mlp.save_model(model, args.out)
+    pipeline.write_model(model, Path(args.out))
     print(
-        "train-mlp: %d rows, %d epochs, final loss %.6f -> %s"
-        % (data.n_rows, args.epochs, history[-1], args.out)
+        "train-mlp: %g of %d rows, %d epochs, final loss %.6f -> %s"
+        % (args.train_fraction, data.n_rows, args.epochs, history[-1], args.out)
     )
     return 0
 
@@ -104,56 +100,25 @@ def cmd_attack(args) -> int:
     schema = _load_schema(args.schema)
     model = mlp.load_model(args.model)
     data = ds.load_csv(args.data, schema)
-    attack_rows = ds.Dataset(schema, data.X[data.y == 1], data.y[data.y == 1])
-    cfg = jsma.JsmaConfig(
-        epsilon=args.epsilons[0],
-        theta_max_features=args.theta,
-        max_iterations=args.max_iterations,
-        direction=args.direction,
-    )
-    adv, report = jsma.generate_set(
-        model, attack_rows, cfg, args.epsilons, args.variants, target=args.target
+    adv, report = pipeline.generate_adversarial(
+        model, data, _block(args, "jsma"), args.target
     )
     pipeline.write_csv(adv, Path(args.out))
     if args.report:
         pipeline.write_json(report, Path(args.report))
     print(
         "attack: %d rows x %d variants -> %d adversarial samples -> %s"
-        % (attack_rows.n_rows, args.variants, report["emitted"], args.out)
+        % (report["rows"], args.variants_per_row, report["emitted"], args.out)
     )
     return 0
 
 
 def cmd_train_detector(args) -> int:
-    schema = _load_schema(args.schema)
-    data = ds.load_csv(args.train, schema)
-    # per-kind depth defaults: 12 for the CART family, 3 for boosting stages
-    depth = args.max_depth
-    if args.kind == trees.CART:
-        params = trees.CartParams(
-            max_depth=12 if depth is None else depth,
-            min_samples_split=args.min_samples_split,
-            min_impurity_decrease=args.min_impurity_decrease,
-        )
-        model = trees.train_cart(data.X, data.y, params)
-    elif args.kind == trees.FOREST:
-        params = trees.ForestParams(
-            n_trees=args.n_trees,
-            features_per_split=args.features_per_split,
-            bootstrap=not args.no_bootstrap,
-            max_depth=12 if depth is None else depth,
-            min_samples_split=args.min_samples_split,
-            min_impurity_decrease=args.min_impurity_decrease,
-        )
-        model = trees.train_forest(data.X, data.y, params, seed=args.seed)
-    else:
-        params = trees.GbcParams(
-            n_stages=args.n_stages,
-            learning_rate=args.learning_rate,
-            max_depth=3 if depth is None else depth,
-        )
-        model = trees.train_gbc(data.X, data.y, params)
-    trees.save_model(model, args.out)
+    data = ds.load_csv(args.train, _load_schema(args.schema))
+    model = pipeline.train_detector(
+        args.kind, data.X, data.y, _block(args, args.kind), args.seed
+    )
+    pipeline.write_model(model, Path(args.out))
     print("train-detector: %s on %d rows -> %s" % (args.kind, data.n_rows, args.out))
     return 0
 
@@ -223,14 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", default="64,64", help="hidden sizes, e.g. 64,64")
+    p.add_argument("--hidden", dest="hidden_layers", type=_int_list,
+                   default="64,64", help="hidden sizes, e.g. 64,64")
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--l2-penalty", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-fraction", type=float, default=1.0,
-                   help="train on a seeded fraction of the file")
+                   help="fraction in (0, 1] of the rows to train on, drawn "
+                   "with --split-seed; 1 trains on every row")
     p.add_argument("--split-seed", type=int, default=0)
     p.set_defaults(func=cmd_train_mlp)
 
@@ -241,31 +208,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True, help="adversarial CSV")
     p.add_argument("--report", help="generation report JSON")
-    p.add_argument("--epsilons", type=_float_list, default=[0.1])
-    p.add_argument("--variants", type=int, default=1)
-    p.add_argument("--theta", type=float, default=0.3)
+    p.add_argument("--epsilons", dest="epsilon_schedule", type=_float_list,
+                   default=[0.1])
+    p.add_argument("--variants", dest="variants_per_row", type=int, default=1)
+    p.add_argument("--theta", dest="theta_max_features", type=float, default=0.3)
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--direction", choices=[jsma.INCREASE, jsma.SIGNED],
                    default=jsma.INCREASE)
     p.add_argument("--target", type=int, default=0)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("train-detector", help="train cart, rf or gbc")
+    p = sub.add_parser(
+        "train-detector", help="train cart, rf or gbc",
+        description="An unset flag takes its value from the kind's block in "
+        "default_pipeline.json; flags the kind has no parameter for are ignored.",
+    )
     p.add_argument("--kind", required=True,
                    choices=[trees.CART, trees.FOREST, trees.GBC])
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-depth", type=int, default=None,
-                   help="default 12 for cart/rf, 3 for gbc")
-    p.add_argument("--min-samples-split", type=int, default=2)
-    p.add_argument("--min-impurity-decrease", type=float, default=0.0)
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--features-per-split", type=int, default=None)
-    p.add_argument("--no-bootstrap", action="store_true")
-    p.add_argument("--n-stages", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--min-samples-split", type=int)
+    p.add_argument("--min-impurity-decrease", type=float)
+    p.add_argument("--n-trees", type=int)
+    p.add_argument("--features-per-split", type=int)
+    p.add_argument("--no-bootstrap", dest="bootstrap", action="store_false",
+                   default=None)
+    p.add_argument("--n-stages", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int, default=0, help="forest seed")
     p.set_defaults(func=cmd_train_detector)
 
     p = sub.add_parser("evaluate", help="score a detector on a labeled CSV")

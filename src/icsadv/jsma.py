@@ -28,7 +28,7 @@ import numpy as np
 
 from . import mlp
 from .dataset import Dataset
-from .errors import InputContractError, ParameterError, ShapeError
+from .errors import InputContractError, ParameterError
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
@@ -122,11 +122,7 @@ def jsma_attack(
     exhausted, or max_iterations steps were taken (all failure). The
     returned sample always stays inside the unit box.
     """
-    x = np.asarray(x, dtype=np.float64).copy()
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
-        raise ShapeError(
-            "input has shape %r, model expects (%d,)" % (x.shape, model.n_inputs)
-        )
+    x = mlp._check_input(model, x).copy()
     if np.any(x < CLIP_MIN) or np.any(x > CLIP_MAX):
         raise ParameterError(
             "input lies outside [%g, %g]; normalize before attacking"

@@ -8,7 +8,9 @@ matter are exactness and replayability rather than training speed:
 * softmax with max subtraction, cross-entropy loss;
 * ``jacobian`` returns the reverse-mode Jacobian of the *logits* (not the
   softmax output) with respect to the input vector;
-* ``predict`` breaks logit ties toward the lowest class index, i.e. class 0.
+* ``predict`` breaks logit ties toward the lowest class index, i.e. class 0;
+* every entry point rejects NaN or infinite input with
+  ``InputContractError`` instead of returning a class or a gradient for it.
 
 Weights serialize to JSON with full repr precision, so save/load round
 trips are exact.
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     IcsAdvError,
+    InputContractError,
     ParameterError,
     ParseError,
     ShapeError,
@@ -91,6 +94,8 @@ def _check_input(model: MlpModel, x) -> np.ndarray:
         raise ShapeError(
             "input has shape %r, model expects (%d,)" % (x.shape, model.n_inputs)
         )
+    if not np.isfinite(x).all():
+        raise InputContractError("input contains NaN or infinite values")
     return x
 
 
@@ -100,35 +105,32 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    A = X
+def _walk(model: MlpModel, X: np.ndarray):
+    """Forward pass over one input vector or a batch of rows: (input of each
+    layer, hidden pre-activations, logits)."""
+    acts = [X]
+    pre_acts = []
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        A = np.maximum(A @ W.T + b, 0.0)
-    return A @ model.weights[-1].T + model.biases[-1]
+        Z = acts[-1] @ W.T + b
+        pre_acts.append(Z)
+        acts.append(np.maximum(Z, 0.0))
+    return acts, pre_acts, acts[-1] @ model.weights[-1].T + model.biases[-1]
 
 
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, softmax probabilities) for one input vector."""
-    x = _check_input(model, x)
-    logits = _forward_batch(model, x[None, :])[0]
+    logits = _walk(model, _check_input(model, x))[2]
     return logits, _softmax(logits)
 
 
 def predict(model: MlpModel, x) -> int:
     """Class with the largest logit; ties go to the lowest index."""
-    logits, _ = forward(model, x)
-    return int(np.argmax(logits))
+    return int(np.argmax(_walk(model, _check_input(model, x))[2]))
 
 
 def jacobian(model: MlpModel, x) -> np.ndarray:
     """d logits / d x, shape (n_classes, n_inputs), reverse mode."""
-    x = _check_input(model, x)
-    a = x
-    pre_acts = []
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = W @ a + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
+    _, pre_acts, _ = _walk(model, _check_input(model, x))
     J = model.weights[-1]
     for W, z in zip(reversed(model.weights[:-1]), reversed(pre_acts)):
         J = (J * (z > 0.0)) @ W
@@ -160,6 +162,8 @@ def train(
         )
     if X.shape[0] == 0:
         raise EmptyInputError("cannot train on an empty dataset")
+    if not np.isfinite(X).all():
+        raise InputContractError("training matrix contains NaN or infinite values")
     if y.shape != (X.shape[0],):
         raise ShapeError("label vector length %r does not match X" % (y.shape,))
     if y.min() < 0 or y.max() >= model.n_classes:
@@ -171,7 +175,6 @@ def train(
 
     m = model.copy()
     n = X.shape[0]
-    n_classes = m.n_classes
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(epochs):
@@ -185,15 +188,7 @@ def train(
             yb = y[idx]
             nb = xb.shape[0]
 
-            acts = [xb]
-            pre_acts = []
-            A = xb
-            for W, b in zip(m.weights[:-1], m.biases[:-1]):
-                Z = A @ W.T + b
-                pre_acts.append(Z)
-                A = np.maximum(Z, 0.0)
-                acts.append(A)
-            logits = A @ m.weights[-1].T + m.biases[-1]
+            acts, pre_acts, logits = _walk(m, xb)
             probs = _softmax(logits)
             p_true = probs[np.arange(nb), yb]
             losses[idx] = -np.log(np.maximum(p_true, 1e-300))

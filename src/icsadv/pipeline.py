@@ -3,9 +3,14 @@ assess.
 
 Every stage persists its artifact into the output directory before the
 next stage starts, so any stage can be re-run standalone through the CLI
-from the files alone. All randomness derives from the scenario seeds plus
-the single pipeline seed via fixed offsets, and floats serialize via repr,
-so two runs with the same config produce byte-identical artifacts.
+from the files alone: stages 3-5 are ``train_oracle``,
+``generate_adversarial`` and ``train_detector``, which the ``train-mlp``,
+``attack`` and ``train-detector`` subcommands call with their flags as the
+config block. Every file is written to a temp file and renamed into place,
+so an interrupted run leaves no truncated artifact. All randomness derives
+from the scenario seeds plus the single pipeline seed via fixed offsets,
+and floats serialize via repr, so two runs with the same config produce
+byte-identical artifacts.
 
 The run manifest records a SHA-256 per artifact plus which files fed
 detector training. The evaluation dataset's hash must never appear among
@@ -17,11 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
@@ -80,26 +82,42 @@ def normalize_config(config: dict) -> dict:
     return out
 
 
-def write_json(obj: dict, path: Path, indent: int = 2) -> None:
-    """Atomic JSON write: full temp file, then rename."""
+def _replace_into(save, obj, path) -> None:
+    """Write ``obj`` through ``save(obj, tmp)`` into a temp file beside
+    ``path``, then rename it over ``path``: readers see the old file or the
+    whole new one, never a partial write."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=indent)
-        fh.write("\n")
+    try:
+        save(obj, tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _dump_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def write_json(obj: dict, path: Path) -> None:
+    _replace_into(_dump_json, obj, path)
 
 
 def write_csv(data: ds.Dataset, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    ds.save_csv(data, tmp)
-    os.replace(tmp, path)
+    _replace_into(ds.save_csv, data, path)
 
 
 def write_text(text: str, path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _replace_into(lambda t, tmp: tmp.write_text(t), text, path)
+
+
+def write_model(model, path: Path) -> None:
+    """Save an MLP oracle or a tree detector."""
+    save = mlp.save_model if isinstance(model, mlp.MlpModel) else trees.save_model
+    _replace_into(save, model, path)
 
 
 def sha256_file(path: Path) -> str:
@@ -139,22 +157,83 @@ class DirectoryLock:
         return False
 
 
-def _mlp_params(block: dict):
-    hidden = [int(h) for h in block["hidden_layers"]]
+def _simulate(scenario: dict, emit):
+    """Stage 1: simulate both legs of ``scenario``; the scenario, its schema
+    and both logs go to ``emit(name, writer, obj)``.
+
+    Returns (normal, attacked, parse_scenario's tuple)."""
+    parsed = plantsim.parse_scenario(scenario)
+    emit("scenario.json", write_json, scenario)
+    emit("schema.json", write_json, plantsim.schema_for(parsed[0]).to_json())
+    normal, attacked = plantsim.simulate_scenario(scenario)
+    emit("normal.csv", write_csv, normal)
+    emit("attacked.csv", write_csv, attacked)
+    return normal, attacked, parsed
+
+
+def train_oracle(data: ds.Dataset, mlp_block: dict, split_seed: int,
+                 init_seed: int, train_seed: int):
+    """Stage 3: train the MLP oracle on a seeded ``train_fraction`` of
+    ``data``; a fraction of 1 trains on every row.
+
+    Returns the trained model and its per-epoch loss history.
+    """
+    hidden = [int(h) for h in mlp_block["hidden_layers"]]
     if not hidden or any(h < 1 for h in hidden):
         raise ParameterError("mlp hidden_layers must be positive integers")
-    frac = float(block["train_fraction"])
-    return hidden, frac
+    fraction = float(mlp_block["train_fraction"])
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
+    if fraction < 1.0:
+        data, _held = ds.split(data, fraction, split_seed)
+    model = mlp.init([data.n_features] + hidden + [2], init_seed)
+    return mlp.train(
+        model,
+        data.X,
+        data.y,
+        learning_rate=float(mlp_block["learning_rate"]),
+        epochs=int(mlp_block["epochs"]),
+        batch_size=int(mlp_block["batch_size"]),
+        l2_penalty=float(mlp_block["l2_penalty"]),
+        seed=train_seed,
+    )
 
 
-def _detector_params(config: dict):
-    cart_p = trees.CartParams(**config["cart"])
-    rf_kwargs = dict(config["rf"])
-    if rf_kwargs.get("features_per_split") is not None:
-        rf_kwargs["features_per_split"] = int(rf_kwargs["features_per_split"])
-    rf_p = trees.ForestParams(**rf_kwargs)
-    gbc_p = trees.GbcParams(**config["gbc"])
-    return cart_p, rf_p, gbc_p
+def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
+                         jsma_block: dict, target: int):
+    """Stage 4: JSMA samples from the attack rows (label 1) of ``data``.
+
+    Returns the adversarial dataset and the generation report.
+    """
+    attack_rows = ds.Dataset(data.schema, data.X[data.y == 1], data.y[data.y == 1])
+    schedule = [float(e) for e in jsma_block["epsilon_schedule"]]
+    if not schedule:
+        raise ParameterError("jsma epsilon_schedule must not be empty")
+    config = jsma.JsmaConfig(
+        epsilon=schedule[0],
+        theta_max_features=float(jsma_block["theta_max_features"]),
+        max_iterations=int(jsma_block["max_iterations"]),
+        direction=str(jsma_block["direction"]),
+    )
+    return jsma.generate_set(
+        oracle, attack_rows, config, schedule,
+        int(jsma_block["variants_per_row"]), target=target,
+    )
+
+
+def train_detector(kind: str, X, y, block: dict, seed: int = 0):
+    """Stage 5: fit one detector of ``kind`` with the parameters of its config
+    block; only the forest uses ``seed``."""
+    if kind == trees.CART:
+        return trees.train_cart(X, y, trees.CartParams(**block))
+    if kind == trees.GBC:
+        return trees.train_gbc(X, y, trees.GbcParams(**block))
+    if kind != trees.FOREST:
+        raise ParameterError("unknown detector kind %r" % kind)
+    params = dict(block)
+    if params["features_per_split"] is not None:
+        params["features_per_split"] = int(params["features_per_split"])
+    return trees.train_forest(X, y, trees.ForestParams(**params), seed=seed)
 
 
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
@@ -165,124 +244,70 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     """
     config = normalize_config(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
+    (out / "models").mkdir(parents=True, exist_ok=True)
 
     if scenario is None:
         if config["scenario"] is None:
             scenario = plantsim.bundled_scenario()
         else:
             scenario = plantsim.load_scenario(config["scenario"])
-    else:
-        plantsim.parse_scenario(scenario)
 
     seed = config["seed"]
     artifacts: dict[str, str] = {}
 
-    def record(name: str, path: Path):
-        artifacts[name] = sha256_file(path)
+    def emit(name: str, writer, obj) -> None:
+        writer(obj, out / name)
+        artifacts[name] = sha256_file(out / name)
 
-    # stage 1: simulate both legs of the scenario
-    write_json(scenario, out / "scenario.json")
-    record("scenario.json", out / "scenario.json")
-    plant_cfg, _attacks, _ns, _as = plantsim.parse_scenario(scenario)
-    schema = plantsim.schema_for(plant_cfg)
-    write_json(schema.to_json(), out / "schema.json")
-    record("schema.json", out / "schema.json")
-    normal, attacked = plantsim.simulate_scenario(scenario)
-    write_csv(normal, out / "normal.csv")
-    record("normal.csv", out / "normal.csv")
-    write_csv(attacked, out / "attacked.csv")
-    record("attacked.csv", out / "attacked.csv")
+    normal, attacked, _parsed = _simulate(scenario, emit)
 
     # stage 2: fit scaling on the attacked trace, normalize both legs
     params = ds.fit_minmax(attacked)
-    write_json(params.to_json(), out / "minmax.json")
-    record("minmax.json", out / "minmax.json")
+    emit("minmax.json", write_json, params.to_json())
     normal_n = ds.apply_minmax(normal, params)
     attacked_n = ds.apply_minmax(attacked, params)
-    write_csv(normal_n, out / "normal_norm.csv")
-    record("normal_norm.csv", out / "normal_norm.csv")
-    write_csv(attacked_n, out / "attacked_norm.csv")
-    record("attacked_norm.csv", out / "attacked_norm.csv")
+    emit("normal_norm.csv", write_csv, normal_n)
+    emit("attacked_norm.csv", write_csv, attacked_n)
 
-    # stage 3: train the oracle on a split of the attacked trace
-    hidden, train_fraction = _mlp_params(config["mlp"])
-    train_part, _held = ds.split(
-        attacked_n, train_fraction, seed + SPLIT_SEED_OFFSET
+    oracle, history = train_oracle(
+        attacked_n, config["mlp"], seed + SPLIT_SEED_OFFSET,
+        seed + MLP_INIT_SEED_OFFSET, seed + MLP_TRAIN_SEED_OFFSET,
     )
-    layer_sizes = [schema.n_features] + hidden + [2]
-    oracle = mlp.init(layer_sizes, seed + MLP_INIT_SEED_OFFSET)
-    oracle, history = mlp.train(
-        oracle,
-        train_part.X,
-        train_part.y,
-        learning_rate=float(config["mlp"]["learning_rate"]),
-        epochs=int(config["mlp"]["epochs"]),
-        batch_size=int(config["mlp"]["batch_size"]),
-        l2_penalty=float(config["mlp"]["l2_penalty"]),
-        seed=seed + MLP_TRAIN_SEED_OFFSET,
-    )
-    mlp.save_model(oracle, out / "mlp.json.tmp")
-    os.replace(out / "mlp.json.tmp", out / "mlp.json")
-    record("mlp.json", out / "mlp.json")
+    emit("mlp.json", write_model, oracle)
 
-    # stage 4: adversarial generation from the attack rows
-    attack_rows = ds.Dataset(
-        schema, attacked_n.X[attacked_n.y == 1], attacked_n.y[attacked_n.y == 1]
+    # the samples must pass the oracle as normal (class 0)
+    adversarial, gen_report = generate_adversarial(
+        oracle, attacked_n, config["jsma"], target=0
     )
-    jsma_block = config["jsma"]
-    jcfg = jsma.JsmaConfig(
-        epsilon=float(jsma_block["epsilon_schedule"][0]),
-        theta_max_features=float(jsma_block["theta_max_features"]),
-        max_iterations=int(jsma_block["max_iterations"]),
-        direction=str(jsma_block["direction"]),
-    )
-    adversarial, gen_report = jsma.generate_set(
-        oracle,
-        attack_rows,
-        jcfg,
-        [float(e) for e in jsma_block["epsilon_schedule"]],
-        int(jsma_block["variants_per_row"]),
-        target=0,
-    )
-    write_csv(adversarial, out / "adversarial.csv")
-    record("adversarial.csv", out / "adversarial.csv")
-    write_json(gen_report, out / "generation_report.json")
-    record("generation_report.json", out / "generation_report.json")
+    emit("adversarial.csv", write_csv, adversarial)
+    emit("generation_report.json", write_json, gen_report)
 
-    # stage 5: detectors train on normal + adversarial only
+    # detectors train on normal + adversarial only, and are scored on the
+    # full attacked trace
     merged = ds.merge(normal_n, adversarial)
-    cart_p, rf_p, gbc_p = _detector_params(config)
     run_seeds = [seed + DETECTOR_SEED_OFFSET + r for r in range(config["n_runs"])]
     matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
         k: [] for k in DETECTOR_ORDER
     }
-    X_eval, y_eval = attacked_n.X, attacked_n.y
 
-    def scored(model):
-        preds = trees.predict_classes(model, X_eval)
-        return model, evaluation.confusion(preds, y_eval)
+    def fit(kind, run_seed=0):
+        model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
+        preds = trees.predict_classes(model, attacked_n.X)
+        return model, evaluation.confusion(preds, attacked_n.y)
 
     # cart and gbc take no seed: one fit and one prediction serve every run
-    cart = scored(trees.train_cart(merged.X, merged.y, cart_p))
-    gbc = scored(trees.train_gbc(merged.X, merged.y, gbc_p))
+    fitted = {kind: fit(kind) for kind in (trees.CART, trees.GBC)}
     for r, run_seed in enumerate(run_seeds):
-        rf = scored(trees.train_forest(merged.X, merged.y, rf_p, seed=run_seed))
-        for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, rf, gbc)):
-            name = "models/%s_run%d.json" % (kind, r)
-            trees.save_model(model, out / (name + ".tmp"))
-            os.replace(out / (name + ".tmp"), out / name)
-            record(name, out / name)
+        fitted[trees.FOREST] = fit(trees.FOREST, run_seed)
+        for kind in DETECTOR_ORDER:
+            model, matrix = fitted[kind]
+            emit("models/%s_run%d.json" % (kind, r), write_model, model)
             matrices[kind].append(matrix)
 
-    # stage 6: assessment report over the full attacked trace
+    # stage 6: assessment report
     report = evaluation.build_report(matrices)
-    write_json(report, out / "report.json")
-    record("report.json", out / "report.json")
-    write_text(evaluation.render_text(report), out / "report.txt")
-    record("report.txt", out / "report.txt")
+    emit("report.json", write_json, report)
+    emit("report.txt", write_text, evaluation.render_text(report))
 
     training_inputs = {
         "normal_norm.csv": artifacts["normal_norm.csv"],
@@ -309,7 +334,7 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
             "detector_runs": run_seeds,
         },
         "mlp": {
-            "layer_sizes": layer_sizes,
+            "layer_sizes": oracle.layer_sizes,
             "epochs": int(config["mlp"]["epochs"]),
             "final_loss": history[-1],
         },
@@ -348,13 +373,9 @@ def simulate_to_dir(scenario: dict, out_dir) -> dict:
     """The simulate stage standalone: two CSVs, schema, label manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config, attacks, normal_seed, attack_seed = plantsim.parse_scenario(scenario)
-    schema = plantsim.schema_for(config)
-    normal, attacked = plantsim.simulate_scenario(scenario)
-    write_json(scenario, out / "scenario.json")
-    write_json(schema.to_json(), out / "schema.json")
-    write_csv(normal, out / "normal.csv")
-    write_csv(attacked, out / "attacked.csv")
+    normal, attacked, (_plant, attacks, normal_seed, attack_seed) = _simulate(
+        scenario, lambda name, writer, obj: writer(obj, out / name)
+    )
     manifest = {
         "format": "simulation-manifest",
         "version": 1,

@@ -2,21 +2,38 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from icsadv import cli
 from icsadv import dataset as ds
+from icsadv import mlp, trees
 from icsadv import pipeline as pl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_scenario(tmp_path, tiny_scenario):
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(tiny_scenario))
     return p
+
+
+def write_blobs(tmp_path):
+    """A small two-class, two-feature training file and its schema."""
+    rng = np.random.default_rng(0)
+    schema = ds.Schema((ds.Feature("A", "sensor"), ds.Feature("B", "sensor")))
+    X = rng.random((80, 2))
+    ds.save_csv(ds.Dataset(schema, X, (X[:, 0] > 0.5).astype(np.int64)),
+                tmp_path / "train.csv")
+    (tmp_path / "schema.json").write_text(json.dumps(schema.to_json()))
+    return ["--train", str(tmp_path / "train.csv"),
+            "--schema", str(tmp_path / "schema.json")]
 
 
 def write_config(tmp_path, tiny_config, scenario_path):
@@ -103,6 +120,83 @@ class TestExitCodes:
         assert "model.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0"])
+    def test_train_fraction_outside_unit_interval(self, tmp_path, capsys, fraction):
+        rc = cli.main(["train-mlp", "--train-fraction", fraction, "--hidden", "4",
+                       "--out", str(tmp_path / "m.json")] + write_blobs(tmp_path))
+        assert rc == 2
+        assert "train_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("command, module", [
+        (["train-mlp", "--hidden", "4", "--epochs", "1"], mlp),
+        (["train-detector", "--kind", "cart"], trees),
+    ])
+    def test_failed_model_write_keeps_previous_file(self, tmp_path, capsys,
+                                                    monkeypatch, command, module):
+        out = tmp_path / "model.json"
+        argv = command + write_blobs(tmp_path) + ["--out", str(out)]
+        assert cli.main(argv) == 0
+        before = out.read_bytes()
+
+        def write_half_then_fail(model, path):
+            with open(path, "w") as fh:
+                fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(module, "save_model", write_half_then_fail)
+        assert cli.main(argv) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.json", "schema.json", "train.csv"]
+
+
+class TestCliMatchesPipeline:
+    def test_stage_commands_reproduce_pipeline_artifacts(
+        self, tmp_path, tiny_scenario, tiny_config, capsys
+    ):
+        run = tmp_path / "run"
+        manifest = pl.run_pipeline(tiny_config, run, scenario=tiny_scenario)
+        config = manifest["config"]
+        jb = config["jsma"]
+        schema = ["--schema", str(run / "schema.json")]
+        assert cli.main(
+            ["attack", "--model", str(run / "mlp.json"),
+             "--data", str(run / "attacked_norm.csv"),
+             "--epsilons", ",".join(repr(e) for e in jb["epsilon_schedule"]),
+             "--variants", str(jb["variants_per_row"]),
+             "--theta", repr(jb["theta_max_features"]),
+             "--max-iterations", str(jb["max_iterations"]),
+             "--direction", jb["direction"],
+             "--out", str(tmp_path / "adversarial.csv"),
+             "--report", str(tmp_path / "generation_report.json")] + schema
+        ) == 0
+        for name in ("adversarial.csv", "generation_report.json"):
+            assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+
+        parsed = ds.Schema.from_json(json.loads((run / "schema.json").read_text()))
+        ds.save_csv(ds.merge(ds.load_csv(run / "normal_norm.csv", parsed),
+                             ds.load_csv(tmp_path / "adversarial.csv", parsed)),
+                    tmp_path / "train.csv")
+        for kind, extra in (
+            ("cart", []),
+            ("rf", ["--seed", str(manifest["seeds"]["detector_runs"][0]),
+                    "--n-trees", str(config["rf"]["n_trees"])]),
+            ("gbc", ["--n-stages", str(config["gbc"]["n_stages"])]),
+        ):
+            out = tmp_path / ("%s.json" % kind)
+            assert cli.main(["train-detector", "--kind", kind,
+                             "--train", str(tmp_path / "train.csv"),
+                             "--out", str(out)] + schema + extra) == 0
+            assert out.read_bytes() == (
+                run / "models" / ("%s_run0.json" % kind)
+            ).read_bytes(), kind
+        capsys.readouterr()
+
+
 class TestStageWalkthrough:
     def test_full_chain(self, tmp_path, tiny_scenario, capsys):
         scenario = write_scenario(tmp_path, tiny_scenario)
@@ -183,14 +277,7 @@ class TestStageWalkthrough:
 
     def test_gbc_depth_default_differs_from_cart(self, tmp_path):
         # --max-depth defaults per kind: 12 for cart/rf, 3 for gbc
-        rng = np.random.default_rng(0)
-        schema = ds.Schema((ds.Feature("A", "sensor"), ds.Feature("B", "sensor")))
-        X = rng.random((80, 2))
-        y = (X[:, 0] > 0.5).astype(np.int64)
-        ds.save_csv(ds.Dataset(schema, X, y), tmp_path / "train.csv")
-        (tmp_path / "schema.json").write_text(json.dumps(schema.to_json()))
-        common = ["--train", str(tmp_path / "train.csv"),
-                  "--schema", str(tmp_path / "schema.json")]
+        common = write_blobs(tmp_path)
         assert cli.main(["train-detector", "--kind", "cart",
                          "--out", str(tmp_path / "c.json")] + common) == 0
         assert cli.main(["train-detector", "--kind", "gbc", "--n-stages", "3",
@@ -251,10 +338,12 @@ def _row():
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "icsadv.cli", "--help"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         for name in ("simulate", "preprocess", "train-mlp", "attack",

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsadv import dataset as ds
 from icsadv import jsma, mlp
@@ -200,6 +202,15 @@ class TestAttackWalks:
             jsma.jsma_attack(m, [0.5], 0, cfg())
         with pytest.raises(ParameterError, match="target"):
             jsma.jsma_attack(m, [0.5, 0.5], 3, cfg())
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           pos=st.integers(0, 1), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_input_rejected(self, x, pos, bad):
+        x[pos] = bad
+        m = linear_model([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputContractError, match="NaN or infinite"):
+            jsma.jsma_attack(m, x, 0, cfg())
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -5,9 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsadv import mlp
-from icsadv.errors import EmptyInputError, ParameterError, ParseError, ShapeError
+from icsadv.errors import (
+    EmptyInputError,
+    InputContractError,
+    ParameterError,
+    ParseError,
+    ShapeError,
+)
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 def blob_data(n=400, seed=0):
@@ -193,6 +203,28 @@ class TestTrain:
             mlp.train(m, X, y, learning_rate=-1.0)
         with pytest.raises(ParameterError):
             mlp.train(m, X, y, epochs=0)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite feature anywhere is rejected, never scored."""
+
+    @pytest.mark.parametrize("entry", [mlp.predict, mlp.jacobian, mlp.forward])
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           pos=st.integers(0, 2), bad=NON_FINITE)
+    def test_single_row_entry_points(self, entry, x, pos, bad):
+        x[pos] = bad
+        with pytest.raises(InputContractError, match="NaN or infinite"):
+            entry(mlp.init([3, 4, 2], seed=0), x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=st.integers(0, 19), col=st.integers(0, 2), bad=NON_FINITE)
+    def test_train(self, row, col, bad):
+        X = np.random.default_rng(0).random((20, 3))
+        X[row, col] = bad
+        y = np.arange(20) % 2
+        with pytest.raises(InputContractError, match="NaN or infinite"):
+            mlp.train(mlp.init([3, 4, 2], seed=0), X, y, epochs=1)
 
 
 class TestNumericalInvariants:

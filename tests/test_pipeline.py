@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from icsadv import dataset as ds
+from icsadv import mlp
 from icsadv import pipeline as pl
 from icsadv import trees
 from icsadv.errors import IcsAdvError, ParameterError, ParseError
@@ -68,6 +69,35 @@ class TestSimulateToDir:
         assert manifest["normal_rows"] == manifest["attacked_rows"] == 1200
         assert manifest["attack_rows_labeled"] == 380
         assert len(manifest["windows"]) == 3
+
+
+class TestTrainOracle:
+    def _data(self):
+        rng = np.random.default_rng(0)
+        schema = ds.Schema((ds.Feature("A", "sensor"), ds.Feature("B", "sensor")))
+        X = rng.random((50, 2))
+        return ds.Dataset(schema, X, (X[:, 0] > 0.5).astype(np.int64))
+
+    def _block(self, fraction):
+        return dict(pl.default_config()["mlp"], hidden_layers=[4], epochs=2,
+                    train_fraction=fraction)
+
+    def test_fraction_one_trains_on_every_row(self):
+        data = self._data()
+        model, history = pl.train_oracle(data, self._block(1.0), 1, 2, 3)
+        block = self._block(1.0)
+        direct, direct_history = mlp.train(
+            mlp.init([2, 4, 2], 2), data.X, data.y,
+            learning_rate=block["learning_rate"], epochs=2,
+            batch_size=block["batch_size"], l2_penalty=block["l2_penalty"], seed=3,
+        )
+        assert history == direct_history
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, direct.weights))
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ParameterError, match="train_fraction"):
+            pl.train_oracle(self._data(), self._block(fraction), 1, 2, 3)
 
 
 @pytest.fixture(scope="module")
