@@ -85,13 +85,15 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train_mlp(args) -> int:
     data = ds.load_csv(args.train, _load_schema(args.schema))
+    block = _block(args, "mlp")
     model, history = pipeline.train_oracle(
-        data, _block(args, "mlp"), args.split_seed, args.seed, args.seed
+        data, block, args.split_seed, args.seed, args.seed
     )
     pipeline.write_model(model, Path(args.out))
     print(
         "train-mlp: %g of %d rows, %d epochs, final loss %.6f -> %s"
-        % (args.train_fraction, data.n_rows, args.epochs, history[-1], args.out)
+        % (block["train_fraction"], data.n_rows, block["epochs"], history[-1],
+           args.out)
     )
     return 0
 
@@ -108,7 +110,7 @@ def cmd_attack(args) -> int:
         pipeline.write_json(report, Path(args.report))
     print(
         "attack: %d rows x %d variants -> %d adversarial samples -> %s"
-        % (report["rows"], args.variants_per_row, report["emitted"], args.out)
+        % (report["rows"], report["variants_per_row"], report["emitted"], args.out)
     )
     return 0
 
@@ -184,37 +186,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-params-out", help="where to save fitted parameters")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train-mlp", help="train the MLP oracle")
+    p = sub.add_parser(
+        "train-mlp", help="train the MLP oracle",
+        description="An unset flag takes its value from the mlp block in "
+        "default_pipeline.json.",
+    )
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--hidden", dest="hidden_layers", type=_int_list,
-                   default="64,64", help="hidden sizes, e.g. 64,64")
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--l2-penalty", type=float, default=0.0)
+                   help="hidden sizes, e.g. 64,64")
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--l2-penalty", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=1.0,
+    p.add_argument("--train-fraction", type=float,
                    help="fraction in (0, 1] of the rows to train on, drawn "
                    "with --split-seed; 1 trains on every row")
     p.add_argument("--split-seed", type=int, default=0)
     p.set_defaults(func=cmd_train_mlp)
 
-    p = sub.add_parser("attack", help="generate adversarial samples")
+    p = sub.add_parser(
+        "attack", help="generate adversarial samples",
+        description="An unset flag takes its value from the jsma block in "
+        "default_pipeline.json.",
+    )
     p.add_argument("--model", required=True, help="mlp model JSON")
     p.add_argument("--data", required=True,
                    help="normalized CSV; only label-1 rows are used")
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True, help="adversarial CSV")
     p.add_argument("--report", help="generation report JSON")
-    p.add_argument("--epsilons", dest="epsilon_schedule", type=_float_list,
-                   default=[0.1])
-    p.add_argument("--variants", dest="variants_per_row", type=int, default=1)
-    p.add_argument("--theta", dest="theta_max_features", type=float, default=0.3)
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--direction", choices=[jsma.INCREASE, jsma.SIGNED],
-                   default=jsma.INCREASE)
+    p.add_argument("--epsilons", dest="epsilon_schedule", type=_float_list)
+    p.add_argument("--variants", dest="variants_per_row", type=int)
+    p.add_argument("--theta", dest="theta_max_features", type=float)
+    p.add_argument("--max-iterations", type=int)
+    p.add_argument("--direction", choices=[jsma.INCREASE, jsma.SIGNED])
     p.add_argument("--target", type=int, default=0)
     p.set_defaults(func=cmd_attack)
 

@@ -7,7 +7,9 @@ matter are exactness and replayability rather than training speed:
 * hidden ReLU with subgradient 0 at the kink, linear output layer;
 * softmax with max subtraction, cross-entropy loss;
 * ``jacobian`` returns the reverse-mode Jacobian of the *logits* (not the
-  softmax output) with respect to the input vector;
+  softmax output) with respect to the input vector; ``logits_and_jacobians``
+  does the same for a batch of rows in one walk, with every row's ReLU mask
+  stacked into the reverse pass, and ``jacobian`` is its one-row case;
 * ``predict`` breaks logit ties toward the lowest class index, i.e. class 0;
 * every entry point rejects NaN or infinite input with
   ``InputContractError`` instead of returning a class or a gradient for it.
@@ -88,11 +90,14 @@ def init(layer_sizes, seed: int) -> MlpModel:
     return MlpModel(sizes, weights, biases)
 
 
-def _check_input(model: MlpModel, x) -> np.ndarray:
+def _check_input(model: MlpModel, x, ndim: int = 1) -> np.ndarray:
+    """One input vector (``ndim`` 1) or a matrix of rows (``ndim`` 2) as a
+    finite float64 array of the model's width."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_inputs:
+    if x.ndim != ndim or x.shape[-1] != model.n_inputs:
         raise ShapeError(
-            "input has shape %r, model expects (%d,)" % (x.shape, model.n_inputs)
+            "input has shape %r, model expects (%s%d,)"
+            % (x.shape, "*, " * (ndim - 1), model.n_inputs)
         )
     if not np.isfinite(x).all():
         raise InputContractError("input contains NaN or infinite values")
@@ -128,13 +133,30 @@ def predict(model: MlpModel, x) -> int:
     return int(np.argmax(_walk(model, _check_input(model, x))[2]))
 
 
-def jacobian(model: MlpModel, x) -> np.ndarray:
-    """d logits / d x, shape (n_classes, n_inputs), reverse mode."""
-    _, pre_acts, _ = _walk(model, _check_input(model, x))
+def _logits_and_jacobians(model: MlpModel, X: np.ndarray):
+    """Unchecked batch walk: logits (n, c) and d logits / d x per row
+    (n, c, d), reverse mode through each row's ReLU mask.
+
+    The rows are walked as a stack of (1, d) vectors, so each layer is one
+    vector-matrix product per row, the same product (and the same bits) as
+    walking that row alone; a (n, d) matrix product sums in another order.
+    """
+    _, pre_acts, logits = _walk(model, X[:, None, :])
     J = model.weights[-1]
     for W, z in zip(reversed(model.weights[:-1]), reversed(pre_acts)):
         J = (J * (z > 0.0)) @ W
-    return J
+    return logits[:, 0], np.broadcast_to(J, (X.shape[0],) + J.shape[-2:])
+
+
+def logits_and_jacobians(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (n, n_classes) and every row's logit Jacobian
+    (n, n_classes, n_inputs) for a matrix of rows, from one forward pass."""
+    return _logits_and_jacobians(model, _check_input(model, X, ndim=2))
+
+
+def jacobian(model: MlpModel, x) -> np.ndarray:
+    """d logits / d x, shape (n_classes, n_inputs), reverse mode."""
+    return _logits_and_jacobians(model, _check_input(model, x)[None])[1][0]
 
 
 def train(

@@ -53,6 +53,17 @@ def tiny_scenario() -> dict:
 
 @pytest.fixture
 def tiny_config() -> dict:
+    return _tiny_config()
+
+
+@pytest.fixture(scope="session")
+def tiny_inputs():
+    """Fresh (scenario, config) copies for module-scoped fixtures, which
+    cannot request the function-scoped ones above."""
+    return lambda: (copy.deepcopy(TINY_SCENARIO), _tiny_config())
+
+
+def _tiny_config() -> dict:
     """Pipeline config small enough for unit tests (seconds, not minutes)."""
     cfg = pipeline.default_config()
     cfg["n_runs"] = 2

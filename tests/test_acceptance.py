@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,18 @@ def test_criterion_4_jsma_contracts(criterion, tmp_path):
         ds.save_csv(a, pa)
         ds.save_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+        # output order is (row, epsilon), each sample as attacked alone
+        alone = [jsma.jsma_attack(model, x, 0, replace(config, epsilon=e))
+                 for x in rows.X for e in (0.2, 0.1)]
+        assert a.X.tobytes() == np.array(
+            [r.sample for r in alone if r.success]
+        ).tobytes()
+        # equal saliency on both features: the lower index goes first
+        tied = mlp.MlpModel([2, 2], [np.array([[1.0, 1.0], [-1.0, -1.0]])],
+                            [np.array([0.0, 2.5])])
+        res = jsma.jsma_attack(tied, [0.0, 0.0], 0, replace(config, epsilon=0.5,
+                                                             theta_max_features=1.0))
+        assert res.success and res.sample.tolist() == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------

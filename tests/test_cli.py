@@ -196,6 +196,37 @@ class TestCliMatchesPipeline:
             ).read_bytes(), kind
         capsys.readouterr()
 
+    def test_attack_without_tuning_flags_uses_config_block(
+        self, tmp_path, tiny_scenario, tiny_config, capsys
+    ):
+        tiny_config["jsma"] = pl.default_config()["jsma"]
+        run = tmp_path / "run"
+        pl.run_pipeline(tiny_config, run, scenario=tiny_scenario)
+        assert cli.main(
+            ["attack", "--model", str(run / "mlp.json"),
+             "--data", str(run / "attacked_norm.csv"),
+             "--schema", str(run / "schema.json"),
+             "--out", str(tmp_path / "adversarial.csv"),
+             "--report", str(tmp_path / "generation_report.json")]
+        ) == 0
+        for name in ("adversarial.csv", "generation_report.json"):
+            assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
+        capsys.readouterr()
+
+    def test_train_mlp_without_tuning_flags_uses_config_block(
+        self, tmp_path, capsys
+    ):
+        assert cli.main(["train-mlp", "--out", str(tmp_path / "cli.json")]
+                        + write_blobs(tmp_path)) == 0
+        schema = ds.Schema.from_json(json.loads((tmp_path / "schema.json").read_text()))
+        data = ds.load_csv(tmp_path / "train.csv", schema)
+        model, _ = pl.train_oracle(data, pl.default_config()["mlp"], 0, 0, 0)
+        pl.write_model(model, tmp_path / "direct.json")
+        assert (tmp_path / "cli.json").read_bytes() == (
+            tmp_path / "direct.json"
+        ).read_bytes()
+        capsys.readouterr()
+
 
 class TestStageWalkthrough:
     def test_full_chain(self, tmp_path, tiny_scenario, capsys):

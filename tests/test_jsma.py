@@ -1,6 +1,10 @@
 """Adversarial generation: saliency gating, stepping rules, budgets, batch API."""
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,65 @@ def cfg(**kw):
     defaults = dict(epsilon=0.5, theta_max_features=1.0, max_iterations=50)
     defaults.update(kw)
     return jsma.JsmaConfig(**defaults)
+
+
+def reference_walk(model, x):
+    """Logits and logit Jacobian of one input vector, one layer at a time."""
+    masks = []
+    a = x
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = a @ W.T + b
+        masks.append(z > 0.0)
+        a = np.maximum(z, 0.0)
+    logits = a @ model.weights[-1].T + model.biases[-1]
+    J = model.weights[-1]
+    for W, mask in zip(reversed(model.weights[:-1]), reversed(masks)):
+        J = (J * mask) @ W
+    return logits, J
+
+
+def reference_attack(model, x, target, config):
+    """The attack one row at a time with feature sets, as a reference for
+    the batched loop: (sample, success, iterations, features, stop reason)."""
+    x = np.array(x, dtype=np.float64)
+    budget = jsma.feature_budget(x.shape[0], config.theta_max_features)
+    perturbed, saturated = set(), set()
+    iterations = 0
+    while True:
+        logits, J = reference_walk(model, x)
+        if int(np.argmax(logits)) == target:
+            return x, True, iterations, tuple(sorted(perturbed)), "success"
+        if iterations >= config.max_iterations:
+            return x, False, iterations, tuple(sorted(perturbed)), "max_iterations"
+        alpha = J[target]
+        beta = J.sum(axis=0) - alpha
+        if config.direction == jsma.INCREASE:
+            blocked = (alpha < 0.0) | (beta > 0.0)
+            scores = np.where(blocked, 0.0, alpha * np.abs(beta))
+        else:
+            blocked = np.sign(alpha) * beta > 0.0
+            scores = np.where(blocked, 0.0, np.abs(alpha) * np.abs(beta))
+        pick, best = None, 0.0
+        for i, s in enumerate(scores):
+            if i not in saturated and s > best:
+                pick, best = i, float(s)
+        if pick is None:
+            return x, False, iterations, tuple(sorted(perturbed)), "no_saliency"
+        step = config.epsilon
+        if config.direction == jsma.SIGNED:
+            step = math.copysign(config.epsilon, J[target, pick])
+        new = min(max(x[pick] + step, jsma.CLIP_MIN), jsma.CLIP_MAX)
+        if new == x[pick]:
+            saturated.add(pick)
+            continue
+        if pick not in perturbed:
+            if len(perturbed) >= budget:
+                return x, False, iterations, tuple(sorted(perturbed)), "budget"
+            perturbed.add(pick)
+        x[pick] = new
+        iterations += 1
+        if new == jsma.CLIP_MIN or new == jsma.CLIP_MAX:
+            saturated.add(pick)
 
 
 class TestSaliency:
@@ -160,6 +223,21 @@ class TestAttackWalks:
         assert res.sample[0] == 0.0
         assert res.sample[1] == 0.5
 
+    @pytest.mark.parametrize("weights, bias, x, kw, reason", [
+        ([[1.0, -2.0], [-1.0, 2.0]], None, [0.0, 0.3], {}, "success"),
+        ([[1.0, -3.0], [-1.0, 3.0]], None, [0.95, 0.5], {"epsilon": 0.1},
+         "no_saliency"),
+        ([[2.0, 1.0], [-1.0, 2.0]], [0.0, 3.5], [1.0, 0.0], {}, "no_saliency"),
+        ([[1.0, 1.0], [-1.0, -1.0]], [0.0, 2.5], [0.0, 0.0],
+         {"theta_max_features": 0.5}, "budget"),
+        ([[1.0, 1.0], [-1.0, -1.0]], [0.0, 2.5], [0.0, 0.0],
+         {"max_iterations": 2}, "max_iterations"),
+    ])
+    def test_stop_reason(self, weights, bias, x, kw, reason):
+        res = jsma.jsma_attack(linear_model(weights, bias), x, 0, cfg(**kw))
+        assert res.stop_reason == reason
+        assert res.success == (reason == "success")
+
     def test_sample_stays_in_unit_box(self):
         rng = np.random.default_rng(7)
         for seed in range(8):
@@ -295,3 +373,77 @@ class TestGenerateSet:
         data = self._attack_rows([[0.0, 0.0]])
         with pytest.raises(ParameterError, match="schedule"):
             jsma.generate_set(self._model(), data, cfg(), [0.5], variants_per_row=2)
+
+
+@st.composite
+def attack_cases(draw):
+    """A random small net, attack rows with some features on the box bounds,
+    and a config whose epsilons, budget and step limit all bind sometimes."""
+    d = draw(st.integers(1, 5))
+    classes = draw(st.integers(2, 3))
+    sizes = [d] + draw(st.lists(st.integers(1, 6), max_size=2)) + [classes]
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    model = mlp.init(sizes, seed=seed)
+    model.biases = [rng.normal(scale=0.5, size=b.shape) for b in model.biases]
+    X = rng.random((draw(st.integers(1, 8)), d))
+    on_bound = rng.random(X.shape) < 0.3
+    X[on_bound] = rng.integers(0, 2, size=int(on_bound.sum()))
+    schedule = draw(st.lists(st.sampled_from([0.05, 0.125, 0.3, 0.5, 1.0]),
+                             min_size=1, max_size=3))
+    config = jsma.JsmaConfig(
+        epsilon=schedule[0],
+        theta_max_features=draw(st.sampled_from([0.1, 0.3, 0.5, 1.0])),
+        max_iterations=draw(st.integers(1, 12)),
+        direction=draw(st.sampled_from([jsma.INCREASE, jsma.SIGNED])),
+    )
+    return model, X, schedule, config, draw(st.integers(0, classes - 1))
+
+
+class TestMatchesReference:
+    """The batched loop gives, bit for bit, what attacking each row alone
+    with the reference loop gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=attack_cases(), max_live=st.integers(1, 9))
+    def test_generate_set_matches_row_by_row(self, case, max_live):
+        model, X, schedule, config, target = case
+        schema = ds.Schema(tuple(ds.Feature("F%d" % i, "sensor")
+                                 for i in range(X.shape[1])))
+        data = ds.Dataset(schema, X, np.ones(X.shape[0], dtype=np.int64))
+        # a small live-set cap makes rows join as others stop
+        with patch.object(jsma, "MAX_LIVE_ROWS", max_live):
+            out, report = jsma.generate_set(
+                model, data, config, schedule, len(schedule), target
+            )
+            runs = [jsma._attack(model, X, target, replace(config, epsilon=e))
+                    for e in schedule]
+        # (row, epsilon) order
+        expected = [
+            reference_attack(model, x, target, replace(config, epsilon=e))
+            for x in X for e in schedule
+        ]
+        wins = [r for r in expected if r[1]]
+        assert out.X.tobytes() == np.array(
+            [r[0] for r in wins], dtype=np.float64
+        ).reshape(-1, X.shape[1]).tobytes()
+        assert [e["successes"] for e in report["per_epsilon"]] == [
+            sum(r[1] for r in expected[v::len(schedule)])
+            for v in range(len(schedule))
+        ]
+        iterations = [r[2] for r in wins]
+        assert report["mean_iterations"] == (
+            float(np.mean(iterations)) if wins else 0.0
+        )
+
+        for v, (samples, steps, perturbed, stop) in enumerate(runs):
+            cfg_v = replace(config, epsilon=schedule[v])
+            for i, x in enumerate(X):
+                sample, success, its, feats, reason = expected[i * len(schedule) + v]
+                assert samples[i].tobytes() == sample.tobytes()
+                assert (steps[i], tuple(np.flatnonzero(perturbed[i])),
+                        jsma.STOP_REASONS[stop[i]]) == (its, feats, reason)
+                res = jsma.jsma_attack(model, x, target, cfg_v)
+                assert res.sample.tobytes() == sample.tobytes()
+                assert (res.success, res.iterations, res.features_perturbed,
+                        res.stop_reason) == (success, its, feats, reason)

@@ -150,6 +150,41 @@ class TestJacobian:
             checked += 1
 
 
+class TestBatchWalk:
+    """logits_and_jacobians gives every row the bits of its one-row walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           n=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_rows_match_single_row_entry_points(self, sizes, n, seed):
+        rng = np.random.default_rng(seed)
+        m = mlp.init(sizes, seed=seed)
+        m.biases = [rng.normal(size=b.shape) for b in m.biases]
+        X = rng.random((n, sizes[0]))
+        logits, J = mlp.logits_and_jacobians(m, X)
+        assert logits.shape == (n, sizes[-1])
+        assert J.shape == (n, sizes[-1], sizes[0])
+        for i, x in enumerate(X):
+            assert logits[i].tobytes() == mlp.forward(m, x)[0].tobytes()
+            assert J[i].tobytes() == mlp.jacobian(m, x).tobytes()
+            assert int(np.argmax(logits[i])) == mlp.predict(m, x)
+
+    def test_rejects_bad_matrices(self):
+        m = mlp.init([3, 4, 2], seed=0)
+        with pytest.raises(ShapeError):
+            mlp.logits_and_jacobians(m, np.zeros(3))
+        with pytest.raises(ShapeError):
+            mlp.logits_and_jacobians(m, np.zeros((2, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=st.integers(0, 4), col=st.integers(0, 2), bad=NON_FINITE)
+    def test_rejects_non_finite(self, row, col, bad):
+        X = np.random.default_rng(0).random((5, 3))
+        X[row, col] = bad
+        with pytest.raises(InputContractError, match="NaN or infinite"):
+            mlp.logits_and_jacobians(mlp.init([3, 4, 2], seed=0), X)
+
+
 class TestTrain:
     def test_learns_separable_blobs(self):
         X, y = blob_data()

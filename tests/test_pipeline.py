@@ -101,22 +101,11 @@ class TestTrainOracle:
 
 
 @pytest.fixture(scope="module")
-def pipeline_run(tmp_path_factory):
+def pipeline_run(tmp_path_factory, tiny_inputs):
     """One small end-to-end run shared by the assertions below."""
-    import copy
-
-    from tests.conftest import TINY_SCENARIO
-
     out = tmp_path_factory.mktemp("pipe")
-    cfg = pl.default_config()
-    cfg["n_runs"] = 2
-    cfg["mlp"].update({"epochs": 8, "batch_size": 32})
-    cfg["jsma"].update(
-        {"epsilon_schedule": [0.1], "variants_per_row": 1, "max_iterations": 60}
-    )
-    cfg["rf"].update({"n_trees": 10})
-    cfg["gbc"].update({"n_stages": 20})
-    manifest = pl.run_pipeline(cfg, out, scenario=copy.deepcopy(TINY_SCENARIO))
+    scenario, cfg = tiny_inputs()
+    manifest = pl.run_pipeline(cfg, out, scenario=scenario)
     return out, manifest, cfg
 
 
@@ -174,6 +163,17 @@ class TestRunPipeline:
         assert adv.n_rows > 0
         assert (adv.y == 1).all()
         assert adv.X.min() >= 0.0 and adv.X.max() <= 1.0
+
+    def test_generation_artifacts_pinned(self, pipeline_run):
+        # SHA-256 of the files the row-by-row attack loop wrote for this
+        # config; the batched loop must keep every byte
+        out, _, _ = pipeline_run
+        assert pl.sha256_file(out / "adversarial.csv") == (
+            "ea508106f47f93a4d51f9605ff53e140f0db62349a3db77b478264baa3e601dd"
+        )
+        assert pl.sha256_file(out / "generation_report.json") == (
+            "07ce77fb1c210f9b39b77ac258715c4a203ecc45782614b497bd10c3de2a3ade"
+        )
 
     def test_normalized_legs_in_unit_box(self, pipeline_run):
         out, _, _ = pipeline_run
