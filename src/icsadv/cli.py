@@ -4,31 +4,21 @@ Subcommands mirror the pipeline stages so any stage can be re-run from its
 persisted inputs: simulate, preprocess, train-mlp, attack, train-detector,
 evaluate, pipeline, report.
 
-Exit codes: 0 success, 2 bad input (missing/malformed files, bad
-parameters), 1 unexpected internal failure.
+Exit codes: 0 success, 2 bad input, 1 unexpected internal failure. Bad
+input is a missing or unreadable file, a malformed CSV, an out-of-range
+parameter, or a malformed JSON document: the scenario, pipeline config,
+schema, min-max parameters, MLP or detector model, or assessment report
+(see ``errors.parses``).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, pipeline, plantsim, trees
-from .errors import IcsAdvError, ParseError
-
-
-def _load_json(path):
-    try:
-        with open(path, "r") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError("%s: invalid JSON: %s" % (path, exc)) from exc
-
-
-def _load_schema(path) -> ds.Schema:
-    return ds.Schema.from_json(_load_json(path))
+from .errors import IcsAdvError, read_json
 
 
 def _int_list(text: str) -> list[int]:
@@ -69,10 +59,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    schema = _load_schema(args.schema)
+    schema = read_json(args.schema, ds.Schema.from_json)
     data = ds.load_csv(args.input, schema)
     if args.params:
-        params = ds.NormalizationParams.from_json(_load_json(args.params))
+        params = read_json(args.params, ds.NormalizationParams.from_json)
     else:
         params = ds.fit_minmax(data)
         if args.fit_params_out:
@@ -84,7 +74,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
-    data = ds.load_csv(args.train, _load_schema(args.schema))
+    data = ds.load_csv(args.train, read_json(args.schema, ds.Schema.from_json))
     block = _block(args, "mlp")
     model, history = pipeline.train_oracle(
         data, block, args.split_seed, args.seed, args.seed
@@ -99,7 +89,7 @@ def cmd_train_mlp(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    schema = _load_schema(args.schema)
+    schema = read_json(args.schema, ds.Schema.from_json)
     model = mlp.load_model(args.model)
     data = ds.load_csv(args.data, schema)
     adv, report = pipeline.generate_adversarial(
@@ -116,7 +106,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train_detector(args) -> int:
-    data = ds.load_csv(args.train, _load_schema(args.schema))
+    data = ds.load_csv(args.train, read_json(args.schema, ds.Schema.from_json))
     model = pipeline.train_detector(
         args.kind, data.X, data.y, _block(args, args.kind), args.seed
     )
@@ -126,7 +116,7 @@ def cmd_train_detector(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    schema = _load_schema(args.schema)
+    schema = read_json(args.schema, ds.Schema.from_json)
     model = trees.load_model(args.model)
     data = ds.load_csv(args.data, schema)
     doc = pipeline.evaluate_model(model, data)
@@ -145,7 +135,8 @@ def cmd_pipeline(args) -> int:
     if args.config is None:
         config = pipeline.default_config()
     else:
-        config = _load_json(args.config)
+        # run_pipeline checks the document
+        config = read_json(args.config, lambda doc: doc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with pipeline.DirectoryLock(out):
@@ -155,8 +146,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = _load_json(args.input)
-    text = evaluation.render_text(report)
+    text = read_json(args.input, evaluation.render_text)
     if args.out:
         pipeline.write_text(text, Path(args.out))
         print("report: -> %s" % args.out)

@@ -13,7 +13,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .errors import (
     ParameterError,
     ParseError,
     SchemaMismatchError,
+    parses,
 )
 
 SENSOR = "sensor"
@@ -94,15 +94,12 @@ class Schema:
         }
 
     @classmethod
+    @parses("schema")
     def from_json(cls, obj: dict) -> "Schema":
-        try:
-            feats = tuple(
-                Feature(str(f["name"]), str(f["kind"])) for f in obj["features"]
-            )
-            label = str(obj["label"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError("malformed schema JSON: %s" % exc) from exc
-        return cls(feats, label)
+        feats = tuple(
+            Feature(str(f["name"]), str(f["kind"])) for f in obj["features"]
+        )
+        return cls(feats, str(obj["label"]))
 
 
 def label_encode(token: str) -> int:
@@ -164,9 +161,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
-
-    def copy(self) -> "Dataset":
-        return Dataset(self.schema, self.X.copy(), self.y.copy())
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -234,7 +228,7 @@ class NormalizationParams:
     maxs: np.ndarray
 
     def __post_init__(self):
-        if len(self.feature_names) != self.mins.shape[0] or (
+        if self.mins.shape != (len(self.feature_names),) or (
             self.mins.shape != self.maxs.shape
         ):
             raise ParameterError("normalization parameter lengths disagree")
@@ -251,9 +245,8 @@ class NormalizationParams:
         }
 
     @classmethod
+    @parses("min-max parameters", "minmax-params")
     def from_json(cls, obj: dict) -> "NormalizationParams":
-        if obj.get("format") != "minmax-params":
-            raise ParseError("not a minmax-params document")
         return cls(
             tuple(obj["feature_names"]),
             np.asarray(obj["mins"], dtype=np.float64),

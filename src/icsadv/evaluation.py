@@ -22,7 +22,7 @@ from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ShapeError
+from .errors import EmptyInputError, ParameterError, ShapeError, parses
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,6 @@ class MetricsRow:
             "attack_recall": self.attack_recall,
             "flags": list(self.flags),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MetricsRow":
-        return cls(
-            accuracy=float(obj["accuracy"]),
-            precision=float(obj["precision"]),
-            recall=float(obj["recall"]),
-            fpr=float(obj["fpr"]),
-            f1=float(obj["f1"]),
-            attack_precision=float(obj["attack_precision"]),
-            attack_recall=float(obj["attack_recall"]),
-            flags=tuple(obj.get("flags", ())),
-        )
 
 
 def _ratio(num: int, den: int, name: str, flags: list[str]) -> float:
@@ -188,10 +175,9 @@ def _trunc2(v: float) -> str:
     return str(Decimal(repr(float(v))).quantize(Decimal("0.01"), rounding=ROUND_DOWN))
 
 
+@parses("assessment report", "assessment")
 def render_text(report: dict) -> str:
     """Aligned text tables; metric values truncated to two decimals."""
-    if report.get("format") != "assessment":
-        raise ParameterError("not an assessment report document")
     lines = []
     header = ["detector", "column"] + list(_FIELDS)
     rows = [header]

@@ -236,6 +236,22 @@ def jsma_attack(
     )
 
 
+def variant_configs(
+    config: JsmaConfig, epsilon_schedule, variants_per_row: int
+) -> list[JsmaConfig]:
+    """``config`` with each of the first ``variants_per_row`` epsilons of the
+    schedule, which must have that many."""
+    schedule = [float(e) for e in epsilon_schedule]
+    if variants_per_row < 1:
+        raise ParameterError("variants_per_row must be >= 1")
+    if len(schedule) < variants_per_row:
+        raise ParameterError(
+            "epsilon_schedule has %d entries, need at least variants_per_row=%d"
+            % (len(schedule), variants_per_row)
+        )
+    return [replace(config, epsilon=e) for e in schedule[:variants_per_row]]
+
+
 def generate_set(
     model: mlp.MlpModel,
     data: Dataset,
@@ -257,15 +273,7 @@ def generate_set(
         raise InputContractError(
             "generation input must contain only attack rows (label 1)"
         )
-    schedule = [float(e) for e in epsilon_schedule]
-    if variants_per_row < 1:
-        raise ParameterError("variants_per_row must be >= 1")
-    if len(schedule) < variants_per_row:
-        raise ParameterError(
-            "epsilon_schedule has %d entries, need at least variants_per_row=%d"
-            % (len(schedule), variants_per_row)
-        )
-    configs = [replace(config, epsilon=e) for e in schedule[:variants_per_row]]
+    configs = variant_configs(config, epsilon_schedule, variants_per_row)
     X = _check_rows(model, data.X, target, ndim=2)
 
     # one attack loop per epsilon, stacked on axis 1, so that selecting with a

@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    IcsAdvError,
     InputContractError,
     ParameterError,
-    ParseError,
     ShapeError,
+    parses,
+    read_json,
 )
 
 
@@ -159,6 +159,14 @@ def jacobian(model: MlpModel, x) -> np.ndarray:
     return _logits_and_jacobians(model, _check_input(model, x)[None])[1][0]
 
 
+def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None:
+    """The ranges ``train`` accepts for its hyperparameters."""
+    if learning_rate < 0 or l2_penalty < 0:
+        raise ParameterError("learning_rate and l2_penalty must be >= 0")
+    if epochs < 1 or batch_size < 1:
+        raise ParameterError("epochs and batch_size must be >= 1")
+
+
 def train(
     model: MlpModel,
     X,
@@ -190,10 +198,7 @@ def train(
         raise ShapeError("label vector length %r does not match X" % (y.shape,))
     if y.min() < 0 or y.max() >= model.n_classes:
         raise ParameterError("labels must lie in [0, %d)" % model.n_classes)
-    if learning_rate < 0 or l2_penalty < 0:
-        raise ParameterError("learning_rate and l2_penalty must be >= 0")
-    if epochs < 1 or batch_size < 1:
-        raise ParameterError("epochs and batch_size must be >= 1")
+    check_training_params(learning_rate, epochs, batch_size, l2_penalty)
 
     m = model.copy()
     n = X.shape[0]
@@ -241,14 +246,10 @@ def save_model(model: MlpModel, path) -> None:
         json.dump(doc, fh)
 
 
+@parses("mlp model", "mlp")
+def _model_from_json(doc: dict) -> MlpModel:
+    return MlpModel(doc["layer_sizes"], doc["weights"], doc["biases"])
+
+
 def load_model(path) -> MlpModel:
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("format") != "mlp":
-            raise ParseError("%s: not an mlp model document" % path)
-        return MlpModel(doc["layer_sizes"], doc["weights"], doc["biases"])
-    except IcsAdvError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("%s: malformed mlp model: %r" % (path, exc)) from exc
+    return read_json(path, _model_from_json)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .errors import IcsAdvError, ParameterError, ParseError
+from .errors import IcsAdvError, ParameterError, ParseError, parses
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -58,8 +58,10 @@ def _merge_block(defaults: dict, user: dict | None, where: str) -> dict:
     return merged
 
 
+@parses("pipeline config")
 def normalize_config(config: dict) -> dict:
-    """Fill a user config with defaults and reject unknown keys."""
+    """Fill a user config with defaults, reject unknown keys, and check every
+    value the stages read, so that a bad value fails before stage 1."""
     base = default_config()
     if config.get("format", "pipeline-config") != "pipeline-config":
         raise ParseError("not a pipeline-config document")
@@ -68,10 +70,13 @@ def normalize_config(config: dict) -> dict:
         raise ParameterError(
             "unknown config keys: %s" % ", ".join(sorted(top_unknown))
         )
+    scenario = config.get("scenario")
+    if scenario is not None and not isinstance(scenario, str):
+        raise ParseError("config scenario must be a file path or null")
     out = {
         "format": "pipeline-config",
         "version": 1,
-        "scenario": config.get("scenario"),
+        "scenario": scenario,
         "seed": int(config.get("seed", base["seed"])),
         "n_runs": int(config.get("n_runs", base["n_runs"])),
     }
@@ -79,6 +84,10 @@ def normalize_config(config: dict) -> dict:
         raise ParameterError("n_runs must be >= 1")
     for block in ("mlp", "jsma", "cart", "rf", "gbc"):
         out[block] = _merge_block(base[block], config.get(block), block)
+    _oracle_args(out["mlp"])
+    _generation_args(out["jsma"])
+    for kind in DETECTOR_ORDER:
+        _detector_params(kind, out[kind])
     return out
 
 
@@ -163,12 +172,34 @@ def _simulate(scenario: dict, emit):
 
     Returns (normal, attacked, parse_scenario's tuple)."""
     parsed = plantsim.parse_scenario(scenario)
+    plant, attacks, normal_seed, attack_seed = parsed
     emit("scenario.json", write_json, scenario)
-    emit("schema.json", write_json, plantsim.schema_for(parsed[0]).to_json())
-    normal, attacked = plantsim.simulate_scenario(scenario)
+    emit("schema.json", write_json, plantsim.schema_for(plant).to_json())
+    normal = plantsim.simulate_normal(plant, normal_seed)
+    attacked = plantsim.simulate_with_attacks(plant, attacks, attack_seed)
     emit("normal.csv", write_csv, normal)
     emit("attacked.csv", write_csv, attacked)
     return normal, attacked, parsed
+
+
+@parses("mlp block")
+def _oracle_args(block: dict):
+    """The mlp block as (hidden layer sizes, train fraction, ``mlp.train``
+    keywords)."""
+    hidden = [int(h) for h in block["hidden_layers"]]
+    if not hidden or any(h < 1 for h in hidden):
+        raise ParameterError("mlp hidden_layers must be positive integers")
+    fraction = float(block["train_fraction"])
+    if not 0.0 < fraction <= 1.0:
+        raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
+    train_args = {
+        "learning_rate": float(block["learning_rate"]),
+        "epochs": int(block["epochs"]),
+        "batch_size": int(block["batch_size"]),
+        "l2_penalty": float(block["l2_penalty"]),
+    }
+    mlp.check_training_params(**train_args)
+    return hidden, fraction, train_args
 
 
 def train_oracle(data: ds.Dataset, mlp_block: dict, split_seed: int,
@@ -178,25 +209,28 @@ def train_oracle(data: ds.Dataset, mlp_block: dict, split_seed: int,
 
     Returns the trained model and its per-epoch loss history.
     """
-    hidden = [int(h) for h in mlp_block["hidden_layers"]]
-    if not hidden or any(h < 1 for h in hidden):
-        raise ParameterError("mlp hidden_layers must be positive integers")
-    fraction = float(mlp_block["train_fraction"])
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
+    hidden, fraction, train_args = _oracle_args(mlp_block)
     if fraction < 1.0:
         data, _held = ds.split(data, fraction, split_seed)
     model = mlp.init([data.n_features] + hidden + [2], init_seed)
-    return mlp.train(
-        model,
-        data.X,
-        data.y,
-        learning_rate=float(mlp_block["learning_rate"]),
-        epochs=int(mlp_block["epochs"]),
-        batch_size=int(mlp_block["batch_size"]),
-        l2_penalty=float(mlp_block["l2_penalty"]),
-        seed=train_seed,
+    return mlp.train(model, data.X, data.y, seed=train_seed, **train_args)
+
+
+@parses("jsma block")
+def _generation_args(block: dict):
+    """The jsma block as (attack config, epsilon schedule, variants per row)."""
+    schedule = [float(e) for e in block["epsilon_schedule"]]
+    if not schedule:
+        raise ParameterError("jsma epsilon_schedule must not be empty")
+    config = jsma.JsmaConfig(
+        epsilon=schedule[0],
+        theta_max_features=float(block["theta_max_features"]),
+        max_iterations=int(block["max_iterations"]),
+        direction=str(block["direction"]),
     )
+    variants = int(block["variants_per_row"])
+    jsma.variant_configs(config, schedule, variants)
+    return config, schedule, variants
 
 
 def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
@@ -206,34 +240,36 @@ def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
     Returns the adversarial dataset and the generation report.
     """
     attack_rows = ds.Dataset(data.schema, data.X[data.y == 1], data.y[data.y == 1])
-    schedule = [float(e) for e in jsma_block["epsilon_schedule"]]
-    if not schedule:
-        raise ParameterError("jsma epsilon_schedule must not be empty")
-    config = jsma.JsmaConfig(
-        epsilon=schedule[0],
-        theta_max_features=float(jsma_block["theta_max_features"]),
-        max_iterations=int(jsma_block["max_iterations"]),
-        direction=str(jsma_block["direction"]),
-    )
+    config, schedule, variants = _generation_args(jsma_block)
     return jsma.generate_set(
-        oracle, attack_rows, config, schedule,
-        int(jsma_block["variants_per_row"]), target=target,
+        oracle, attack_rows, config, schedule, variants, target=target
     )
 
 
-def train_detector(kind: str, X, y, block: dict, seed: int = 0):
-    """Stage 5: fit one detector of ``kind`` with the parameters of its config
-    block; only the forest uses ``seed``."""
+@parses("detector block")
+def _detector_params(kind: str, block: dict):
+    """The config block of detector ``kind`` as its params dataclass."""
     if kind == trees.CART:
-        return trees.train_cart(X, y, trees.CartParams(**block))
+        return trees.CartParams(**block)
     if kind == trees.GBC:
-        return trees.train_gbc(X, y, trees.GbcParams(**block))
+        return trees.GbcParams(**block)
     if kind != trees.FOREST:
         raise ParameterError("unknown detector kind %r" % kind)
     params = dict(block)
     if params["features_per_split"] is not None:
         params["features_per_split"] = int(params["features_per_split"])
-    return trees.train_forest(X, y, trees.ForestParams(**params), seed=seed)
+    return trees.ForestParams(**params)
+
+
+def train_detector(kind: str, X, y, block: dict, seed: int = 0):
+    """Stage 5: fit one detector of ``kind`` with the parameters of its config
+    block; only the forest uses ``seed``."""
+    params = _detector_params(kind, block)
+    if kind == trees.CART:
+        return trees.train_cart(X, y, params)
+    if kind == trees.GBC:
+        return trees.train_gbc(X, y, params)
+    return trees.train_forest(X, y, params, seed=seed)
 
 
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:

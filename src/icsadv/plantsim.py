@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import ACTUATOR, SENSOR, Dataset, Feature, Schema
-from .errors import KindMismatchError, ParameterError, ParseError
+from .errors import KindMismatchError, ParameterError, parses, read_json
 
 SENSOR_BIAS = "sensor-bias"
 ACTUATOR_FLIP = "actuator-flip"
@@ -84,21 +84,19 @@ class PlantConfig:
         }
 
     @classmethod
+    @parses("plant config")
     def from_json(cls, obj: dict) -> "PlantConfig":
-        try:
-            return cls(
-                n_tanks=int(obj["n_tanks"]),
-                tank_capacity=float(obj["tank_capacity"]),
-                inflow_rate=float(obj["inflow_rate"]),
-                outflow_rate=float(obj["outflow_rate"]),
-                level_low=float(obj["level_low"]),
-                level_high=float(obj["level_high"]),
-                sensor_noise_std=float(obj["sensor_noise_std"]),
-                dt=float(obj["dt"]),
-                steps=int(obj["steps"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError("malformed plant config: %s" % exc) from exc
+        return cls(
+            n_tanks=int(obj["n_tanks"]),
+            tank_capacity=float(obj["tank_capacity"]),
+            inflow_rate=float(obj["inflow_rate"]),
+            outflow_rate=float(obj["outflow_rate"]),
+            level_low=float(obj["level_low"]),
+            level_high=float(obj["level_high"]),
+            sensor_noise_std=float(obj["sensor_noise_std"]),
+            dt=float(obj["dt"]),
+            steps=int(obj["steps"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,15 @@ class AttackSpec:
         }
 
     @classmethod
+    @parses("attack spec")
     def from_json(cls, obj: dict) -> "AttackSpec":
-        try:
-            window = obj["window"]
-            return cls(
-                kind=str(obj["kind"]),
-                target_feature=str(obj["target_feature"]),
-                delta=float(obj.get("delta", 0.0)),
-                window=(int(window[0]), int(window[1])),
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ParseError("malformed attack spec: %s" % exc) from exc
+        window = obj["window"]
+        return cls(
+            kind=str(obj["kind"]),
+            target_feature=str(obj["target_feature"]),
+            delta=float(obj.get("delta", 0.0)),
+            window=(int(window[0]), int(window[1])),
+        )
 
 
 def schema_for(config: PlantConfig) -> Schema:
@@ -300,20 +296,16 @@ def simulate_with_attacks(
 # ---------------------------------------------------------------------------
 
 
+@parses("scenario", "scenario")
 def parse_scenario(obj: dict):
     """Validate a scenario document.
 
     Returns (config, attacks, normal_seed, attack_seed).
     """
-    if obj.get("format") != "scenario":
-        raise ParseError("not a scenario document (missing format tag)")
-    try:
-        config = PlantConfig.from_json(obj["plant"])
-        normal_seed = int(obj["normal_seed"])
-        attack_seed = int(obj["attack_seed"])
-        attacks = [AttackSpec.from_json(a) for a in obj.get("attacks", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed scenario: %s" % exc) from exc
+    config = PlantConfig.from_json(obj["plant"])
+    normal_seed = int(obj["normal_seed"])
+    attack_seed = int(obj["attack_seed"])
+    attacks = [AttackSpec.from_json(a) for a in obj.get("attacks", [])]
     _check_attacks(config, attacks)
     return config, attacks, normal_seed, attack_seed
 
@@ -328,13 +320,13 @@ def simulate_scenario(obj: dict) -> tuple[Dataset, Dataset]:
 
 
 def load_scenario(path) -> dict:
-    with open(path, "r") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("%s: invalid JSON: %s" % (path, exc)) from exc
-    parse_scenario(obj)
-    return obj
+    """Read a scenario file and return the document once it parses."""
+
+    def checked(obj):
+        parse_scenario(obj)
+        return obj
+
+    return read_json(path, checked)
 
 
 def bundled_scenario() -> dict:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,11 +40,12 @@ from . import kernels
 from .errors import (
     DegenerateTargetError,
     EmptyInputError,
-    IcsAdvError,
     InputContractError,
     ParameterError,
     ParseError,
     ShapeError,
+    parses,
+    read_json,
 )
 
 CART = "cart"
@@ -69,13 +70,6 @@ class CartParams:
         if self.min_impurity_decrease < 0:
             raise ParameterError("min_impurity_decrease must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_impurity_decrease": self.min_impurity_decrease,
-        }
-
 
 @dataclass(frozen=True)
 class ForestParams:
@@ -98,16 +92,6 @@ class ForestParams:
         if self.min_impurity_decrease < 0:
             raise ParameterError("min_impurity_decrease must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "features_per_split": self.features_per_split,
-            "bootstrap": self.bootstrap,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_impurity_decrease": self.min_impurity_decrease,
-        }
-
 
 @dataclass(frozen=True)
 class GbcParams:
@@ -122,13 +106,6 @@ class GbcParams:
             raise ParameterError("learning_rate must be positive")
         if self.max_depth < 1:
             raise ParameterError("max_depth must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "n_stages": self.n_stages,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-        }
 
 
 class TreeModel:
@@ -506,16 +483,15 @@ def predict_class(model, x) -> int:
 
 def save_model(model, path) -> None:
     kind = model_kind(model)
-    doc: dict = {"format": "detector", "version": 1, "kind": kind}
+    # asdict keeps the field order, which is the saved key order
+    doc = {"format": "detector", "version": 1, "kind": kind,
+           "params": asdict(model.params)}
     if kind == CART:
-        doc["params"] = model.params.to_json()
         doc["tree"] = model.tree.to_json()
     elif kind == FOREST:
-        doc["params"] = model.params.to_json()
         doc["seed"] = model.seed
         doc["trees"] = [t.to_json() for t in model.trees]
     else:
-        doc["params"] = model.params.to_json()
         doc["initial_log_odds"] = model.initial_log_odds
         doc["stages"] = [t.to_json() for t in model.stages]
     with open(path, "w") as fh:
@@ -523,19 +499,11 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("format") != "detector":
-            raise ParseError("%s: not a detector model document" % path)
-        return _model_from_json(doc, path)
-    except IcsAdvError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("%s: malformed detector model: %r" % (path, exc)) from exc
+    return read_json(path, _model_from_json)
 
 
-def _model_from_json(doc: dict, path):
+@parses("detector model", "detector")
+def _model_from_json(doc: dict):
     kind = doc.get("kind")
     if kind == CART:
         return CartModel(
@@ -557,4 +525,4 @@ def _model_from_json(doc: dict, path):
             [TreeModel.from_json(t) for t in doc["stages"]],
             GbcParams(**doc["params"]),
         )
-    raise ParseError("%s: unknown detector kind %r" % (path, kind))
+    raise ParseError("unknown detector kind %r" % kind)

@@ -1,18 +1,26 @@
 """CLI behavior: stage-by-stage walkthrough, exit codes, determinism."""
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
+import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsadv import cli
 from icsadv import dataset as ds
-from icsadv import mlp, trees
+from icsadv import evaluation, mlp, trees
 from icsadv import pipeline as pl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -127,6 +135,235 @@ class TestExitCodes:
         assert rc == 2
         assert "train_fraction" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of one in-process CLI call; an exception that
+    escapes ``main`` (a traceback) fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+def _assert_rejected(argv):
+    rc, err = _run_cli(argv)
+    assert rc == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def doc_inputs(tmp_path_factory, tiny_inputs):
+    """Valid input files for every subcommand, plus the documents behind the
+    JSON ones: a two-feature labeled file in the unit box, its schema and
+    min-max parameters, an MLP, one detector of each kind, a report, the
+    desk scenario and the desk pipeline config pointing at it."""
+    d = tmp_path_factory.mktemp("docs")
+    rng = np.random.default_rng(0)
+    schema = ds.Schema((ds.Feature("A", "sensor"), ds.Feature("B", "sensor")))
+    X = rng.random((40, 2))
+    data = ds.Dataset(schema, X, (X[:, 0] > 0.5).astype(np.int64))
+    ds.save_csv(data, d / "data.csv")
+    mlp.save_model(mlp.init([2, 3, 2], 0), d / "mlp.json")
+    models = {
+        "cart": trees.train_cart(data.X, data.y, trees.CartParams(max_depth=3)),
+        "rf": trees.train_forest(data.X, data.y,
+                                 trees.ForestParams(n_trees=2, max_depth=3)),
+        "gbc": trees.train_gbc(data.X, data.y, trees.GbcParams(n_stages=2)),
+    }
+    for kind, model in models.items():
+        trees.save_model(model, d / ("%s.json" % kind))
+    cm = evaluation.confusion([0, 1, 0, 1], [0, 1, 1, 1])
+    scenario, config = tiny_inputs()
+    docs = {
+        "schema": schema.to_json(),
+        "params": ds.fit_minmax(data).to_json(),
+        "mlp": json.loads((d / "mlp.json").read_text()),
+        "detector": [json.loads((d / ("%s.json" % k)).read_text()) for k in models],
+        "report": evaluation.build_report({"cart": [cm, cm], "rf": [cm]}),
+        "scenario": scenario,
+        "config": dict(config, scenario=str(d / "scenario.json")),
+    }
+    for name in ("schema", "params", "scenario", "config"):
+        (d / ("%s.json" % name)).write_text(json.dumps(docs[name]))
+    return d, docs
+
+
+def _pipeline_probe(change):
+    def probe(docs):
+        config = copy.deepcopy(docs["config"])
+        change(config)
+        return config
+    return probe
+
+
+def _report_probe(change):
+    def probe(docs):
+        report = copy.deepcopy(docs["report"])
+        change(report["detectors"]["cart"])
+        return report
+    return probe
+
+
+def _set(block, key, value):
+    return _pipeline_probe(lambda config: config[block].update({key: value}))
+
+
+# (subcommand, the flag given the probe file, the probe document)
+PROBES = {
+    "scenario-list": ("simulate", "--scenario", lambda docs: []),
+    "params-without-mins": ("preprocess", "--params", lambda docs: {
+        k: v for k, v in docs["params"].items() if k != "mins"}),
+    "params-list": ("preprocess", "--params", lambda docs: []),
+    "report-without-worst": ("report", "--input", _report_probe(
+        lambda block: block.pop("worst"))),
+    "report-list": ("report", "--input", lambda docs: []),
+    "config-list": ("pipeline", "--config", lambda docs: []),
+    "seed-text": ("pipeline", "--config", _pipeline_probe(
+        lambda config: config.update(seed="abc"))),
+    "n-runs-null": ("pipeline", "--config", _pipeline_probe(
+        lambda config: config.update(n_runs=None))),
+    "hidden-layers-text": ("pipeline", "--config", _set("mlp", "hidden_layers", "ab")),
+    "epsilon-schedule-number": ("pipeline", "--config",
+                                _set("jsma", "epsilon_schedule", 5)),
+    "features-per-split-text": ("pipeline", "--config",
+                                _set("rf", "features_per_split", "x")),
+    "max-depth-text": ("pipeline", "--config", _set("cart", "max_depth", "deep")),
+    "negative-learning-rate": ("pipeline", "--config", _set("gbc", "learning_rate", -1)),
+    "scenario-path-list": ("pipeline", "--config", _pipeline_probe(
+        lambda config: config.update(scenario=[]))),
+    "params-matrix": ("preprocess", "--params", lambda docs: dict(
+        docs["params"], mins=[[0.0, 0.0]] * 2, maxs=[[1.0, 1.0]] * 2)),
+    # json writes and reads infinity as Infinity; it fits no int and no
+    # two-decimal rendering
+    "seed-infinite": ("pipeline", "--config", _pipeline_probe(
+        lambda config: config.update(seed=float("inf")))),
+    "accuracy-infinite": ("report", "--input", _report_probe(
+        lambda block: block["worst"].update(accuracy=float("inf")))),
+}
+
+
+def _argv(command, flag, case, d, out):
+    """A call of ``command`` with ``case`` given to ``flag`` and every other
+    input taken from the valid files in ``d``."""
+    data = ["--data", d / "data.csv"]
+    schema = ["--schema", d / "schema.json"]
+    model = {"attack": ["--model", d / "mlp.json"],
+             "evaluate": ["--model", d / "cart.json"]}.get(command, [])
+    argv = {
+        "simulate": ["--out", out],
+        "preprocess": ["--input", d / "data.csv", "--out", out / "x.csv"] + schema,
+        "train-mlp": ["--train", d / "data.csv", "--hidden", "2", "--epochs", "1",
+                      "--out", out / "m.json"] + schema,
+        "attack": data + schema + model + ["--max-iterations", "5",
+                                           "--out", out / "adv.csv"],
+        "train-detector": ["--kind", "cart", "--train", d / "data.csv",
+                           "--out", out / "d.json"] + schema,
+        "evaluate": data + schema + model + ["--out", out / "e.json"],
+        "report": ["--out", out / "r.txt"],
+        "pipeline": ["--out", out],
+    }[command]
+    # the later occurrence of a flag wins in argparse
+    return [command] + argv + [flag, case]
+
+
+class TestMalformedInput:
+    """Every malformed document exits 2 with one error line; a bad config
+    value fails before the pipeline writes anything."""
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_probe_exits_2(self, name, doc_inputs, tmp_path):
+        d, docs = doc_inputs
+        command, flag, build = PROBES[name]
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps(build(docs)))
+        out = tmp_path / "out"
+        out.mkdir()
+        _assert_rejected(_argv(command, flag, case, d, out))
+        if command == "pipeline":
+            assert list(out.iterdir()) == []
+
+
+# every subcommand flag that reads a JSON document, with the valid documents
+# its cases are made from
+SWEEP = {
+    ("simulate", "--scenario"): "scenario",
+    ("preprocess", "--schema"): "schema",
+    ("train-mlp", "--schema"): "schema",
+    ("attack", "--schema"): "schema",
+    ("train-detector", "--schema"): "schema",
+    ("evaluate", "--schema"): "schema",
+    ("preprocess", "--params"): "params",
+    ("attack", "--model"): "mlp",
+    ("evaluate", "--model"): "detector",
+    ("report", "--input"): "report",
+    ("pipeline", "--config"): "config",
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+# no digits, so that no case can ask for a huge simulation or network
+REPLACEMENTS = (
+    st.none()
+    | st.text(string.ascii_letters, max_size=4)
+    | st.lists(st.none() | st.text(string.ascii_letters, max_size=2), max_size=2)
+    | st.dictionaries(st.text(string.ascii_letters, max_size=2), st.none(),
+                      max_size=2)
+)
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list item inside ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one key or list item deleted or its value replaced."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
+    return doc
+
+
+@pytest.mark.parametrize("command, flag", sorted(SWEEP))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_documents_exit_0_or_2(command, flag, data, doc_inputs):
+    d, docs = doc_inputs
+    valid = docs[SWEEP[command, flag]]
+    valid = valid if isinstance(valid, list) else [valid]
+    case = data.draw(JSON_VALUES | st.sampled_from(valid).flatmap(_mutated))
+    if command == "pipeline" and isinstance(case, dict):
+        case["scenario"] = docs["config"]["scenario"]
+    # a case that passes validation runs with desk-size defaults, in about a
+    # second, not with the bundled ones
+    defaults = dict(docs["config"], scenario=None)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        pl, "default_config", lambda: copy.deepcopy(defaults)
+    ):
+        tmp = Path(tmp)
+        (tmp / "case.json").write_text(json.dumps(case))
+        (tmp / "out").mkdir()
+        rc, err = _run_cli(_argv(command, flag, tmp / "case.json", d, tmp / "out"))
+    assert rc in (0, 2), err
+    assert "Traceback" not in err
 
 
 class TestAtomicWrites:

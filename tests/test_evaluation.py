@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icsadv import evaluation as ev
-from icsadv.errors import EmptyInputError, ParameterError, ShapeError
+from icsadv.errors import EmptyInputError, ParameterError, ParseError, ShapeError
 
 
 class TestConfusion:
@@ -193,5 +193,5 @@ class TestRenderText:
         assert "90" in text
 
     def test_render_rejects_other_documents(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParseError):
             ev.render_text({"format": "scenario"})
