@@ -10,6 +10,8 @@ malformed document raises ``ParseError`` naming the document and the file.
 import functools
 import json
 
+import numpy as np
+
 
 class IcsAdvError(ValueError):
     """Base class for all package-specific errors."""
@@ -85,6 +87,16 @@ def parses(document: str, tag: str | None = None):
         return wrapper
 
     return decorate
+
+
+def finite_floats(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, for a builder decorated with
+    ``parses``: JSON ``null`` converts to NaN, so a NaN or infinite entry
+    raises ``ValueError`` naming ``what``."""
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError("%s holds a null, NaN or infinite number" % what)
+    return out
 
 
 def read_json(path, build):

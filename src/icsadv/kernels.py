@@ -6,15 +6,18 @@ al. 1996): the tree builder sorts every feature once per fit and keeps each
 node's rows as one contiguous slice of that presort, so no scan sorts.
 Their three positional arguments are
 
-* ``order``: (m, d) int array; column j lists the node's m rows (indices
-  into ``X`` and the target) in ascending order of ``X[:, j]``. A row may
-  appear more than once (bootstrap draws). This is the layout of
-  ``np.argsort(X, axis=0, kind="mergesort")`` for a node holding every row;
+* ``order``: (m, d) int array; column j lists the node's m distinct rows
+  (indices into ``X`` and the target) in ascending order of ``X[:, j]``.
+  This is the layout of ``np.argsort(X, axis=0, kind="mergesort")`` for a
+  node holding every row;
 * the target indexed by row: 0/1 labels for Gini, float residuals for SSE;
 * ``feature_indices``: candidate columns in ascending order;
 
 and the keyword ``columns`` is ``X.T`` as a C-contiguous (d, n) array, so
-each feature's values are one contiguous row to gather from.
+each feature's values are one contiguous row to gather from. The Gini scan
+also takes ``counts``, an integer weight per row: a bootstrap tree keeps
+each drawn row once and weighs it by its draw count (Breiman 2001; Louppe
+2014, ch. 5), every other tree weighs each row 1.
 
 Split-scan conventions shared by both criteria:
 
@@ -29,6 +32,8 @@ Split-scan conventions shared by both criteria:
 
 Gini gains depend only on class counts at boundaries between distinct
 values, so the order of tied rows within ``order`` does not change them.
+Those counts are integers, exact in float64, so a row of weight c scores
+every cut exactly as c copies of the row would.
 SSE gains add residuals in ``order``'s sequence, so a caller that needs
 reproducible bits must fix the tie order (the builder keeps ties in fit
 order, as a fresh stable sort of the node would).
@@ -42,14 +47,14 @@ import numpy as np
 _CHUNK_CELLS = 1 << 13
 
 
-def _scan(order, target, feature_indices, columns):
-    """Gather the node's sorted values and targets for every candidate
-    feature and locate the valid cuts.
+def _scan(order, feature_indices, columns):
+    """Gather the node's rows and sorted values for every candidate feature
+    and locate the valid cuts.
 
-    Returns (st, valid, thr): the (k, m) sorted targets; the (k, m - 1)
-    mask of valid cuts (a cut at [c, i] falls between sorted positions i
-    and i + 1 of candidate c); and the thresholds of the valid cuts in scan
-    order (candidate by candidate, thresholds ascending).
+    Returns (rows, valid, thr): the (k, m) rows in sorted order; the
+    (k, m - 1) mask of valid cuts (a cut at [c, i] falls between sorted
+    positions i and i + 1 of candidate c); and the thresholds of the valid
+    cuts in scan order (candidate by candidate, thresholds ascending).
     """
     rows = order.T[feature_indices]
     sv = np.empty(rows.shape)
@@ -59,13 +64,7 @@ def _scan(order, target, feature_indices, columns):
     thr = (sv[:, :-1] + hi) * 0.5
     # equal neighbours give thr == hi, so this also skips ties
     valid = thr < hi
-    return target.take(rows), valid, thr[valid]
-
-
-def _left_counts(valid):
-    """Rows left of each valid cut, as float64, in scan order."""
-    counts = np.arange(1.0, valid.shape[1] + 1)
-    return np.broadcast_to(counts, valid.shape)[valid]
+    return rows, valid, thr[valid]
 
 
 def _first_max(gain, feature_indices, valid, thr):
@@ -88,15 +87,17 @@ def _chunks(feature_indices, n):
         yield feature_indices[c:c + step]
 
 
-def gini_best_split(order, y, feature_indices, *, columns):
+def gini_best_split(order, y, feature_indices, *, columns, counts):
     """Best (feature, threshold, gain) under Gini impurity for one node.
 
-    y: int64 labels in {0, 1} indexed by row. Returns feature -1 (gain
-    -1.0) when no candidate split exists. gain is parent impurity minus the
-    sample-weighted child impurity.
+    y: int64 labels in {0, 1} indexed by row; counts: int64 row weights
+    indexed by row. Returns feature -1 (gain -1.0) when no candidate split
+    exists. gain is parent impurity minus the weighted child impurity.
     """
-    n = order.shape[0]
-    n1 = int(y.take(order[:, 0]).sum())
+    node_rows = order[:, 0]
+    node_counts = counts.take(node_rows)
+    n = int(node_counts.sum())
+    n1 = int((node_counts * y.take(node_rows)).sum())
     n0 = n - n1
     fn = float(n)
     p0 = n0 / fn
@@ -104,10 +105,11 @@ def gini_best_split(order, y, feature_indices, *, columns):
     g_parent = 1.0 - p0 * p0 - p1 * p1
 
     best = (-1, 0.0, -1.0)
-    for feats in _chunks(feature_indices, n):
-        sy, valid, thr = _scan(order, y, feats, columns)
-        nl = _left_counts(valid)
-        n1l = np.cumsum(sy, axis=1)[:, :-1][valid].astype(np.float64)
+    for feats in _chunks(feature_indices, order.shape[0]):
+        rows, valid, thr = _scan(order, feats, columns)
+        sc = counts.take(rows)
+        nl = np.cumsum(sc, axis=1)[:, :-1][valid].astype(np.float64)
+        n1l = np.cumsum(sc * y.take(rows), axis=1)[:, :-1][valid].astype(np.float64)
         n0l = nl - n1l
         nr = fn - nl
         n1r = float(n1) - n1l
@@ -139,8 +141,10 @@ def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
 
     best = (-1, 0.0, -1.0)
     for feats in _chunks(feature_indices, n):
-        sr, valid, thr = _scan(order, r, feats, columns)
-        nl = _left_counts(valid)
+        rows, valid, thr = _scan(order, feats, columns)
+        sr = r.take(rows)
+        # rows left of each valid cut
+        nl = np.broadcast_to(np.arange(1.0, sr.shape[1]), valid.shape)[valid]
         sl = np.cumsum(sr, axis=1)[:, :-1][valid]
         ql = np.cumsum(sr * sr, axis=1)[:, :-1][valid]
         nr = fn - nl

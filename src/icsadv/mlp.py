@@ -28,6 +28,7 @@ from .errors import (
     InputContractError,
     ParameterError,
     ShapeError,
+    finite_floats,
     parses,
     read_json,
 )
@@ -248,7 +249,11 @@ def save_model(model: MlpModel, path) -> None:
 
 @parses("mlp model", "mlp")
 def _model_from_json(doc: dict) -> MlpModel:
-    return MlpModel(doc["layer_sizes"], doc["weights"], doc["biases"])
+    return MlpModel(
+        doc["layer_sizes"],
+        [finite_floats(W, "weight %d" % k) for k, W in enumerate(doc["weights"])],
+        [finite_floats(b, "bias %d" % k) for k, b in enumerate(doc["biases"])],
+    )
 
 
 def load_model(path) -> MlpModel:

@@ -18,11 +18,17 @@ identical tree a plain CART would (the per-split feature draw is skipped
 when the subset covers every feature, to keep the RNG stream out of it).
 
 Growth sorts each feature once per fit, not once per node: CART sorts once,
-a forest once for all its trees (each bootstrap sample is the presort with
-every row repeated as often as it was drawn), boosting once for all its
-stages. Each split then partitions the node's presorted slice stably in
-place (see ``_TreeBuilder``), and the trees come out exactly as if every
-node had been sorted afresh.
+a forest once for all its trees, boosting once for all its stages. Each
+split then partitions the node's presorted slice stably in place (see
+``_TreeBuilder``), and the trees come out exactly as if every node had been
+sorted afresh.
+
+A bootstrap tree keeps each drawn row once and weighs it by its draw count,
+as in Breiman (2001, "Random Forests") and Louppe (2014, "Understanding
+Random Forests", ch. 5); every other tree weighs each row 1. Node sizes,
+class counts and leaf fractions are integer sums of these weights, exact in
+float64, so each tree is bit for bit the one grown on the sample with every
+row repeated as often as it was drawn.
 
 Training and prediction reject NaN and infinite features with
 ``InputContractError``; ``load_model`` turns any malformed document into
@@ -44,6 +50,7 @@ from .errors import (
     ParameterError,
     ParseError,
     ShapeError,
+    finite_floats,
     parses,
     read_json,
 )
@@ -67,7 +74,7 @@ class CartParams:
             raise ParameterError("max_depth must be >= 1")
         if self.min_samples_split < 2:
             raise ParameterError("min_samples_split must be >= 2")
-        if self.min_impurity_decrease < 0:
+        if not self.min_impurity_decrease >= 0:  # NaN too
             raise ParameterError("min_impurity_decrease must be >= 0")
 
 
@@ -89,7 +96,7 @@ class ForestParams:
             raise ParameterError("max_depth must be >= 1")
         if self.min_samples_split < 2:
             raise ParameterError("min_samples_split must be >= 2")
-        if self.min_impurity_decrease < 0:
+        if not self.min_impurity_decrease >= 0:  # NaN too
             raise ParameterError("min_impurity_decrease must be >= 0")
 
 
@@ -102,8 +109,8 @@ class GbcParams:
     def __post_init__(self):
         if self.n_stages < 1:
             raise ParameterError("n_stages must be >= 1")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError("learning_rate must be positive and finite")
         if self.max_depth < 1:
             raise ParameterError("max_depth must be >= 1")
 
@@ -141,27 +148,42 @@ class TreeModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeModel":
+        """The tree in ``obj``, checked to be one that growth writes: nodes
+        in pre-order, so every child index is above its parent's and
+        traversal always ends at a leaf."""
         tree = cls(
             obj["feature"],
-            obj["threshold"],
+            finite_floats(obj["threshold"], "tree threshold"),
             obj["left"],
             obj["right"],
-            obj["value"],
+            finite_floats(obj["value"], "tree value"),
             obj["n_features"],
         )
+        n = tree.n_nodes
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if {a.shape for a in arrays} != {(tree.n_nodes,)} or tree.n_nodes == 0:
+        if {a.shape for a in arrays} != {(n,)} or n == 0:
             raise ValueError("tree arrays must be 1-D, non-empty, of one length")
+        if tree.feature.min() < -1 or tree.feature.max() >= tree.n_features:
+            raise ValueError("tree feature index outside [-1, %d)" % tree.n_features)
+        left, right = tree.left, tree.right
+        inner = (np.arange(n) < left) & (left < right) & (right < n)
+        leaf = (left == -1) & (right == -1)
+        if not np.where(tree.feature >= 0, inner, leaf).all():
+            raise ValueError(
+                "tree children must satisfy i < left < right < n_nodes at "
+                "internal nodes and be -1 at leaves"
+            )
         return tree
 
 
 class _TreeBuilder:
     """Greedy depth-first growth over two row buffers, partitioned in place.
 
-    ``columns`` is X.T, C-contiguous. ``rows`` holds the rows being fit in
-    fit order (bootstrap draw order for a forest tree, ascending otherwise);
-    ``order`` is (d, len(rows)) and its row j holds the same rows stably
-    sorted by feature j. Every node owns the slice [start, end) of both; a
+    ``columns`` is X.T, C-contiguous. ``rows`` holds the distinct rows being
+    fit in ascending order, ``counts`` the integer weight of every row of X
+    (its draw count in a bootstrap sample, else 1); ``order`` is
+    (d, len(rows)) and its row j holds the same rows stably sorted by
+    feature j. Every node owns the slice [start, end) of both; a
     split partitions that slice stably so the left child takes its front
     and the right child its back. A stable partition keeps the tie order a
     fresh stable sort of the child's rows would give, so split scans see
@@ -169,8 +191,8 @@ class _TreeBuilder:
     """
 
     def __init__(self, columns, target, criterion, max_depth, min_samples_split,
-                 min_impurity_decrease, rows, order, features_per_split=None,
-                 rng=None):
+                 min_impurity_decrease, rows, order, counts,
+                 features_per_split=None, rng=None):
         self.columns = columns
         self.target = target
         self.criterion = criterion
@@ -179,6 +201,7 @@ class _TreeBuilder:
         self.min_impurity_decrease = min_impurity_decrease
         self.rows = rows
         self.order = order
+        self.counts = counts
         self.features_per_split = features_per_split
         self.rng = rng
         self.n_features = columns.shape[0]
@@ -207,15 +230,15 @@ class _TreeBuilder:
         self.value.append(0.0)
         return node
 
-    def _best_split(self, start, end):
-        t = self.target[self.rows[start:end]]
+    def _best_split(self, start, end, t):
+        """The node's best split; ``t`` is its target in fit order."""
         order = self.order[:, start:end].T
         if self.criterion == _GINI:
             if t.min() == t.max():
                 return -1, 0.0, -1.0
             return kernels.gini_best_split(
                 order, self.target, self._candidate_features(),
-                columns=self.columns,
+                columns=self.columns, counts=self.counts,
             )
         # parent sums accumulate in fit order; the saved trees keep these bits
         sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
@@ -244,10 +267,14 @@ class _TreeBuilder:
 
     def build(self, start, end, depth) -> int:
         node = self._new_node()
-        self.value[node] = float(self.target[self.rows[start:end]].mean())
+        rows = self.rows[start:end]
+        t = self.target.take(rows)
+        weights = self.counts.take(rows)
+        size = int(weights.sum())
+        self.value[node] = float((weights * t).sum() / size)
         feat = -1
-        if depth < self.max_depth and end - start >= self.min_samples_split:
-            feat, thr, gain = self._best_split(start, end)
+        if depth < self.max_depth and size >= self.min_samples_split:
+            feat, thr, gain = self._best_split(start, end, t)
         if feat < 0 or not gain > self.min_impurity_decrease:
             self.leaves.append((node, start, end))
             return node
@@ -303,9 +330,11 @@ def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
     X, y = _check_xy(X, y, binary=True)
     columns, presorted = _presort(X)
+    n = X.shape[0]
     builder = _TreeBuilder(
         columns, y, _GINI, params.max_depth, params.min_samples_split,
-        params.min_impurity_decrease, np.arange(X.shape[0]), presorted,
+        params.min_impurity_decrease, np.arange(n), presorted,
+        np.ones(n, dtype=np.int64),
     )
     return CartModel(builder.grow(), params)
 
@@ -330,25 +359,22 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
         )
     streams = np.random.SeedSequence(seed).spawn(params.n_trees)
     columns, presorted = _presort(X)
-    order = np.empty_like(presorted)
     trees = []
     for ss in streams:
         rng = np.random.default_rng(ss)
         if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            # each row repeated as often as it was drawn keeps every presort
-            # row sorted; ties sit in row order rather than draw order, which
-            # Gini gains cannot see
-            counts = np.bincount(idx, minlength=n)
-            for j, sorted_rows in enumerate(presorted):
-                order[j] = np.repeat(sorted_rows, counts[sorted_rows])
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            # the drawn rows, each once, keep every presort row sorted
+            drawn = counts > 0
+            rows = np.flatnonzero(drawn)
+            order = presorted[drawn.take(presorted)].reshape(d, rows.size)
         else:
-            idx = np.arange(n)
-            order[:] = presorted
+            counts = np.ones(n, dtype=np.int64)
+            rows, order = np.arange(n), presorted.copy()
         builder = _TreeBuilder(
             columns, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, idx, order, features_per_split=k,
-            rng=rng,
+            params.min_impurity_decrease, rows, order, counts,
+            features_per_split=k, rng=rng,
         )
         trees.append(builder.grow())
     return ForestModel(trees, params, seed)
@@ -400,13 +426,14 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     all_rows = np.arange(n)
     columns, presorted = _presort(X)
     rows, order = np.empty_like(all_rows), np.empty_like(presorted)
+    ones = np.ones(n, dtype=np.int64)
     step = np.empty(n)
     for _ in range(params.n_stages):
         resid = yf - _sigmoid(scores)
         rows[:] = all_rows
         order[:] = presorted
         builder = _TreeBuilder(
-            columns, resid, _SSE, params.max_depth, 2, 0.0, rows, order,
+            columns, resid, _SSE, params.max_depth, 2, 0.0, rows, order, ones,
         )
         tree = builder.grow()
         leaf_values = np.zeros(tree.n_nodes)
@@ -510,19 +537,25 @@ def _model_from_json(doc: dict):
             TreeModel.from_json(doc["tree"]), CartParams(**doc["params"])
         )
     if kind == FOREST:
-        if not doc["trees"]:
-            raise ValueError("forest has no trees")
         return ForestModel(
-            [TreeModel.from_json(t) for t in doc["trees"]],
+            _trees_from_json(doc["trees"]),
             ForestParams(**doc["params"]),
             int(doc.get("seed", 0)),
         )
     if kind == GBC:
-        if not doc["stages"]:
-            raise ValueError("boosted model has no stages")
         return GbcModel(
-            doc["initial_log_odds"],
-            [TreeModel.from_json(t) for t in doc["stages"]],
+            finite_floats(float(doc["initial_log_odds"]), "initial_log_odds"),
+            _trees_from_json(doc["stages"]),
             GbcParams(**doc["params"]),
         )
     raise ParseError("unknown detector kind %r" % kind)
+
+
+def _trees_from_json(docs) -> list[TreeModel]:
+    """The trees of an ensemble: at least one, all on one feature count."""
+    ensemble = [TreeModel.from_json(t) for t in docs]
+    if not ensemble:
+        raise ValueError("ensemble has no trees")
+    if len({t.n_features for t in ensemble}) != 1:
+        raise ValueError("ensemble trees disagree on n_features")
+    return ensemble

@@ -158,6 +158,20 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2.*fields"):
             ds.load_csv(p, schema)
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"\xff\xfeL\x00I\x00T\x00")  # a UTF-16 byte order mark
+        with pytest.raises(ParseError, match="a.csv.*UTF-8"):
+            ds.load_csv(p, small_schema(1))
+
+    def test_header_with_a_comma_round_trips(self, tmp_path):
+        schema = ds.Schema((ds.Feature("LIT,101", ds.SENSOR),))
+        data = ds.Dataset(schema, [[0.5], [0.25]], [0, 1])
+        p = tmp_path / "a.csv"
+        ds.save_csv(data, p)
+        assert p.read_bytes() == b'"LIT,101",Normal/Attack\r\n0.5,Normal\r\n0.25,Attack\r\n'
+        assert np.array_equal(ds.load_csv(p, schema).X, data.X)
+
     def test_large_file_counts(self, tmp_path):
         # composition of a full-scale plant log: 449,919 rows of which
         # 53,900 carry the attack label
@@ -213,6 +227,14 @@ class TestMinmax:
         empty = ds.Dataset(schema, np.empty((0, 1)), np.empty(0, dtype=int))
         with pytest.raises(EmptyInputError):
             ds.fit_minmax(empty)
+
+    @pytest.mark.parametrize("key", ["mins", "maxs"])
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("-inf")])
+    def test_non_finite_params_are_parse_errors(self, key, bad):
+        doc = ds.fit_minmax(small_dataset(seed=3)).to_json()
+        doc[key][1] = bad
+        with pytest.raises(ParseError, match=key):
+            ds.NormalizationParams.from_json(doc)
 
     def test_params_json_round_trip(self):
         params = ds.fit_minmax(small_dataset(seed=3))

@@ -17,7 +17,8 @@ def presorted(X):
 def gini_split(X, y, feats):
     X = np.asarray(X, dtype=np.float64)
     return K.gini_best_split(
-        presorted(X), y, feats, columns=np.ascontiguousarray(X.T)
+        presorted(X), y, feats, columns=np.ascontiguousarray(X.T),
+        counts=np.ones(X.shape[0], dtype=np.int64),
     )
 
 
@@ -168,12 +169,11 @@ class TestScanRuns:
 
 def node_slice(X, idx):
     """A node holding rows ``idx`` (duplicates allowed) as tree growth
-    lays it out: the global presort, each row repeated as often as drawn."""
-    P = presorted(X)
+    lays it out: the global presort cut down to the distinct drawn rows,
+    plus every row's draw count."""
     counts = np.bincount(idx, minlength=X.shape[0])
-    return np.stack(
-        [np.repeat(P[:, j], counts[P[:, j]]) for j in range(X.shape[1])], axis=1
-    )
+    P = presorted(X).T
+    return P[counts[P] > 0].reshape(X.shape[1], -1).T, counts
 
 
 def direct_gini_split(X, y, feature_indices):
@@ -242,10 +242,13 @@ class TestPresortedNodes:
     @settings(max_examples=150, deadline=None)
     @given(node_cases)
     def test_gini_matches_oracles_on_node_slices(self, case):
+        """Weighted distinct rows score every cut as the drawn rows with
+        their repeats do, bit for bit."""
         rng, X, idx, feats = draw_node(case)
         y = rng.integers(0, 2, X.shape[0]).astype(np.int64)
+        order, counts = node_slice(X, idx)
         got = K.gini_best_split(
-            node_slice(X, idx), y, feats, columns=np.ascontiguousarray(X.T)
+            order, y, feats, columns=np.ascontiguousarray(X.T), counts=counts
         )
         assert got == direct_gini_split(X[idx], y[idx], feats)
         efeat, _, egain = exhaustive_gini_split(X[idx], y[idx], feats)
@@ -257,13 +260,16 @@ class TestPresortedNodes:
     def test_sse_finds_an_optimal_split_on_node_slices(self, case):
         rng, X, idx, feats = draw_node(case)
         r = rng.normal(size=X.shape[0])
-        rn = r[idx]
+        # boosting fits every row once, so the scan sees the distinct rows
+        order, _ = node_slice(X, idx)
+        rows = np.unique(idx)
+        rn = r[rows]
         sums = (float(np.cumsum(rn)[-1]), float(np.cumsum(rn * rn)[-1]))
         feat, thr, gain = K.sse_best_split(
-            node_slice(X, idx), r, feats, columns=np.ascontiguousarray(X.T),
+            order, r, feats, columns=np.ascontiguousarray(X.T),
             parent_sums=sums,
         )
-        Xn = X[idx]
+        Xn = X[rows]
         cands = [
             direct_sse_gain(Xn, rn, f, (a + b) * 0.5)
             for f in feats

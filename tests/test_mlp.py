@@ -324,6 +324,24 @@ class TestSerialization:
         with pytest.raises(ParseError, match=key):
             mlp.load_model(p)
 
+    @pytest.mark.parametrize("key, where", [
+        ("weights", (0, 0, 1)), ("weights", (1, 1, 0)), ("biases", (0, 2)),
+    ])
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf")])
+    def test_non_finite_numbers_are_parse_errors(self, key, where, bad, tmp_path):
+        # null loads as NaN, and a NaN weight would make predict fail open
+        # to class 0
+        p = tmp_path / "m.json"
+        mlp.save_model(mlp.init([2, 3, 2], seed=0), p)
+        doc = json.loads(p.read_text())
+        node = doc[key]
+        for i in where[:-1]:
+            node = node[i]
+        node[where[-1]] = bad
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="weight|bias"):
+            mlp.load_model(p)
+
     @pytest.mark.parametrize("text", ["[]", "{broken",
                                       '{"format": "mlp", "layer_sizes": 3}'])
     def test_malformed_documents_are_parse_errors(self, text, tmp_path):

@@ -60,6 +60,12 @@ class TestParams:
             lambda: trees.ForestParams(features_per_split=0),
             lambda: trees.GbcParams(n_stages=0),
             lambda: trees.GbcParams(learning_rate=0.0),
+            # NaN compares false to everything: a plain < 0 check let it
+            # through, and then no gain beat it, so every tree was one leaf
+            lambda: trees.CartParams(min_impurity_decrease=float("nan")),
+            lambda: trees.ForestParams(min_impurity_decrease=float("nan")),
+            lambda: trees.GbcParams(learning_rate=float("nan")),
+            lambda: trees.GbcParams(learning_rate=float("inf")),
         ],
     )
     def test_bad_values(self, make):
@@ -171,6 +177,23 @@ class TestForest:
         assert np.array_equal(
             trees.predict_classes(cart, grid), trees.predict_classes(forest, grid)
         )
+
+    @pytest.mark.parametrize("min_samples_split", [2, 9])
+    def test_bootstrap_tree_equals_cart_on_drawn_rows(self, min_samples_split):
+        """A tree grown on the distinct drawn rows weighted by their draw
+        counts is the CART grown on every draw, repeats included."""
+        X, y = blob_data(n=150, seed=5)
+        X = np.round(X * 6) / 6  # ties inside and across the repeats
+        forest = trees.train_forest(X, y, trees.ForestParams(
+            n_trees=1, features_per_split=3, max_depth=6,
+            min_samples_split=min_samples_split,
+        ), seed=21)
+        rng = np.random.default_rng(np.random.SeedSequence(21).spawn(1)[0])
+        idx = rng.integers(0, 150, size=150)
+        cart = trees.train_cart(X[idx], y[idx], trees.CartParams(
+            max_depth=6, min_samples_split=min_samples_split,
+        ))
+        assert forest.trees[0].to_json() == cart.tree.to_json()
 
     def test_seeded_determinism(self, tmp_path):
         X, y = blob_data(n=100, seed=6)
@@ -345,6 +368,80 @@ class TestSerialization:
         p = tmp_path / "m.json"
         p.write_text(text)
         with pytest.raises(ParseError):
+            trees.load_model(p)
+
+
+def _saved_doc(kind, tmp_path):
+    X, y = blob_data(n=60, seed=3)
+    p = tmp_path / "m.json"
+    trees.save_model(GOLDEN_TRAIN[kind](X, y), p)
+    return p, json.loads(p.read_text())
+
+
+class TestTreeDocuments:
+    """A loaded tree is one growth could have written: feature indices in
+    range, children in pre-order below internal nodes, -1 at leaves, and
+    finite numbers; anything else is a ParseError before any traversal."""
+
+    @pytest.mark.parametrize("key, node, value", [
+        ("feature", 0, 99),
+        ("feature", 0, 3),  # n_features is 3
+        ("feature", 0, -2),
+        ("left", 0, 0),  # node 0 its own child: traversal would never end
+        ("right", 0, 0),
+        ("left", 0, -1),
+        ("right", 0, 1),  # right == left
+        ("left", 0, 10**6),
+        ("left", -1, 1),  # a leaf with a child
+        ("right", -1, 0),
+        ("threshold", 0, None),  # null loads as NaN
+        ("threshold", 0, float("inf")),
+        ("value", -1, None),
+        ("value", -1, float("nan")),
+    ])
+    def test_forged_cart_is_a_parse_error(self, key, node, value, tmp_path):
+        p, doc = _saved_doc("cart", tmp_path)
+        doc["tree"][key][node] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="tree"):
+            trees.load_model(p)
+
+    def test_back_edge_deeper_in_the_tree(self, tmp_path):
+        p, doc = _saved_doc("cart", tmp_path)
+        tree = doc["tree"]
+        inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+        assert len(inner) > 1
+        tree["right"][inner[-1]] = inner[0]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="children"):
+            trees.load_model(p)
+
+    def test_saved_trees_of_every_kind_load(self, tmp_path):
+        for kind in GOLDEN_TRAIN:
+            p, _ = _saved_doc(kind, tmp_path)
+            trees.load_model(p)
+
+    def test_ensemble_trees_share_feature_count(self, tmp_path):
+        p, doc = _saved_doc("rf", tmp_path)
+        doc["trees"][1]["n_features"] = 99
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="n_features"):
+            trees.load_model(p)
+
+    @pytest.mark.parametrize("value", [None, float("nan"), float("-inf")])
+    def test_non_finite_initial_log_odds(self, value, tmp_path):
+        p, doc = _saved_doc("gbc", tmp_path)
+        doc["initial_log_odds"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            trees.load_model(p)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate(self, value, tmp_path):
+        p, doc = _saved_doc("gbc", tmp_path)
+        doc["params"]["learning_rate"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="learning_rate"):
             trees.load_model(p)
 
 
