@@ -12,6 +12,7 @@ byte-identical across runs.
 """
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass
@@ -169,19 +170,23 @@ def load_csv(path, schema: Schema) -> Dataset:
     expected = schema.feature_names + [schema.label_column]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows_X, rows_y = _read_rows(csv.reader(fh), path, expected)
+            cells, labels = _read_rows(csv.reader(fh), path, expected)
     except UnicodeDecodeError as exc:
         raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
-    X = np.array(rows_X, dtype=np.float64) if rows_X else np.empty((0, len(expected) - 1))
-    y = np.array(rows_y, dtype=np.int64)
+    X = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(expected) - 1)
+    y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
     return Dataset(schema, X, y)
 
 
 def _read_rows(reader, path, expected):
-    """The feature rows and encoded labels under a header equal to
-    ``expected``."""
-    rows_X: list[list[float]] = []
-    rows_y: list[int] = []
+    """The feature cells (row-major, float64) and encoded labels (one byte
+    each) under a header equal to ``expected``.
+
+    Both accumulate in flat buffers: a list of Python float lists costs
+    about seven times the bytes of the matrix it becomes.
+    """
+    cells = array.array("d")
+    labels = bytearray()
     try:
         header = next(reader)
     except StopIteration:
@@ -199,7 +204,7 @@ def _read_rows(reader, path, expected):
                 % (path, lineno, len(row), n_cols)
             )
         try:
-            rows_X.append([float(v) for v in row[:-1]])
+            cells.extend([float(v) for v in row[:-1]])
         except ValueError:
             for ci, v in enumerate(row[:-1]):
                 try:
@@ -211,10 +216,10 @@ def _read_rows(reader, path, expected):
                     ) from None
             raise
         try:
-            rows_y.append(label_encode(row[-1]))
+            labels.append(label_encode(row[-1]))
         except LabelError as exc:
             raise LabelError("%s: line %d: %s" % (path, lineno, exc)) from None
-    return rows_X, rows_y
+    return cells, labels
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -12,6 +12,13 @@ from the scenario seeds plus the single pipeline seed via fixed offsets,
 and floats serialize via repr, so two runs with the same config produce
 byte-identical artifacts.
 
+Stage 5 fans out: every forest run, the boosted model and the single tree
+are independent fits, so each is one job in a pool of forked worker
+processes (one per usable core, at most one per job). The workers inherit
+the training and evaluation rows; each job sends back its model and
+confusion matrix, and the parent writes them in a fixed order, so the
+artifacts are the same bytes whatever the number of workers.
+
 The run manifest records a SHA-256 per artifact plus which files fed
 detector training. The evaluation dataset's hash must never appear among
 the detector training inputs; the pipeline asserts that invariant and
@@ -272,6 +279,51 @@ def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     return trees.train_forest(X, y, params, seed=seed)
 
 
+# (training set, evaluation set, config) of a stage-5 worker process
+_FIT_INPUTS = None
+
+
+def _init_fit_worker(merged: ds.Dataset, attacked_n: ds.Dataset, config: dict):
+    global _FIT_INPUTS
+    _FIT_INPUTS = (merged, attacked_n, config)
+
+
+def _fit_job(job):
+    """Fit the detector ``job = (kind, run seed)`` on the training set and
+    score it on the evaluation set; returns (model, confusion matrix)."""
+    kind, run_seed = job
+    merged, attacked_n, config = _FIT_INPUTS
+    model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
+    preds = trees.predict_classes(model, attacked_n.X)
+    return model, evaluation.confusion(preds, attacked_n.y)
+
+
+def _worker_count(n_jobs: int) -> int:
+    return min(len(os.sched_getaffinity(0)), n_jobs)
+
+
+def _fit_detectors(jobs, merged: ds.Dataset, attacked_n: ds.Dataset,
+                   config: dict) -> list:
+    """``_fit_job`` over ``jobs`` in forked workers, results in job order.
+
+    Forked workers inherit both datasets, so only the jobs and the results
+    are pickled. A job's exception is re-raised here with its class and
+    message; a worker that dies raises ``BrokenProcessPool``.
+    """
+    # imported here, not at the top: they add about 40 ms to every import
+    # of the package, and only a pipeline run needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=_worker_count(len(jobs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_fit_worker,
+        initargs=(merged, attacked_n, config),
+    ) as pool:
+        return list(pool.map(_fit_job, jobs))
+
+
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     """Execute every stage into ``out_dir`` and return the run manifest.
 
@@ -326,17 +378,12 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         k: [] for k in DETECTOR_ORDER
     }
 
-    def fit(kind, run_seed=0):
-        model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
-        preds = trees.predict_classes(model, attacked_n.X)
-        return model, evaluation.confusion(preds, attacked_n.y)
-
-    # cart and gbc take no seed: one fit and one prediction serve every run
-    fitted = {kind: fit(kind) for kind in (trees.CART, trees.GBC)}
-    for r, run_seed in enumerate(run_seeds):
-        fitted[trees.FOREST] = fit(trees.FOREST, run_seed)
-        for kind in DETECTOR_ORDER:
-            model, matrix = fitted[kind]
+    # the forests, the longest fits, go first; cart and gbc take no seed, so
+    # one fit and one prediction serve every run
+    jobs = [(trees.FOREST, s) for s in run_seeds] + [(trees.GBC, 0), (trees.CART, 0)]
+    *forests, gbc, cart = _fit_detectors(jobs, merged, attacked_n, config)
+    for r, forest in enumerate(forests):
+        for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, forest, gbc)):
             emit("models/%s_run%d.json" % (kind, r), write_model, model)
             matrices[kind].append(matrix)
 

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from icsadv import cli
 from icsadv import dataset as ds
 from icsadv import mlp
 from icsadv import pipeline as pl
@@ -218,26 +223,107 @@ class TestRunPipeline:
 
 def test_seed_free_detectors_train_once(tmp_path, tiny_scenario, tiny_config,
                                         monkeypatch):
-    calls = {"train_cart": 0, "train_forest": 0, "train_gbc": 0,
-             "predict_classes": 0}
-    for name in calls:
+    # the fits run in worker processes, so each call appends a line to a
+    # file rather than bumping a counter in this process
+    log = tmp_path / "calls.log"
+    names = ("train_cart", "train_forest", "train_gbc", "predict_classes")
+    for name in names:
         real = getattr(trees, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+            with open(log, "a") as fh:
+                fh.write(_name + "\n")
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(trees, name, counted)
     n_runs = tiny_config["n_runs"] = 3
-    pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+    out = tmp_path / "out"
+    pl.run_pipeline(tiny_config, out, scenario=tiny_scenario)
+    lines = log.read_text().split()
+    calls = {name: lines.count(name) for name in names}
     assert calls == {"train_cart": 1, "train_forest": n_runs, "train_gbc": 1,
                      "predict_classes": 2 + n_runs}
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text())
     for kind in ("cart", "rf", "gbc"):
         assert len(report["detectors"][kind]["matrices"]) == n_runs
-        docs = {(tmp_path / ("models/%s_run%d.json" % (kind, r))).read_bytes()
+        docs = {(out / ("models/%s_run%d.json" % (kind, r))).read_bytes()
                 for r in range(n_runs)}
         assert len(docs) == (n_runs if kind == "rf" else 1)
+
+
+# SHA-256 of the tiny run's report and manifest (which lists every
+# artifact's digest) as the serial detector stage wrote them
+TINY_REPORT_SHA256 = "9c8ea544adea36145b19de4c8a90aa415c8eade23daba75a092ef94aa4511c45"
+TINY_MANIFEST_SHA256 = "c10664a6aa99de04ef7f79636fe9b426fea08f4f4fac3ca7850ec7228bb2e4f4"
+
+
+class TestDetectorWorkers:
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, tiny_inputs,
+                                                 monkeypatch):
+        outs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(pl, "_worker_count", lambda n_jobs, w=workers: w)
+            out = outs[workers] = tmp_path / ("w%d" % workers)
+            scenario, cfg = tiny_inputs()
+            pl.run_pipeline(cfg, out, scenario=scenario)
+            assert pl.sha256_file(out / "report.json") == TINY_REPORT_SHA256
+            assert pl.sha256_file(out / "run_manifest.json") == TINY_MANIFEST_SHA256
+            assert pl.sha256_file(out / "adversarial.csv") == (
+                "ea508106f47f93a4d51f9605ff53e140f0db62349a3db77b478264baa3e601dd"
+            )
+        names = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*"))
+        assert names == sorted(p.relative_to(outs[2]) for p in outs[2].rglob("*"))
+        for name in names:
+            if (outs[1] / name).is_file():
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+    def test_job_error_reraised_cleanly(self, tmp_path, tiny_scenario, tiny_config,
+                                        monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise ParameterError("boom")
+
+        # forked workers inherit the patched module
+        monkeypatch.setattr(trees, "train_gbc", boom)
+        with pytest.raises(ParameterError) as info:
+            pl.run_pipeline(tiny_config, tmp_path / "api", scenario=tiny_scenario)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == "boom"
+
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(tiny_scenario))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(tiny_config, scenario=str(scenario))))
+        out = tmp_path / "cli"
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: boom\n"
+        for run in ("api", "cli"):
+            left = [p.name for p in (tmp_path / run).rglob("*")]
+            assert not [n for n in left if n.endswith(".tmp")], left
+            assert ".icsadv.lock" not in left
+            assert "report.json" not in left
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path, tiny_scenario,
+                                                   tiny_config, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(3)
+
+        def hung(signum, frame):
+            raise TimeoutError("the detector stage hung after a worker died")
+
+        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(trees, "train_cart", die)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestEvaluateModel:
