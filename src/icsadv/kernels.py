@@ -180,7 +180,7 @@ def tree_apply(feature, threshold, left, right, value, X):
 
 
 def tank_loop(level0, rates, noise, flips, n_steps):
-    """Tank farm simulation, one python step at a time.
+    """Tank farm simulation: a python loop over the state each step carries.
 
     rates: (inflow_rate, outflow_rate, level_low, level_high, capacity, dt)
     noise: (level_noise, inflow_noise, outflow_noise), each (n_steps, n_tanks)
@@ -191,43 +191,49 @@ def tank_loop(level0, rates, noise, flips, n_steps):
     reading, apply actuator-flip overrides, integrate the true level from
     the (possibly forced) actuator states. Controller memory keeps its own
     command so forcing an actuator does not corrupt the hysteresis state.
+
+    Only two values pass from one step to the next: each tank's true level
+    and its controller command. The tanks are independent, so the loop runs
+    one tank at a time over plain floats; the valve state and both flow
+    readings depend on no carried state and are computed as whole columns,
+    each element by the same float64 operations as a step would. The loop
+    reads and writes its columns through memoryviews, so it holds no list
+    of float objects: lists of 100k floats per column left the heap
+    fragmented, and peak RSS rose with every call.
     """
     inflow_rate, outflow_rate, level_low, level_high, capacity, dt = rates
     level_noise, inflow_noise, outflow_noise = noise
     pump_flip, valve_flip = flips
     n_tanks = level0.shape[0]
-    shape = (n_steps, n_tanks)
-    level_meas = np.empty(shape, dtype=np.float64)
-    inflow_meas = np.empty(shape, dtype=np.float64)
-    outflow_meas = np.empty(shape, dtype=np.float64)
-    pump_out = np.empty(shape, dtype=np.int64)
-    valve_out = np.empty(shape, dtype=np.int64)
-    level = level0.copy()
-    pump_cmd = np.zeros(n_tanks, dtype=np.int64)
-    for t in range(n_steps):
-        for k in range(n_tanks):
-            meas = level[k] + level_noise[t, k]
-            cmd = pump_cmd[k]
+    # one contiguous row per tank, filled in step order, returned transposed
+    level_meas = np.empty((n_tanks, n_steps), dtype=np.float64)
+    pump_out = np.empty((n_tanks, n_steps), dtype=np.int64)
+    valve_out = np.where(valve_flip, 0, 2)
+    q_out = np.where(valve_flip, 0.0, outflow_rate)
+    for k in range(n_tanks):
+        level = float(level0[k])
+        cmd = 0
+        meas_k, pump_k = memoryview(level_meas[k]), memoryview(pump_out[k])
+        for t, (noise_t, pflip, q_out_t) in enumerate(zip(
+            memoryview(np.ascontiguousarray(level_noise[:, k])),
+            memoryview(np.ascontiguousarray(pump_flip[:, k])),
+            memoryview(np.ascontiguousarray(q_out[:, k])),
+        )):
+            meas = level + noise_t
             if meas < level_low:
                 cmd = 2
             elif meas > level_high:
                 cmd = 0
-            pump_cmd[k] = cmd
-            if pump_flip[t, k]:
-                pump_act = 0 if cmd >= 1 else 2
-            else:
-                pump_act = cmd
-            valve_act = 0 if valve_flip[t, k] else 2
+            pump_act = (0 if cmd >= 1 else 2) if pflip else cmd
             q_in = inflow_rate if pump_act == 2 else 0.0
-            q_out = outflow_rate if valve_act == 2 else 0.0
-            level_meas[t, k] = meas
-            inflow_meas[t, k] = q_in + inflow_noise[t, k]
-            outflow_meas[t, k] = q_out + outflow_noise[t, k]
-            pump_out[t, k] = pump_act
-            valve_out[t, k] = valve_act
-            level[k] += (q_in - q_out) * dt
-            if level[k] < 0.0:
-                level[k] = 0.0
-            elif level[k] > capacity:
-                level[k] = capacity
+            meas_k[t] = meas
+            pump_k[t] = pump_act
+            level += (q_in - q_out_t) * dt
+            if level < 0.0:
+                level = 0.0
+            elif level > capacity:
+                level = capacity
+    level_meas, pump_out = level_meas.T, pump_out.T
+    inflow_meas = np.where(pump_out == 2, inflow_rate, 0.0) + inflow_noise
+    outflow_meas = q_out + outflow_noise
     return level_meas, inflow_meas, outflow_meas, pump_out, valve_out

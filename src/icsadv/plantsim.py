@@ -25,7 +25,7 @@ inside any attack window is labeled Attack, even when delta is zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -71,17 +71,7 @@ class PlantConfig:
             raise ParameterError("steps must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "n_tanks": self.n_tanks,
-            "tank_capacity": self.tank_capacity,
-            "inflow_rate": self.inflow_rate,
-            "outflow_rate": self.outflow_rate,
-            "level_low": self.level_low,
-            "level_high": self.level_high,
-            "sensor_noise_std": self.sensor_noise_std,
-            "dt": self.dt,
-            "steps": self.steps,
-        }
+        return asdict(self)
 
     @classmethod
     @parses("plant config")
@@ -160,9 +150,6 @@ def initial_levels(config: PlantConfig) -> np.ndarray:
 
 def _draw_noise(config: PlantConfig, seed: int):
     shape = (config.steps, config.n_tanks)
-    if config.sensor_noise_std == 0.0:
-        z = np.zeros(shape)
-        return z, z.copy(), z.copy()
     rng = np.random.default_rng(seed)
     std = config.sensor_noise_std
     return (
@@ -170,61 +157,6 @@ def _draw_noise(config: PlantConfig, seed: int):
         rng.normal(0.0, std, shape),
         rng.normal(0.0, std, shape),
     )
-
-
-def _run(config: PlantConfig, seed: int, pump_flip, valve_flip) -> Dataset:
-    noise = _draw_noise(config, seed)
-    rates = (
-        config.inflow_rate,
-        config.outflow_rate,
-        config.level_low,
-        config.level_high,
-        config.tank_capacity,
-        config.dt,
-    )
-    level, inflow, outflow, pump, valve = kernels.tank_loop(
-        initial_levels(config), rates, noise, (pump_flip, valve_flip), config.steps
-    )
-    X = np.empty((config.steps, _SLOTS_PER_TANK * config.n_tanks))
-    for k in range(config.n_tanks):
-        base = _SLOTS_PER_TANK * k
-        X[:, base + 0] = level[:, k]
-        X[:, base + 1] = inflow[:, k]
-        X[:, base + 2] = outflow[:, k]
-        X[:, base + 3] = pump[:, k]
-        X[:, base + 4] = valve[:, k]
-    return Dataset(schema_for(config), X, np.zeros(config.steps, dtype=np.int64))
-
-
-def simulate_normal(config: PlantConfig, seed: int) -> Dataset:
-    """Simulate attack-free operation; every row is labeled Normal."""
-    flips = np.zeros((config.steps, config.n_tanks), dtype=np.bool_)
-    return _run(config, seed, flips, flips.copy())
-
-
-def inject_bias(dataset: Dataset, spec: AttackSpec) -> Dataset:
-    """Add a constant offset to one sensor column inside the window.
-
-    Returns a new dataset; rows in the window get label 1 even when the
-    offset is zero (a stealth window is still an attack window).
-    """
-    if spec.kind != SENSOR_BIAS:
-        raise ParameterError("inject_bias only handles %s attacks" % SENSOR_BIAS)
-    idx = dataset.schema.index_of(spec.target_feature)
-    if dataset.schema.features[idx].kind != SENSOR:
-        raise KindMismatchError(
-            "sensor-bias target %r is an actuator column" % spec.target_feature
-        )
-    start, end = spec.window
-    if end > dataset.n_rows:
-        raise ParameterError(
-            "window %r exceeds dataset length %d" % (spec.window, dataset.n_rows)
-        )
-    X = dataset.X.copy()
-    y = dataset.y.copy()
-    X[start:end, idx] += spec.delta
-    y[start:end] = 1
-    return Dataset(dataset.schema, X, y)
 
 
 def _check_attacks(config: PlantConfig, attacks) -> None:
@@ -256,6 +188,53 @@ def _check_attacks(config: PlantConfig, attacks) -> None:
                 )
 
 
+def _run(config: PlantConfig, seed: int, attacks) -> Dataset:
+    """The one log builder, for checked ``attacks``.
+
+    Actuator flips feed the forced state into the dynamics; sensor biases
+    are then added to the finished trace, in attack order. Every row inside
+    an attack window is labeled 1.
+    """
+    schema = schema_for(config)
+    shape = (config.steps, config.n_tanks)
+    flips = {_PUMP_SLOT: np.zeros(shape, bool), _VALVE_SLOT: np.zeros(shape, bool)}
+    y = np.zeros(config.steps, dtype=np.int64)
+    for spec in attacks:
+        start, end = spec.window
+        y[start:end] = 1
+        if spec.kind == ACTUATOR_FLIP:
+            tank, slot = divmod(schema.index_of(spec.target_feature), _SLOTS_PER_TANK)
+            flips[slot][start:end, tank] = True
+    rates = (
+        config.inflow_rate,
+        config.outflow_rate,
+        config.level_low,
+        config.level_high,
+        config.tank_capacity,
+        config.dt,
+    )
+    # allocated before the loop's temporaries, so that freeing them leaves one
+    # free block above X, not a hole below it that later large arrays miss
+    X = np.empty((config.steps, _SLOTS_PER_TANK * config.n_tanks))
+    columns = kernels.tank_loop(
+        initial_levels(config), rates, _draw_noise(config, seed),
+        (flips[_PUMP_SLOT], flips[_VALVE_SLOT]), config.steps,
+    )
+    # tank k's column for slot s is s + 5k, in level/inflow/outflow/pump/valve order
+    for slot, column in enumerate(columns):
+        X[:, slot::_SLOTS_PER_TANK] = column
+    for spec in attacks:
+        if spec.kind == SENSOR_BIAS:
+            start, end = spec.window
+            X[start:end, schema.index_of(spec.target_feature)] += spec.delta
+    return Dataset(schema, X, y)
+
+
+def simulate_normal(config: PlantConfig, seed: int) -> Dataset:
+    """Simulate attack-free operation; every row is labeled Normal."""
+    return _run(config, seed, [])
+
+
 def simulate_with_attacks(
     config: PlantConfig, attacks: list[AttackSpec], seed: int
 ) -> Dataset:
@@ -266,29 +245,7 @@ def simulate_with_attacks(
     list the result equals simulate_normal(config, seed) exactly.
     """
     _check_attacks(config, attacks)
-    schema = schema_for(config)
-    pump_flip = np.zeros((config.steps, config.n_tanks), dtype=np.bool_)
-    valve_flip = np.zeros((config.steps, config.n_tanks), dtype=np.bool_)
-    for spec in attacks:
-        if spec.kind != ACTUATOR_FLIP:
-            continue
-        idx = schema.index_of(spec.target_feature)
-        tank, slot = divmod(idx, _SLOTS_PER_TANK)
-        start, end = spec.window
-        if slot == _PUMP_SLOT:
-            pump_flip[start:end, tank] = True
-        else:
-            valve_flip[start:end, tank] = True
-    ds = _run(config, seed, pump_flip, valve_flip)
-    y = ds.y.copy()
-    for spec in attacks:
-        if spec.kind == ACTUATOR_FLIP:
-            y[spec.window[0] : spec.window[1]] = 1
-    ds = Dataset(schema, ds.X, y)
-    for spec in attacks:
-        if spec.kind == SENSOR_BIAS:
-            ds = inject_bias(ds, spec)
-    return ds
+    return _run(config, seed, attacks)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +265,6 @@ def parse_scenario(obj: dict):
     attacks = [AttackSpec.from_json(a) for a in obj.get("attacks", [])]
     _check_attacks(config, attacks)
     return config, attacks, normal_seed, attack_seed
-
-
-def simulate_scenario(obj: dict) -> tuple[Dataset, Dataset]:
-    """Run the normal and attacked legs of a scenario document."""
-    config, attacks, normal_seed, attack_seed = parse_scenario(obj)
-    return (
-        simulate_normal(config, normal_seed),
-        simulate_with_attacks(config, attacks, attack_seed),
-    )
 
 
 def load_scenario(path) -> dict:

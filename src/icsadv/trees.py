@@ -177,21 +177,22 @@ class TreeModel:
 
 
 class _TreeBuilder:
-    """Greedy depth-first growth over two row buffers, partitioned in place.
+    """Greedy depth-first growth over one row buffer, partitioned in place.
 
-    ``columns`` is X.T, C-contiguous. ``rows`` holds the distinct rows being
-    fit in ascending order, ``counts`` the integer weight of every row of X
-    (its draw count in a bootstrap sample, else 1); ``order`` is
-    (d, len(rows)) and its row j holds the same rows stably sorted by
-    feature j. Every node owns the slice [start, end) of both; a
-    split partitions that slice stably so the left child takes its front
-    and the right child its back. A stable partition keeps the tie order a
-    fresh stable sort of the child's rows would give, so split scans see
-    exactly what per-node sorting showed.
+    ``columns`` is X.T, C-contiguous; ``counts`` is the integer weight of
+    every row of X (its draw count in a bootstrap sample, else 1), and the
+    rows being fit are those of positive weight. ``order`` is (d + 1, m)
+    over those m rows: its row j < d holds them stably sorted by feature j,
+    its last row holds them in fit order. It is taken from ``presorted``,
+    the same layout over every row of X (see ``_presort``). Every node owns
+    the slice [start, end); a split partitions that slice stably so the
+    left child takes its front and the right child its back. A stable
+    partition keeps the tie order a fresh stable sort of the child's rows
+    would give, so split scans see exactly what per-node sorting showed.
     """
 
     def __init__(self, columns, target, criterion, max_depth, min_samples_split,
-                 min_impurity_decrease, rows, order, counts,
+                 min_impurity_decrease, presorted, counts,
                  features_per_split=None, rng=None):
         self.columns = columns
         self.target = target
@@ -199,8 +200,9 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.rows = rows
-        self.order = order
+        # the rows of positive weight, each once, keep every presort row sorted
+        drawn = (counts > 0).take(presorted)
+        self.order = presorted[drawn].reshape(presorted.shape[0], -1)
         self.counts = counts
         self.features_per_split = features_per_split
         self.rng = rng
@@ -232,7 +234,7 @@ class _TreeBuilder:
 
     def _best_split(self, start, end, t):
         """The node's best split; ``t`` is its target in fit order."""
-        order = self.order[:, start:end].T
+        order = self.order[:-1, start:end].T
         if self.criterion == _GINI:
             if t.min() == t.max():
                 return -1, 0.0, -1.0
@@ -248,16 +250,13 @@ class _TreeBuilder:
         )
 
     def _partition(self, start, end, feat, thr) -> int:
-        """Stable in-place partition of both buffers; returns the split point."""
-        rows = self.rows[start:end]
+        """Stable in-place partition of the buffer; returns the split point."""
+        block = self.order[:, start:end]
+        rows = block[-1]
         go = self.columns[feat].take(rows) <= thr
         self.goes_left[rows] = go
         mid = start + int(np.count_nonzero(go))
         # gather both halves before writing either
-        lo, hi = rows[go], rows[~go]
-        self.rows[start:mid] = lo
-        self.rows[mid:end] = hi
-        block = self.order[:, start:end]
         mask = self.goes_left.take(block)
         d = block.shape[0]
         lo, hi = block[mask].reshape(d, -1), block[~mask].reshape(d, -1)
@@ -267,7 +266,7 @@ class _TreeBuilder:
 
     def build(self, start, end, depth) -> int:
         node = self._new_node()
-        rows = self.rows[start:end]
+        rows = self.order[-1, start:end]
         t = self.target.take(rows)
         weights = self.counts.take(rows)
         size = int(weights.sum())
@@ -286,7 +285,7 @@ class _TreeBuilder:
         return node
 
     def grow(self) -> TreeModel:
-        self.build(0, self.rows.shape[0], 0)
+        self.build(0, self.order.shape[1], 0)
         return TreeModel(
             self.feature, self.threshold, self.left, self.right, self.value,
             self.n_features,
@@ -294,10 +293,14 @@ class _TreeBuilder:
 
 
 def _presort(X):
-    """X.T as a C-contiguous (d, n) array, and the (d, n) row indices whose
-    row j is stably sorted by X[:, j]."""
+    """X.T as a C-contiguous (d, n) array, and the (d + 1, n) row indices
+    whose row j < d is stably sorted by X[:, j] and whose last row is
+    0..n-1, the rows in fit order."""
     columns = np.ascontiguousarray(X.T)
-    return columns, np.argsort(columns, axis=1, kind="mergesort")
+    order = np.empty((columns.shape[0] + 1, columns.shape[1]), dtype=np.int64)
+    order[:-1] = np.argsort(columns, axis=1, kind="mergesort")
+    order[-1] = np.arange(columns.shape[1])
+    return columns, order
 
 
 def _check_xy(X, y, binary: bool):
@@ -330,11 +333,10 @@ def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
     X, y = _check_xy(X, y, binary=True)
     columns, presorted = _presort(X)
-    n = X.shape[0]
     builder = _TreeBuilder(
         columns, y, _GINI, params.max_depth, params.min_samples_split,
-        params.min_impurity_decrease, np.arange(n), presorted,
-        np.ones(n, dtype=np.int64),
+        params.min_impurity_decrease, presorted,
+        np.ones(X.shape[0], dtype=np.int64),
     )
     return CartModel(builder.grow(), params)
 
@@ -359,21 +361,17 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
         )
     streams = np.random.SeedSequence(seed).spawn(params.n_trees)
     columns, presorted = _presort(X)
+    ones = np.ones(n, dtype=np.int64)
     trees = []
     for ss in streams:
         rng = np.random.default_rng(ss)
-        if params.bootstrap:
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            # the drawn rows, each once, keep every presort row sorted
-            drawn = counts > 0
-            rows = np.flatnonzero(drawn)
-            order = presorted[drawn.take(presorted)].reshape(d, rows.size)
-        else:
-            counts = np.ones(n, dtype=np.int64)
-            rows, order = np.arange(n), presorted.copy()
+        counts = (
+            np.bincount(rng.integers(0, n, size=n), minlength=n)
+            if params.bootstrap else ones
+        )
         builder = _TreeBuilder(
             columns, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, rows, order, counts,
+            params.min_impurity_decrease, presorted, counts,
             features_per_split=k, rng=rng,
         )
         trees.append(builder.grow())
@@ -423,24 +421,20 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     n = X.shape[0]
     scores = np.full(n, log_odds)
     stages = []
-    all_rows = np.arange(n)
     columns, presorted = _presort(X)
-    rows, order = np.empty_like(all_rows), np.empty_like(presorted)
     ones = np.ones(n, dtype=np.int64)
     step = np.empty(n)
     for _ in range(params.n_stages):
         resid = yf - _sigmoid(scores)
-        rows[:] = all_rows
-        order[:] = presorted
         builder = _TreeBuilder(
-            columns, resid, _SSE, params.max_depth, 2, 0.0, rows, order, ones,
+            columns, resid, _SSE, params.max_depth, 2, 0.0, presorted, ones,
         )
         tree = builder.grow()
         leaf_values = np.zeros(tree.n_nodes)
         # a leaf's rows stay in ascending row order, which fixes the order
         # of the sums below
         for leaf, start, end in builder.leaves:
-            leaf_rows = rows[start:end]
+            leaf_rows = builder.order[-1, start:end]
             r = resid[leaf_rows]
             denom = float(np.sum(np.abs(r) * (1.0 - np.abs(r))))
             leaf_values[leaf] = float(r.sum()) / denom if denom > 0 else 0.0

@@ -377,3 +377,100 @@ class TestTankLoopNumpy:
         assert (outflow[100:, 0] == 0.0).all()
         # inflow stops once the reading passes level_high; level parks there
         assert 60.0 <= level[-1, 0] <= 60.0 + 1.2
+
+
+def reference_tank_loop(level0, rates, noise, flips, n_steps):
+    """Tank farm simulation, one python step at a time."""
+    inflow_rate, outflow_rate, level_low, level_high, capacity, dt = rates
+    level_noise, inflow_noise, outflow_noise = noise
+    pump_flip, valve_flip = flips
+    n_tanks = level0.shape[0]
+    shape = (n_steps, n_tanks)
+    level_meas = np.empty(shape, dtype=np.float64)
+    inflow_meas = np.empty(shape, dtype=np.float64)
+    outflow_meas = np.empty(shape, dtype=np.float64)
+    pump_out = np.empty(shape, dtype=np.int64)
+    valve_out = np.empty(shape, dtype=np.int64)
+    level = level0.copy()
+    pump_cmd = np.zeros(n_tanks, dtype=np.int64)
+    for t in range(n_steps):
+        for k in range(n_tanks):
+            meas = level[k] + level_noise[t, k]
+            cmd = pump_cmd[k]
+            if meas < level_low:
+                cmd = 2
+            elif meas > level_high:
+                cmd = 0
+            pump_cmd[k] = cmd
+            if pump_flip[t, k]:
+                pump_act = 0 if cmd >= 1 else 2
+            else:
+                pump_act = cmd
+            valve_act = 0 if valve_flip[t, k] else 2
+            q_in = inflow_rate if pump_act == 2 else 0.0
+            q_out = outflow_rate if valve_act == 2 else 0.0
+            level_meas[t, k] = meas
+            inflow_meas[t, k] = q_in + inflow_noise[t, k]
+            outflow_meas[t, k] = q_out + outflow_noise[t, k]
+            pump_out[t, k] = pump_act
+            valve_out[t, k] = valve_act
+            level[k] += (q_in - q_out) * dt
+            if level[k] < 0.0:
+                level[k] = 0.0
+            elif level[k] > capacity:
+                level[k] = capacity
+    return level_meas, inflow_meas, outflow_meas, pump_out, valve_out
+
+
+tank_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # data seed
+    st.integers(1, 3),  # tanks
+    st.integers(1, 300),  # steps
+    st.booleans(),  # noisy readings, else all-zero noise
+    st.floats(0.0, 1.0),  # share of steps with the pump flipped
+    st.floats(0.0, 1.0),  # share of steps with the valve flipped
+)
+
+
+def draw_tank_case(case):
+    """Arguments for tank_loop. Flow rates reach 5-60% of capacity per
+    step and start levels span [0, capacity], so runs hit both clamps."""
+    seed, n_tanks, n_steps, noisy, p_pump, p_valve = case
+    rng = np.random.default_rng(seed)
+    capacity = float(rng.uniform(5.0, 100.0))
+    level_low = float(rng.uniform(0.05, 0.5)) * capacity
+    level_high = float(rng.uniform(level_low, 0.95 * capacity))
+    inflow, outflow = (float(v) * capacity for v in rng.uniform(0.05, 0.6, 2))
+    dt = float(rng.choice([0.5, 1.0, 1.7]))
+    rates = (inflow, outflow, level_low, level_high, capacity, dt)
+    shape = (n_steps, n_tanks)
+    std = 0.1 * capacity if noisy else 0.0
+    noise = tuple(rng.normal(0.0, std, shape) if noisy else np.zeros(shape)
+                  for _ in range(3))
+    flips = (rng.random(shape) < p_pump, rng.random(shape) < p_valve)
+    level0 = rng.uniform(0.0, capacity, n_tanks)
+    return level0, rates, noise, flips, n_steps
+
+
+class TestTankLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(tank_cases)
+    def test_matches_step_by_step_loop(self, case):
+        args = draw_tank_case(case)
+        got = K.tank_loop(*args)
+        want = reference_tank_loop(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_cases_reach_both_clamps(self):
+        """The drawn cases do drive levels to 0 and to capacity."""
+        empty = full = 0
+        for seed in range(40):
+            # without noise the level reading is the true level
+            args = draw_tank_case((seed, 2, 300, False, 0.3, 0.3))
+            level = reference_tank_loop(*args)[0]
+            capacity = args[1][4]
+            empty += bool((level == 0.0).any())
+            full += bool((level == capacity).any())
+        assert empty > 0 and full > 0

@@ -106,47 +106,36 @@ class TestNormalRun:
 
 
 class TestBiasInjection:
-    def _normal(self, steps=500):
-        return ps.simulate_normal(quiet_config(steps=steps), seed=1)
+    """Sensor biases, compared against the attack-free run of the same seed."""
+
+    def _legs(self, spec, steps=500):
+        cfg = quiet_config(steps=steps)
+        return (
+            ps.simulate_normal(cfg, seed=1),
+            ps.simulate_with_attacks(cfg, [spec], seed=1),
+        )
 
     def test_window_rows_get_label_and_offset(self):
-        data = self._normal()
         spec = ps.AttackSpec("sensor-bias", "LIT101", -10.0, (100, 200))
-        out = ps.inject_bias(data, spec)
+        data, out = self._legs(spec)
         assert int(out.y.sum()) == 100
         assert (out.y[100:200] == 1).all()
-        assert np.allclose(out.X[100:200, 0], data.X[100:200, 0] - 10.0)
-        # everything outside the window untouched
-        assert np.array_equal(out.X[:100], data.X[:100])
-        assert np.array_equal(out.X[200:], data.X[200:])
-        assert np.array_equal(out.X[:, 1:], data.X[:, 1:])
+        assert np.array_equal(out.X[100:200, 0], data.X[100:200, 0] + -10.0)
+        # every cell outside the window is the same bytes
+        assert out.X[:100].tobytes() == data.X[:100].tobytes()
+        assert out.X[200:].tobytes() == data.X[200:].tobytes()
+        assert out.X[:, 1:].tobytes() == data.X[:, 1:].tobytes()
 
     def test_zero_delta_window_still_labeled(self):
-        data = self._normal()
-        out = ps.inject_bias(
-            data, ps.AttackSpec("sensor-bias", "LIT101", 0.0, (10, 20))
-        )
-        assert np.array_equal(out.X, data.X)
+        spec = ps.AttackSpec("sensor-bias", "LIT101", 0.0, (10, 20))
+        data, out = self._legs(spec)
+        assert out.X.tobytes() == data.X.tobytes()
         assert int(out.y.sum()) == 10
-
-    def test_input_dataset_not_mutated(self):
-        data = self._normal()
-        before = data.X.copy()
-        ps.inject_bias(data, ps.AttackSpec("sensor-bias", "LIT101", 5.0, (0, 50)))
-        assert np.array_equal(data.X, before)
-        assert (data.y == 0).all()
+        assert (out.y[10:20] == 1).all()
 
     def test_actuator_target_rejected(self):
-        data = self._normal()
         with pytest.raises(KindMismatchError, match="P101"):
-            ps.inject_bias(data, ps.AttackSpec("sensor-bias", "P101", 1.0, (0, 10)))
-
-    def test_window_past_end_rejected(self):
-        data = self._normal(steps=100)
-        with pytest.raises(ParameterError, match="window"):
-            ps.inject_bias(
-                data, ps.AttackSpec("sensor-bias", "LIT101", 1.0, (50, 101))
-            )
+            self._legs(ps.AttackSpec("sensor-bias", "P101", 1.0, (0, 10)))
 
 
 class TestAttackSpecs:
@@ -288,8 +277,11 @@ class TestScenario:
     def test_round_trip_through_file(self, tmp_path, tiny_scenario):
         p = tmp_path / "s.json"
         p.write_text(json.dumps(tiny_scenario))
-        obj = ps.load_scenario(p)
-        normal, attacked = ps.simulate_scenario(obj)
+        config, attacks, normal_seed, attack_seed = ps.parse_scenario(
+            ps.load_scenario(p)
+        )
+        normal = ps.simulate_normal(config, normal_seed)
+        attacked = ps.simulate_with_attacks(config, attacks, attack_seed)
         assert normal.n_rows == attacked.n_rows == 1200
         assert (normal.y == 0).all()
         assert int(attacked.y.sum()) == 120 + 160 + 100
