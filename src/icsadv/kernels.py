@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the two split scans, batched tree traversal and the
-tank farm step loop, one numpy implementation each.
+"""Hot numeric kernels: the two split scans, ensemble traversal
+(QuickScorer) and the tank farm step loop, one numpy implementation each.
 
 The split scans work on a node's rows presorted per feature (SLIQ, Mehta et
 al. 1996): the tree builder sorts every feature once per fit and keeps each
@@ -45,6 +45,9 @@ import numpy as np
 # most sorted cells (rows x candidate features) one scan step holds, so a
 # scan's temporaries stay near 1 MB however many features a node weighs
 _CHUNK_CELLS = 1 << 13
+# most cells (rows x 64-bit words, at least 64 a row) one prediction chunk
+# holds, so each of its bit, exit and value arrays stays within 512 kB
+_CHUNK_WORDS = 1 << 16
 
 
 def _scan(order, feature_indices, columns):
@@ -158,25 +161,145 @@ def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
     return best
 
 
+def _leaf_bits(trees):
+    """Flatten the trees and give each one's leaves bits left to right.
+
+    Tree t owns the 64-bit words [words[t], words[t + 1]): its leaves take
+    bits 64 * words[t], 64 * words[t] + 1, ... in left-to-right order, and
+    the bits after its last leaf are padding. Only nodes reachable from a
+    tree's root count, so any numbering in which the reachable nodes form a
+    tree works: pre-order, breadth-first or other.
+
+    Returns (feature, threshold, lo, hi, bit_value, words) over the
+    flattened nodes. At a reachable internal node i, [lo[i], hi[i]) are the
+    bits of its left subtree's leaves, which a row that goes right at i
+    rules out; hi is 0 at every other node. bit_value[b] is the value of
+    the leaf with bit b, 0.0 at padding bits.
+    """
+    sizes = [len(t[0]) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    feature, threshold, left, right, value = (
+        np.concatenate([t[k] for t in trees]) for k in range(5)
+    )
+    split = feature >= 0
+    shift = np.repeat(roots, sizes)
+    left = np.where(split, left + shift, -1)
+    right = np.where(split, right + shift, -1)
+    # every tree's reachable internal nodes and leaves, depth by depth
+    levels = []
+    level = roots
+    while level.size:
+        inner = level[split[level]]
+        levels.append((inner, level[~split[level]]))
+        level = np.concatenate((left[inner], right[inner]))
+    n_leaves = np.ones(feature.shape[0], dtype=np.int64)
+    for inner, _ in reversed(levels):
+        n_leaves[inner] = n_leaves[left[inner]] + n_leaves[right[inner]]
+    words = np.concatenate(([0], np.cumsum(-(-n_leaves[roots] // 64))))
+    lo = np.zeros(feature.shape[0], dtype=np.int64)
+    lo[roots] = 64 * words[:-1]
+    hi = np.zeros_like(lo)
+    bit_value = np.zeros(64 * int(words[-1]))
+    for inner, leaves in levels:
+        hi[inner] = lo[inner] + n_leaves[left[inner]]
+        lo[left[inner]] = lo[inner]
+        lo[right[inner]] = hi[inner]
+        bit_value[lo[leaves]] = value[leaves]
+    return feature, threshold, lo, hi, bit_value, words
+
+
+# _LOW_BITS[k] has its k lowest bits set, k = 0..64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def _group_tables(feature, threshold, lo, hi, w0, w1):
+    """QuickScorer tables of the words [w0, w1): one (f, thresholds, masks)
+    per feature f tested by a node whose ruled-out bits reach these words.
+
+    thresholds holds those nodes' thresholds ascending; masks[k] is the AND
+    of the first k nodes' masks over the words (masks[0] is all ones), and
+    a node's mask clears the bits a row going right at it rules out.
+    """
+    nodes = np.flatnonzero((hi > 64 * w0) & (lo < 64 * w1))
+    nodes = nodes[np.lexsort((threshold[nodes], feature[nodes]))]
+    starts = 64 * np.arange(w0, w1)
+    tables = []
+    for run in np.split(nodes, np.flatnonzero(np.diff(feature[nodes])) + 1):
+        if not run.size:
+            continue
+        masks = np.empty((run.size + 1, w1 - w0), dtype=np.uint64)
+        masks[0] = _LOW_BITS[64]
+        cleared = ~_LOW_BITS[np.clip(hi[run, None] - starts, 0, 64)]
+        cleared |= _LOW_BITS[np.clip(lo[run, None] - starts, 0, 64)]
+        np.bitwise_and.accumulate(cleared, axis=0, out=masks[1:])
+        tables.append((int(feature[run[0]]), threshold[run], masks))
+    return tables
+
+
+def ensemble_apply(trees, X):
+    """Leaf values of every tree of an ensemble on the rows of X, in row
+    chunks: QuickScorer (Lucchese et al., SIGIR 2015).
+
+    trees: a sequence of (feature, threshold, left, right, value) arrays,
+    each encoded as for tree_apply. Yields (rows, values) per chunk: a slice
+    of X's rows and the (n_trees, chunk) leaf values of the trees in order.
+
+    Each tree's leaves are bits in its own 64-bit words (see _leaf_bits) and
+    the words are cut into groups of 64. A row starts with every bit set;
+    at each internal node it goes right at, it clears the bits of the
+    leaves in that node's left subtree. The leftmost leaf left standing, the
+    lowest set bit of the tree's first non-zero word, is the row's exit
+    leaf (Lucchese et al., Theorem 3.1). The nodes a row goes right at on
+    feature f are those with threshold < x[f], a prefix of the thresholds
+    sorted ascending, so one search and one lookup of a prefix-AND mask
+    clear every bit that feature rules out in a whole group.
+    """
+    if not trees:
+        return
+    feature, threshold, lo, hi, bit_value, words = _leaf_bits(trees)
+    n_words = int(words[-1])
+    groups = []
+    for w0 in range(0, n_words, 64):
+        w1 = min(w0 + 64, n_words)
+        groups.append((w0, w1, _group_tables(feature, threshold, lo, hi, w0, w1)))
+    # a multi-word tree's exit is its least leaf bit over its words
+    several = n_words > len(trees)
+    chunk = _CHUNK_WORDS // max(n_words, 64)
+    for start in range(0, X.shape[0], chunk):
+        rows = slice(start, min(start + chunk, X.shape[0]))
+        columns = X[rows].T.copy()
+        exit_bit = np.empty((columns.shape[1], n_words), dtype=np.int64)
+        for w0, w1, tables in groups:
+            bits = np.full((columns.shape[1], w1 - w0), _LOW_BITS[64])
+            for f, thr, masks in tables:
+                bits &= masks.take(np.searchsorted(thr, columns[f]), axis=0)
+            # keep each word's lowest set bit; as a float, its exponent
+            # field is 1023 + the bit's index
+            bits &= np.negative(bits)
+            bit = bits.astype(np.float64).view(np.int64)
+            bit >>= 52
+            bit += 64 * np.arange(w0, w1) - 1023
+            if several:
+                # a word with no bit left holds no exit
+                bit[bits == 0] = 64 * n_words
+            exit_bit[:, w0:w1] = bit
+        if several:
+            exit_bit = np.minimum.reduceat(exit_bit, words[:-1], axis=1)
+        yield rows, bit_value.take(exit_bit.T)
+
+
 def tree_apply(feature, threshold, left, right, value, X):
-    """Evaluate an array-encoded binary tree on every row of X.
+    """Evaluate an array-encoded binary tree on every row of X: the one-tree
+    case of ensemble_apply.
 
     feature[i] == -1 marks node i as a leaf carrying value[i]; internal
-    nodes route rows with X[:, feature] <= threshold to ``left``.
+    nodes route rows with X[:, feature] <= threshold to ``left``. The nodes
+    reachable from node 0 must form a tree.
     """
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    while True:
-        feat = feature[node]
-        live = feat >= 0
-        if not live.any():
-            break
-        lr = rows[live]
-        ln = node[live]
-        go_left = X[lr, feat[live]] <= threshold[ln]
-        node[live] = np.where(go_left, left[ln], right[ln])
-    return value[node]
+    out = np.empty(X.shape[0])
+    for rows, values in ensemble_apply([(feature, threshold, left, right, value)], X):
+        out[rows] = values[0]
+    return out
 
 
 def tank_loop(level0, rates, noise, flips, n_steps):

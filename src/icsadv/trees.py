@@ -30,9 +30,15 @@ class counts and leaf fractions are integer sums of these weights, exact in
 float64, so each tree is bit for bit the one grown on the sample with every
 row repeated as often as it was drawn.
 
-Training and prediction reject NaN and infinite features with
-``InputContractError``; ``load_model`` turns any malformed document into
-``ParseError``.
+Prediction scores every tree of a model in one pass over each chunk of
+rows (``kernels.ensemble_apply``, QuickScorer); forest votes and boosted
+stages are then summed per row as a tree-by-tree loop would, so every
+prediction and score keeps its bits.
+
+Training and prediction (``predict_classes``, ``GbcModel.decision_scores``,
+``TreeModel.apply``) reject NaN and infinite features with
+``InputContractError`` and a wrong feature count with ``ShapeError``;
+``load_model`` turns any malformed document into ``ParseError``.
 """
 from __future__ import annotations
 
@@ -130,11 +136,13 @@ class TreeModel:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
+    def arrays(self) -> tuple:
+        """(feature, threshold, left, right, value), as the kernels take them."""
+        return self.feature, self.threshold, self.left, self.right, self.value
+
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values for every row of X."""
-        return kernels.tree_apply(
-            self.feature, self.threshold, self.left, self.right, self.value, X
-        )
+        """Leaf values for every row of X; a 1-D X is one row."""
+        return kernels.tree_apply(*self.arrays(), _check_matrix(X, self.n_features))
 
     def to_json(self) -> dict:
         return {
@@ -148,9 +156,14 @@ class TreeModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeModel":
-        """The tree in ``obj``, checked to be one that growth writes: nodes
-        in pre-order, so every child index is above its parent's and
-        traversal always ends at a leaf."""
+        """The tree in ``obj``, checked to be one binary tree rooted at
+        node 0: the five arrays are 1-D, non-empty and of one length;
+        thresholds and values are finite; features lie in [-1,
+        n_features); an internal node i has children i < left < right <
+        n_nodes, a leaf has -1 for both; and every node but node 0 is the
+        child of exactly one internal node. So every node is reachable and
+        traversal ends at a leaf. Growth writes its nodes in pre-order, but
+        any numbering that passes, breadth-first too, loads."""
         tree = cls(
             obj["feature"],
             finite_floats(obj["threshold"], "tree threshold"),
@@ -172,6 +185,13 @@ class TreeModel:
             raise ValueError(
                 "tree children must satisfy i < left < right < n_nodes at "
                 "internal nodes and be -1 at leaves"
+            )
+        split = tree.feature >= 0
+        parents = np.bincount(np.concatenate((left[split], right[split])), minlength=n)
+        if (parents[1:] != 1).any():
+            raise ValueError(
+                "tree nodes other than node 0 must each be the child of exactly "
+                "one internal node"
             )
         return tree
 
@@ -386,11 +406,26 @@ class GbcModel:
         self.params = params
 
     def decision_scores(self, X: np.ndarray, n_stages: int | None = None) -> np.ndarray:
-        """Additive scores after the first ``n_stages`` stages (all by default)."""
-        stages = self.stages if n_stages is None else self.stages[:n_stages]
+        """Additive scores after the first ``n_stages`` stages (all by
+        default) for every row of X; a 1-D X is one row."""
+        X = _check_matrix(X, self.stages[0].n_features)
+        if n_stages is None:
+            n_stages = len(self.stages)
+        elif not (isinstance(n_stages, (int, np.integer))
+                  and 0 <= n_stages <= len(self.stages)):
+            raise ParameterError(
+                "n_stages must be an integer in [0, %d], got %r"
+                % (len(self.stages), n_stages)
+            )
+        return self._scores(X, self.stages[:n_stages])
+
+    def _scores(self, X, stages) -> np.ndarray:
+        """Scores of checked rows: each row's stages add in stage order."""
         scores = np.full(X.shape[0], self.initial_log_odds)
-        for tree in stages:
-            scores += self.params.learning_rate * tree.apply(X)
+        for rows, values in kernels.ensemble_apply([t.arrays() for t in stages], X):
+            chunk = scores[rows]
+            for step in self.params.learning_rate * values:
+                chunk += step
         return scores
 
 
@@ -450,14 +485,17 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_matrix(model, X) -> np.ndarray:
+def _check_matrix(X, n_features: int) -> np.ndarray:
+    """X as a C-contiguous float64 (rows, n_features) matrix of finite
+    values; a 1-D X is one row."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    d = model_n_features(model)
-    if X.shape[1] != d:
+    if X.ndim != 2:
+        raise ShapeError("input must be one row or a 2-D matrix")
+    if X.shape[1] != n_features:
         raise ShapeError(
-            "input has %d features, model expects %d" % (X.shape[1], d)
+            "input has %d features, model expects %d" % (X.shape[1], n_features)
         )
     if not np.isfinite(X).all():
         raise InputContractError("X contains NaN or infinite values")
@@ -485,17 +523,17 @@ def model_n_features(model) -> int:
 
 def predict_classes(model, X) -> np.ndarray:
     """Batch 0/1 predictions for any detector kind."""
-    X = _check_matrix(model, X)
+    X = _check_matrix(X, model_n_features(model))
     kind = model_kind(model)
-    if kind == CART:
-        return (model.tree.apply(X) >= 0.5).astype(np.int64)
-    if kind == FOREST:
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in model.trees:
-            votes += tree.apply(X) >= 0.5
-        # strict majority; an even split falls back to class 0
-        return (2 * votes > len(model.trees)).astype(np.int64)
-    return (_sigmoid(model.decision_scores(X)) >= 0.5).astype(np.int64)
+    if kind == GBC:
+        return (_sigmoid(model._scores(X, model.stages)) >= 0.5).astype(np.int64)
+    # a CART is a forest of one tree
+    ensemble = model.trees if kind == FOREST else [model.tree]
+    votes = np.empty(X.shape[0], dtype=np.int64)
+    for rows, values in kernels.ensemble_apply([t.arrays() for t in ensemble], X):
+        votes[rows] = np.count_nonzero(values >= 0.5, axis=0)
+    # strict majority; an even split falls back to class 0
+    return (2 * votes > len(ensemble)).astype(np.int64)
 
 
 def predict_class(model, x) -> int:

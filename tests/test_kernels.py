@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icsadv import kernels as K
+from icsadv import trees
 
 
 def presorted(X):
@@ -322,6 +323,144 @@ class TestTreeApply:
         a = K.tree_apply(feature, threshold, left, right, value, X)
         b = reference_tree_apply(feature, threshold, left, right, value, X)
         assert np.array_equal(a, b)
+
+
+def random_tree(rng, n_leaves, n_features, grid, bfs):
+    """A random tree with n_leaves leaves, thresholds drawn from grid, in
+    pre-order or, if bfs, renumbered breadth first."""
+    feature, threshold, left, right = [], [], [], []
+
+    def grow(k):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if k > 1:
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(grid))
+            cut = int(rng.integers(1, k))
+            left[node] = grow(cut)
+            right[node] = grow(k - cut)
+        return node
+
+    grow(n_leaves)
+    feature, left, right = (np.array(a, dtype=np.int64) for a in (feature, left, right))
+    threshold = np.array(threshold)
+    value = rng.random(feature.shape[0])
+    if bfs:
+        order = [0]
+        for node in order:
+            if feature[node] >= 0:
+                order += [int(left[node]), int(right[node])]
+        renumber = np.empty(len(order), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        split = feature[order] >= 0
+        left = np.where(split, renumber[left[order]], -1)
+        right = np.where(split, renumber[right[order]], -1)
+        feature, threshold, value = feature[order], threshold[order], value[order]
+    return feature, threshold, left, right, value
+
+
+def exit_ranks(tree, X):
+    """Each row's exit leaf, as its rank among the leaves left to right."""
+    feature, threshold, left, right, _ = tree
+    rank, stack = {}, [0]
+    while stack:
+        node = stack.pop()
+        if feature[node] < 0:
+            rank[node] = len(rank)
+        else:
+            stack += [right[node], left[node]]
+    out = []
+    for x in X:
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        out.append(rank[node])
+    return out
+
+
+def _pre_order(tree):
+    """Whether each internal node's left child directly follows it."""
+    feature, _, left, _, _ = tree
+    inner = np.flatnonzero(feature >= 0)
+    return bool((left[inner] == inner + 1).all())
+
+
+# thresholds and row values share a grid, so rows often equal a threshold,
+# and the grid holds both zeros
+GRID = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+
+ensemble_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # data seed
+    st.integers(1, 80),  # trees: 65 or more single-word trees fill two groups
+    st.integers(1, 300),  # most leaves per tree: over 64 spans several words
+    st.integers(1, 40),  # rows
+    st.floats(0.0, 1.0),  # share of trees numbered breadth first
+)
+
+
+def draw_ensemble(case):
+    seed, n_trees, max_leaves, n_rows, p_bfs = case
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    ensemble = [
+        random_tree(rng, int(rng.integers(1, max_leaves + 1)), d, GRID,
+                    rng.random() < p_bfs)
+        for _ in range(n_trees)
+    ]
+    X = np.where(rng.random((n_rows, d)) < 0.5,
+                 rng.choice(GRID, (n_rows, d)), rng.uniform(-1.5, 1.5, (n_rows, d)))
+    return ensemble, X
+
+
+class TestEnsembleApply:
+    @settings(max_examples=60, deadline=None)
+    @given(ensemble_cases)
+    @example((1, 80, 300, 40, 0.5))  # four groups of multi-word trees
+    @example((2, 70, 64, 40, 0.5))  # single-word trees over two groups
+    @example((3, 5, 1, 10, 0.0))  # single-leaf trees only
+    def test_matches_one_tree_at_a_time(self, case):
+        ensemble, X = draw_ensemble(case)
+        want = [reference_tree_apply(*tree, X) for tree in ensemble]
+        got = np.concatenate(
+            [values for _, values in K.ensemble_apply(ensemble, X)], axis=1
+        )
+        assert got.shape == (len(ensemble), X.shape[0])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert K.tree_apply(*ensemble[-1], X).tobytes() == want[-1].tobytes()
+
+        models = [trees.TreeModel(*tree, n_features=X.shape[1]) for tree in ensemble]
+        forest = trees.ForestModel(models, trees.ForestParams(n_trees=len(models)), 0)
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        for w in want:
+            votes += w >= 0.5
+        assert np.array_equal(trees.predict_classes(forest, X),
+                              (2 * votes > len(models)).astype(np.int64))
+
+        params = trees.GbcParams(n_stages=len(models), learning_rate=0.3)
+        gbc = trees.GbcModel(-0.7, models, params)
+        scores = np.full(X.shape[0], -0.7)
+        for w in want:
+            scores += 0.3 * w
+        assert gbc.decision_scores(X).tobytes() == scores.tobytes()
+
+    def test_cases_cross_words_and_groups(self):
+        """The examples above hold more than 64 words, multi-word trees in
+        both numberings, and rows that exit past a tree's first word."""
+        for case, words in [((1, 80, 300, 40, 0.5), 128), ((2, 70, 64, 40, 0.5), 64)]:
+            ensemble, X = draw_ensemble(case)
+            assert sum(-(-int((t[0] < 0).sum()) // 64) for t in ensemble) > words
+        ensemble, X = draw_ensemble((1, 80, 300, 40, 0.5))
+        late = [max(exit_ranks(tree, X)) >= 64 for tree in ensemble]
+        bfs = [not _pre_order(tree) for tree in ensemble]
+        assert any(a and b for a, b in zip(late, bfs))
+        assert any(a and not b for a, b in zip(late, bfs))
+
+    def test_no_trees(self):
+        assert list(K.ensemble_apply([], np.zeros((3, 2)))) == []
 
 
 class TestTankLoopNumpy:

@@ -1,6 +1,7 @@
 """Pipeline orchestration: config handling, artifacts, provenance, reruns."""
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from icsadv import cli
 from icsadv import dataset as ds
 from icsadv import mlp
 from icsadv import pipeline as pl
+from icsadv import plantsim
 from icsadv import trees
 from icsadv.errors import IcsAdvError, ParameterError, ParseError
 
@@ -122,6 +124,46 @@ EXPECTED_FILES = [
 ]
 
 
+LONG_LOG_STEPS = 20_000
+
+
+def long_log_evaluations(out) -> dict:
+    """Evaluate the run's saved models on a long attacked log: the run's
+    scenario stretched to LONG_LOG_STEPS, its attack windows repeated once
+    per whole period of the original that fits, scaled by the run's min-max
+    parameters.
+    Returns one evaluation document per kind, plus the boosted model's
+    decision scores as hex under "gbc-scores"."""
+    doc = json.loads((out / "scenario.json").read_text())
+    period = doc["plant"]["steps"]
+    doc["attacks"] = [
+        dict(a, window=[w + offset for w in a["window"]])
+        for offset in range(0, LONG_LOG_STEPS - period + 1, period)
+        for a in doc["attacks"]
+    ]
+    doc["plant"]["steps"] = LONG_LOG_STEPS
+    plant, attacks, _, attack_seed = plantsim.parse_scenario(doc)
+    params = ds.NormalizationParams.from_json(
+        json.loads((out / "minmax.json").read_text())
+    )
+    data = ds.apply_minmax(
+        plantsim.simulate_with_attacks(plant, attacks, attack_seed + 1), params
+    )
+    models = {kind: trees.load_model(out / "models" / ("%s_run0.json" % kind))
+              for kind in ("cart", "rf", "gbc")}
+    docs = {kind: pl.evaluate_model(m, data) for kind, m in models.items()}
+    docs["gbc-scores"] = models["gbc"].decision_scores(data.X).tobytes().hex()
+    return docs
+
+
+LONG_LOG_SHA256 = {
+    "cart": "fe0e55df47bc4209f3c38dad14d7c119546e9230794fed448c28e907109c0c90",
+    "rf": "7d8107d7c31deebc1c1c233bdeb706031db7fbcbb508c2995f7802ac78fdcba6",
+    "gbc": "708a92d7f6a67ba282ccdce21a9916049adf7eee4aa65925e6107100a7dfe187",
+    "gbc-scores": "2dbb47ff9638f12e9c70681f2c2902c8869b62480f055f54546992e49589fc76",
+}
+
+
 class TestRunPipeline:
     def test_all_artifacts_written(self, pipeline_run):
         out, manifest, cfg = pipeline_run
@@ -179,6 +221,17 @@ class TestRunPipeline:
         assert pl.sha256_file(out / "generation_report.json") == (
             "07ce77fb1c210f9b39b77ac258715c4a203ecc45782614b497bd10c3de2a3ade"
         )
+
+    def test_long_log_scores_pinned(self, pipeline_run):
+        # SHA-256 of each saved model's evaluation document on a 20k-step
+        # attacked log, and of the boosted model's raw scores, as the
+        # one-tree-at-a-time traversal produced them
+        out, _, _ = pipeline_run
+        digests = {
+            kind: hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+            for kind, doc in long_log_evaluations(out).items()
+        }
+        assert digests == LONG_LOG_SHA256
 
     def test_normalized_legs_in_unit_box(self, pipeline_run):
         out, _, _ = pipeline_run

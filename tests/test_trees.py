@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,9 +380,11 @@ def _saved_doc(kind, tmp_path):
 
 
 class TestTreeDocuments:
-    """A loaded tree is one growth could have written: feature indices in
-    range, children in pre-order below internal nodes, -1 at leaves, and
-    finite numbers; anything else is a ParseError before any traversal."""
+    """A loaded tree is one binary tree rooted at node 0: feature indices
+    in range, children i < left < right < n_nodes below internal nodes, -1
+    at leaves, every node but node 0 the child of exactly one internal node,
+    and finite numbers; anything else is a ParseError before any
+    traversal."""
 
     @pytest.mark.parametrize("key, node, value", [
         ("feature", 0, 99),
@@ -415,6 +418,39 @@ class TestTreeDocuments:
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="children"):
             trees.load_model(p)
+
+    # nodes 1 and 2 share the children 3 and 4
+    SHARED = {"feature": [0, 1, 2, -1, -1], "left": [1, 3, 3, -1, -1],
+              "right": [2, 4, 4, -1, -1]}
+    # node 3 is nobody's child
+    ORPHAN = {"feature": [0, 1, -1, -1, -1, -1], "left": [1, 4, -1, -1, -1, -1],
+              "right": [2, 5, -1, -1, -1, -1]}
+
+    @pytest.mark.parametrize("arrays", [SHARED, ORPHAN], ids=["shared", "orphan"])
+    def test_node_not_child_of_exactly_one_parent(self, arrays, tmp_path):
+        p, doc = _saved_doc("cart", tmp_path)
+        n = len(arrays["feature"])
+        doc["tree"] = dict(arrays, threshold=[0.5] * n, value=[0.25] * n,
+                           n_features=doc["tree"]["n_features"])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="exactly one"):
+            trees.load_model(p)
+
+    def test_breadth_first_numbering_loads(self, tmp_path):
+        p, doc = _saved_doc("cart", tmp_path)
+        doc["tree"] = {
+            "feature": [1, 0, 2, -1, -1, -1, -1],
+            "threshold": [0.4, 0.6, 0.2, 0.0, 0.0, 0.0, 0.0],
+            "left": [1, 3, 5, -1, -1, -1, -1],
+            "right": [2, 4, 6, -1, -1, -1, -1],
+            "value": [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+            "n_features": 3,
+        }
+        p.write_text(json.dumps(doc))
+        m = trees.load_model(p)
+        X = np.array([[0.5, 0.3, 0.0], [0.7, 0.3, 0.0], [0.5, 0.5, 0.1],
+                      [0.5, 0.5, 0.3]])
+        assert trees.predict_classes(m, X).tolist() == [0, 1, 1, 0]
 
     def test_saved_trees_of_every_kind_load(self, tmp_path):
         for kind in GOLDEN_TRAIN:
@@ -465,6 +501,69 @@ class TestPredictionApi:
         X, y = blob_data(n=50, seed=12)
         m = trees.train_cart(X, y)
         assert trees.predict_class(m, X[0]) == trees.predict_classes(m, X[:1])[0]
+
+
+def _scorers():
+    """decision_scores of a boosted model and apply of its first stage,
+    both on 3 features."""
+    X, y = blob_data(n=80, seed=4)
+    m = trees.train_gbc(X, y, trees.GbcParams(n_stages=4))
+    return X, {"decision_scores": m.decision_scores, "apply": m.stages[0].apply}
+
+
+class TestScoringInput:
+    """GbcModel.decision_scores and TreeModel.apply check their rows as
+    predict_classes does."""
+
+    @pytest.mark.parametrize("name", ["decision_scores", "apply"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, name, bad):
+        X, score = _scorers()
+        X[3, 1] = bad
+        with pytest.raises(InputContractError):
+            score[name](X)
+
+    @pytest.mark.parametrize("name", ["decision_scores", "apply"])
+    def test_feature_count_checked(self, name):
+        _, score = _scorers()
+        with pytest.raises(ShapeError, match="features"):
+            score[name](np.zeros((5, 7)))
+
+    @pytest.mark.parametrize("name", ["decision_scores", "apply"])
+    def test_one_row_is_a_matrix_of_one(self, name):
+        X, score = _scorers()
+        assert score[name](X[5]).tobytes() == score[name](X[5:6]).tobytes()
+        with pytest.raises(ShapeError):
+            score[name](X[None])
+
+    @pytest.mark.parametrize("n_stages", [-1, 5, 99, 1.5])
+    def test_stage_count_outside_model_rejected(self, n_stages):
+        X, score = _scorers()
+        with pytest.raises(ParameterError, match="n_stages"):
+            score["decision_scores"](X, n_stages=n_stages)
+
+    def test_every_stage_count_in_range_scores(self):
+        X, score = _scorers()
+        assert score["decision_scores"](X, n_stages=4).tobytes() == (
+            score["decision_scores"](X).tobytes()
+        )
+
+
+def test_forest_prediction_memory_is_chunked():
+    """Predicting 100k rows holds no (trees x rows) array: one such float64
+    array would take 16 MB."""
+    rng = np.random.default_rng(8)
+    Xt = rng.random((2000, 10))
+    yt = (Xt[:, 0] + 0.3 * rng.standard_normal(2000) > 0.5).astype(np.int64)
+    forest = trees.train_forest(Xt, yt, trees.ForestParams(n_trees=20), seed=3)
+    X = rng.random((100_000, 10))
+    tracemalloc.start()
+    try:
+        trees.predict_classes(forest, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def golden_data():
