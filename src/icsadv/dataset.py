@@ -129,8 +129,11 @@ class Dataset:
     """
 
     def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        try:
+            X = np.ascontiguousarray(X, dtype=np.float64)
+            y = np.asarray(y)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError("X and y must be arrays of numbers: %s" % exc) from None
         if X.ndim != 2:
             raise ParameterError("X must be 2-D, got %d-D" % X.ndim)
         if y.ndim != 1:
@@ -154,7 +157,7 @@ class Dataset:
             raise LabelError("labels must be 0 or 1")
         self.schema = schema
         self.X = X
-        self.y = y
+        self.y = y.astype(np.int64, copy=False)  # checked before the cast
 
     @property
     def n_rows(self) -> int:

@@ -1,14 +1,19 @@
-"""Exception types shared across the package, and the one rule for JSON
-input documents.
+"""Exception types shared across the package, and the one rule each for
+JSON input documents, array inputs and integer settings.
 
 Every error raised on bad user input derives from ValueError so callers
 that do not care about the fine-grained type can catch one thing. Every
 JSON document read from outside is built by a function decorated with
 ``parses``, and every input file is decoded by ``read_json``, so a
 malformed document raises ``ParseError`` naming the document and the file.
+
+Feature arrays go through ``finite_array``, label vectors through
+``class_labels`` (checked before the cast, so 0.5 is never read as 0), and
+configured counts through ``integer``, which truncates nothing.
 """
 import functools
 import json
+import numbers
 
 import numpy as np
 
@@ -97,6 +102,54 @@ def finite_floats(values, what: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError("%s holds a null, NaN or infinite number" % what)
     return out
+
+
+def finite_array(values, ndim, width: int | None = None) -> np.ndarray:
+    """``values`` as a float64 array (``np.asarray``: no copy if it is one)
+    with ``ndim`` axes, or one of a tuple of counts, ``width`` entries on
+    its last axis when given, and only finite entries."""
+    try:
+        out = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputContractError("features must be numbers: %s" % exc) from None
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if out.ndim not in ndims or (width is not None and out.shape[-1] != width):
+        raise ShapeError("features have shape %r, expected ndim %s and width %s"
+                         % (out.shape, ndim, "any" if width is None else width))
+    if not np.isfinite(out).all():
+        raise InputContractError("features contain NaN or infinite values")
+    return out
+
+
+def class_labels(values, n_rows: int | None, n_classes: int = 2) -> np.ndarray:
+    """``values`` as an int64 vector of ``n_rows`` class indices in [0,
+    ``n_classes``); ``n_rows`` None takes any length. Every entry is checked
+    before the cast."""
+    try:
+        y = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise InputContractError("labels must be numbers: %s" % exc) from None
+    if y.dtype.kind not in "biuf":
+        raise InputContractError("labels must be numbers, got %s" % y.dtype)
+    if y.ndim != 1 or (n_rows is not None and y.shape[0] != n_rows):
+        raise ShapeError("labels have shape %r, expected (%s,)"
+                         % (y.shape, "n" if n_rows is None else n_rows))
+    if not np.isfinite(y).all():
+        raise InputContractError("labels contain NaN or infinite values")
+    if y.size and ((y != np.trunc(y)).any() or y.min() < 0 or y.max() >= n_classes):
+        raise ParameterError("labels must be integers in [0, %d)" % n_classes)
+    return y.astype(np.int64)
+
+
+def integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int when it is an integer (not a bool) >= ``minimum``;
+    anything else, 2.5, "7" or true included, raises ``ParameterError``
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError("%s must be an integer, got %r" % (name, value))
+    if value < minimum:
+        raise ParameterError("%s must be >= %d, got %r" % (name, minimum, value))
+    return int(value)
 
 
 def read_json(path, build):

@@ -22,7 +22,7 @@ from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, ShapeError, parses
+from .errors import EmptyInputError, ParameterError, class_labels, parses
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,10 @@ class ConfusionMatrix:
 
 def confusion(predictions, labels) -> ConfusionMatrix:
     """Count prediction outcomes; 0 = Normal (positive), 1 = Attack."""
-    p = np.asarray(predictions, dtype=np.int64)
-    l = np.asarray(labels, dtype=np.int64)
-    if p.shape != l.shape or p.ndim != 1:
-        raise ShapeError(
-            "predictions %r and labels %r must be equal-length vectors"
-            % (p.shape, l.shape)
-        )
+    p = class_labels(predictions, None)
+    l = class_labels(labels, p.shape[0])
     if p.size == 0:
         raise EmptyInputError("cannot build a confusion matrix from zero rows")
-    for name, v in (("predictions", p), ("labels", l)):
-        if v.min() < 0 or v.max() > 1:
-            raise ParameterError("%s must be 0 or 1" % name)
     return ConfusionMatrix(
         tp=int(((p == 0) & (l == 0)).sum()),
         fn=int(((p == 1) & (l == 0)).sum()),

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import mlp
 from .dataset import Dataset
-from .errors import InputContractError, ParameterError
+from .errors import InputContractError, ParameterError, finite_array, integer
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
@@ -72,8 +72,7 @@ class JsmaConfig:
                 "theta_max_features must be in (0, 1], got %r"
                 % self.theta_max_features
             )
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
+        integer(self.max_iterations, "max_iterations", 1)
         if self.direction not in (INCREASE, SIGNED):
             raise ParameterError(
                 "direction must be %r or %r, got %r"
@@ -145,7 +144,7 @@ def feature_budget(n_features: int, theta_max_features: float) -> int:
 
 
 def _check_rows(model: mlp.MlpModel, X, target: int, ndim: int) -> np.ndarray:
-    X = mlp._check_input(model, X, ndim)
+    X = finite_array(X, ndim, model.n_inputs)
     if np.any(X < CLIP_MIN) or np.any(X > CLIP_MAX):
         raise ParameterError(
             "input lies outside [%g, %g]; normalize before attacking"
@@ -242,8 +241,7 @@ def variant_configs(
     """``config`` with each of the first ``variants_per_row`` epsilons of the
     schedule, which must have that many."""
     schedule = [float(e) for e in epsilon_schedule]
-    if variants_per_row < 1:
-        raise ParameterError("variants_per_row must be >= 1")
+    integer(variants_per_row, "variants_per_row", 1)
     if len(schedule) < variants_per_row:
         raise ParameterError(
             "epsilon_schedule has %d entries, need at least variants_per_row=%d"

@@ -1,5 +1,6 @@
 """Hot numeric kernels: the two split scans, ensemble traversal
-(QuickScorer) and the tank farm step loop, one numpy implementation each.
+(QuickScorer; one tree is an ensemble of one) and the tank farm step loop,
+one numpy implementation each.
 
 The split scans work on a node's rows presorted per feature (SLIQ, Mehta et
 al. 1996): the tree builder sorts every feature once per fit and keeps each
@@ -241,8 +242,11 @@ def ensemble_apply(trees, X):
     chunks: QuickScorer (Lucchese et al., SIGIR 2015).
 
     trees: a sequence of (feature, threshold, left, right, value) arrays,
-    each encoded as for tree_apply. Yields (rows, values) per chunk: a slice
-    of X's rows and the (n_trees, chunk) leaf values of the trees in order.
+    one tree each: feature[i] == -1 marks node i as a leaf carrying
+    value[i], internal nodes send rows with X[:, feature] <= threshold to
+    ``left``, and the nodes reachable from node 0 form a tree. Yields (rows,
+    values) per chunk: a slice of X's rows and the (n_trees, chunk) leaf
+    values of the trees in order.
 
     Each tree's leaves are bits in its own 64-bit words (see _leaf_bits) and
     the words are cut into groups of 64. A row starts with every bit set;
@@ -286,20 +290,6 @@ def ensemble_apply(trees, X):
         if several:
             exit_bit = np.minimum.reduceat(exit_bit, words[:-1], axis=1)
         yield rows, bit_value.take(exit_bit.T)
-
-
-def tree_apply(feature, threshold, left, right, value, X):
-    """Evaluate an array-encoded binary tree on every row of X: the one-tree
-    case of ensemble_apply.
-
-    feature[i] == -1 marks node i as a leaf carrying value[i]; internal
-    nodes route rows with X[:, feature] <= threshold to ``left``. The nodes
-    reachable from node 0 must form a tree.
-    """
-    out = np.empty(X.shape[0])
-    for rows, values in ensemble_apply([(feature, threshold, left, right, value)], X):
-        out[rows] = values[0]
-    return out
 
 
 def tank_loop(level0, rates, noise, flips, n_steps):

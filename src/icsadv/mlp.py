@@ -11,7 +11,8 @@ matter are exactness and replayability rather than training speed:
   does the same for a batch of rows in one walk, with every row's ReLU mask
   stacked into the reverse pass, and ``jacobian`` is its one-row case;
 * ``predict`` breaks logit ties toward the lowest class index, i.e. class 0;
-* every entry point rejects NaN or infinite input with
+* every entry point takes its rows and labels through the array rule of
+  :mod:`icsadv.errors`, so NaN or infinite input raises
   ``InputContractError`` instead of returning a class or a gradient for it.
 
 Weights serialize to JSON with full repr precision, so save/load round
@@ -25,10 +26,12 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    InputContractError,
     ParameterError,
     ShapeError,
+    class_labels,
+    finite_array,
     finite_floats,
+    integer,
     parses,
     read_json,
 )
@@ -91,20 +94,6 @@ def init(layer_sizes, seed: int) -> MlpModel:
     return MlpModel(sizes, weights, biases)
 
 
-def _check_input(model: MlpModel, x, ndim: int = 1) -> np.ndarray:
-    """One input vector (``ndim`` 1) or a matrix of rows (``ndim`` 2) as a
-    finite float64 array of the model's width."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != ndim or x.shape[-1] != model.n_inputs:
-        raise ShapeError(
-            "input has shape %r, model expects (%s%d,)"
-            % (x.shape, "*, " * (ndim - 1), model.n_inputs)
-        )
-    if not np.isfinite(x).all():
-        raise InputContractError("input contains NaN or infinite values")
-    return x
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -125,13 +114,13 @@ def _walk(model: MlpModel, X: np.ndarray):
 
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, softmax probabilities) for one input vector."""
-    logits = _walk(model, _check_input(model, x))[2]
+    logits = _walk(model, finite_array(x, 1, model.n_inputs))[2]
     return logits, _softmax(logits)
 
 
 def predict(model: MlpModel, x) -> int:
     """Class with the largest logit; ties go to the lowest index."""
-    return int(np.argmax(_walk(model, _check_input(model, x))[2]))
+    return int(np.argmax(_walk(model, finite_array(x, 1, model.n_inputs))[2]))
 
 
 def _logits_and_jacobians(model: MlpModel, X: np.ndarray):
@@ -152,20 +141,29 @@ def _logits_and_jacobians(model: MlpModel, X: np.ndarray):
 def logits_and_jacobians(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Logits (n, n_classes) and every row's logit Jacobian
     (n, n_classes, n_inputs) for a matrix of rows, from one forward pass."""
-    return _logits_and_jacobians(model, _check_input(model, X, ndim=2))
+    return _logits_and_jacobians(model, finite_array(X, 2, model.n_inputs))
 
 
 def jacobian(model: MlpModel, x) -> np.ndarray:
     """d logits / d x, shape (n_classes, n_inputs), reverse mode."""
-    return _logits_and_jacobians(model, _check_input(model, x)[None])[1][0]
+    return _logits_and_jacobians(model, finite_array(x, 1, model.n_inputs)[None])[1][0]
+
+
+def _training_set(model: MlpModel, X, y):
+    """X as a C-contiguous matrix of at least one row of the model's width,
+    y as its class indices."""
+    X = np.ascontiguousarray(finite_array(X, 2, model.n_inputs))
+    if X.shape[0] == 0:
+        raise EmptyInputError("cannot train on an empty dataset")
+    return X, class_labels(y, X.shape[0], model.n_classes)
 
 
 def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None:
     """The ranges ``train`` accepts for its hyperparameters."""
     if learning_rate < 0 or l2_penalty < 0:
         raise ParameterError("learning_rate and l2_penalty must be >= 0")
-    if epochs < 1 or batch_size < 1:
-        raise ParameterError("epochs and batch_size must be >= 1")
+    integer(epochs, "epochs", 1)
+    integer(batch_size, "batch_size", 1)
 
 
 def train(
@@ -184,21 +182,7 @@ def train(
     mean cross-entropy, measured on each batch before its update; with
     learning_rate 0 the history is therefore constant.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ShapeError(
-            "training matrix has shape %r, model expects (*, %d)"
-            % (X.shape, model.n_inputs)
-        )
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on an empty dataset")
-    if not np.isfinite(X).all():
-        raise InputContractError("training matrix contains NaN or infinite values")
-    if y.shape != (X.shape[0],):
-        raise ShapeError("label vector length %r does not match X" % (y.shape,))
-    if y.min() < 0 or y.max() >= model.n_classes:
-        raise ParameterError("labels must lie in [0, %d)" % model.n_classes)
+    X, y = _training_set(model, X, y)
     check_training_params(learning_rate, epochs, batch_size, l2_penalty)
 
     m = model.copy()

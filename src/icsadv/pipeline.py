@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .errors import IcsAdvError, ParameterError, ParseError, parses
+from .errors import IcsAdvError, ParameterError, ParseError, integer, parses
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -84,11 +84,9 @@ def normalize_config(config: dict) -> dict:
         "format": "pipeline-config",
         "version": 1,
         "scenario": scenario,
-        "seed": int(config.get("seed", base["seed"])),
-        "n_runs": int(config.get("n_runs", base["n_runs"])),
+        "seed": integer(config.get("seed", base["seed"]), "seed", 0),
+        "n_runs": integer(config.get("n_runs", base["n_runs"]), "n_runs", 1),
     }
-    if out["n_runs"] < 1:
-        raise ParameterError("n_runs must be >= 1")
     for block in ("mlp", "jsma", "cart", "rf", "gbc"):
         out[block] = _merge_block(base[block], config.get(block), block)
     _oracle_args(out["mlp"])
@@ -193,16 +191,16 @@ def _simulate(scenario: dict, emit):
 def _oracle_args(block: dict):
     """The mlp block as (hidden layer sizes, train fraction, ``mlp.train``
     keywords)."""
-    hidden = [int(h) for h in block["hidden_layers"]]
-    if not hidden or any(h < 1 for h in hidden):
-        raise ParameterError("mlp hidden_layers must be positive integers")
+    hidden = [integer(h, "mlp hidden_layers", 1) for h in block["hidden_layers"]]
+    if not hidden:
+        raise ParameterError("mlp hidden_layers must not be empty")
     fraction = float(block["train_fraction"])
     if not 0.0 < fraction <= 1.0:
         raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
     train_args = {
         "learning_rate": float(block["learning_rate"]),
-        "epochs": int(block["epochs"]),
-        "batch_size": int(block["batch_size"]),
+        "epochs": block["epochs"],
+        "batch_size": block["batch_size"],
         "l2_penalty": float(block["l2_penalty"]),
     }
     mlp.check_training_params(**train_args)
@@ -232,10 +230,10 @@ def _generation_args(block: dict):
     config = jsma.JsmaConfig(
         epsilon=schedule[0],
         theta_max_features=float(block["theta_max_features"]),
-        max_iterations=int(block["max_iterations"]),
+        max_iterations=block["max_iterations"],
         direction=str(block["direction"]),
     )
-    variants = int(block["variants_per_row"])
+    variants = block["variants_per_row"]
     jsma.variant_configs(config, schedule, variants)
     return config, schedule, variants
 
@@ -253,19 +251,16 @@ def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
     )
 
 
+_DETECTOR_PARAMS = {trees.CART: trees.CartParams, trees.FOREST: trees.ForestParams,
+                    trees.GBC: trees.GbcParams}
+
+
 @parses("detector block")
 def _detector_params(kind: str, block: dict):
     """The config block of detector ``kind`` as its params dataclass."""
-    if kind == trees.CART:
-        return trees.CartParams(**block)
-    if kind == trees.GBC:
-        return trees.GbcParams(**block)
-    if kind != trees.FOREST:
+    if kind not in _DETECTOR_PARAMS:
         raise ParameterError("unknown detector kind %r" % kind)
-    params = dict(block)
-    if params["features_per_split"] is not None:
-        params["features_per_split"] = int(params["features_per_split"])
-    return trees.ForestParams(**params)
+    return _DETECTOR_PARAMS[kind](**block)
 
 
 def train_detector(kind: str, X, y, block: dict, seed: int = 0):

@@ -36,9 +36,9 @@ stages are then summed per row as a tree-by-tree loop would, so every
 prediction and score keeps its bits.
 
 Training and prediction (``predict_classes``, ``GbcModel.decision_scores``,
-``TreeModel.apply``) reject NaN and infinite features with
-``InputContractError`` and a wrong feature count with ``ShapeError``;
-``load_model`` turns any malformed document into ``ParseError``.
+``TreeModel.apply``) take their features and labels through the array rule
+of :mod:`icsadv.errors`, and every count and depth in the params must be an
+integer; ``load_model`` turns any malformed document into ``ParseError``.
 """
 from __future__ import annotations
 
@@ -52,11 +52,12 @@ from . import kernels
 from .errors import (
     DegenerateTargetError,
     EmptyInputError,
-    InputContractError,
     ParameterError,
     ParseError,
-    ShapeError,
+    class_labels,
+    finite_array,
     finite_floats,
+    integer,
     parses,
     read_json,
 )
@@ -76,10 +77,8 @@ class CartParams:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ParameterError("min_samples_split must be >= 2")
+        integer(self.max_depth, "max_depth", 1)
+        integer(self.min_samples_split, "min_samples_split", 2)
         if not self.min_impurity_decrease >= 0:  # NaN too
             raise ParameterError("min_impurity_decrease must be >= 0")
 
@@ -94,14 +93,14 @@ class ForestParams:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ParameterError("n_trees must be >= 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ParameterError("features_per_split must be >= 1")
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ParameterError("min_samples_split must be >= 2")
+        integer(self.n_trees, "n_trees", 1)
+        if self.features_per_split is not None:
+            integer(self.features_per_split, "features_per_split", 1)
+        if not isinstance(self.bootstrap, bool):
+            raise ParameterError("bootstrap must be true or false, got %r"
+                                 % (self.bootstrap,))
+        integer(self.max_depth, "max_depth", 1)
+        integer(self.min_samples_split, "min_samples_split", 2)
         if not self.min_impurity_decrease >= 0:  # NaN too
             raise ParameterError("min_impurity_decrease must be >= 0")
 
@@ -113,12 +112,10 @@ class GbcParams:
     max_depth: int = 3
 
     def __post_init__(self):
-        if self.n_stages < 1:
-            raise ParameterError("n_stages must be >= 1")
+        integer(self.n_stages, "n_stages", 1)
         if not 0 < self.learning_rate < math.inf:
             raise ParameterError("learning_rate must be positive and finite")
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be >= 1")
+        integer(self.max_depth, "max_depth", 1)
 
 
 class TreeModel:
@@ -142,7 +139,11 @@ class TreeModel:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf values for every row of X; a 1-D X is one row."""
-        return kernels.tree_apply(*self.arrays(), _check_matrix(X, self.n_features))
+        X = _check_matrix(X, self.n_features)
+        out = np.empty(X.shape[0])
+        for rows, values in kernels.ensemble_apply([self.arrays()], X):
+            out[rows] = values[0]
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -323,24 +324,13 @@ def _presort(X):
     return columns, order
 
 
-def _check_xy(X, y, binary: bool):
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("X must be 2-D")
+def _check_xy(X, y):
+    """A training set: X as a C-contiguous matrix of at least one row, y as
+    its 0/1 labels."""
+    X = np.ascontiguousarray(finite_array(X, 2))
     if X.shape[0] == 0:
         raise EmptyInputError("cannot train on an empty dataset")
-    if not np.isfinite(X).all():
-        raise InputContractError("X contains NaN or infinite values")
-    y = np.asarray(y)
-    if y.shape != (X.shape[0],):
-        raise ShapeError("y length does not match X")
-    if not np.isfinite(y).all():
-        raise InputContractError("y contains NaN or infinite values")
-    if binary:
-        y = y.astype(np.int64)
-        if y.size and (y.min() < 0 or y.max() > 1):
-            raise ParameterError("labels must be 0 or 1")
-    return X, y
+    return X, class_labels(y, X.shape[0])
 
 
 class CartModel:
@@ -351,7 +341,7 @@ class CartModel:
 
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
-    X, y = _check_xy(X, y, binary=True)
+    X, y = _check_xy(X, y)
     columns, presorted = _presort(X)
     builder = _TreeBuilder(
         columns, y, _GINI, params.max_depth, params.min_samples_split,
@@ -370,7 +360,7 @@ class ForestModel:
 
 def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated CARTs with per-split feature subsampling."""
-    X, y = _check_xy(X, y, binary=True)
+    X, y = _check_xy(X, y)
     n, d = X.shape
     k = params.features_per_split
     if k is None:
@@ -445,7 +435,7 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     values take the damped Newton form sum(r) / sum(|r| (1 - |r|)) with a
     zero denominator mapping to a zero leaf.
     """
-    X, y = _check_xy(X, y, binary=True)
+    X, y = _check_xy(X, y)
     p = float(y.mean())
     if p == 0.0 or p == 1.0:
         raise DegenerateTargetError(
@@ -486,20 +476,8 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
-    """X as a C-contiguous float64 (rows, n_features) matrix of finite
-    values; a 1-D X is one row."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2:
-        raise ShapeError("input must be one row or a 2-D matrix")
-    if X.shape[1] != n_features:
-        raise ShapeError(
-            "input has %d features, model expects %d" % (X.shape[1], n_features)
-        )
-    if not np.isfinite(X).all():
-        raise InputContractError("X contains NaN or infinite values")
-    return X
+    """X as a C-contiguous (rows, n_features) matrix; a 1-D X is one row."""
+    return np.ascontiguousarray(np.atleast_2d(finite_array(X, (1, 2), n_features)))
 
 
 def model_kind(model) -> str:
@@ -537,7 +515,7 @@ def predict_classes(model, X) -> np.ndarray:
 
 
 def predict_class(model, x) -> int:
-    return int(predict_classes(model, np.asarray(x, dtype=np.float64))[0])
+    return int(predict_classes(model, x)[0])
 
 
 def save_model(model, path) -> None:

@@ -297,6 +297,44 @@ class TestMalformedInput:
             assert list(out.iterdir()) == []
 
 
+# every integer setting of a pipeline config, as (block, key); block None is
+# the top level, and hidden_layers takes its bad value as a list entry
+INTEGER_SETTINGS = [
+    (None, "seed"), (None, "n_runs"), ("mlp", "hidden_layers"), ("mlp", "epochs"),
+    ("mlp", "batch_size"), ("jsma", "max_iterations"),
+    ("jsma", "variants_per_row"), ("cart", "max_depth"),
+    ("cart", "min_samples_split"), ("rf", "n_trees"), ("rf", "features_per_split"),
+    ("rf", "max_depth"), ("rf", "min_samples_split"), ("gbc", "n_stages"),
+    ("gbc", "max_depth"),
+]
+NOT_INTEGERS = [
+    (block, key, value) for block, key in INTEGER_SETTINGS
+    for value in (2.5, "7", True)
+] + [("rf", "bootstrap", "no"), ("rf", "bootstrap", 0)]
+
+
+class TestConfigSettings:
+    """A count, depth or seed must be an integer and bootstrap a boolean: no
+    value is truncated or read as text, and a bad one fails before the
+    pipeline writes anything."""
+
+    @pytest.mark.parametrize(
+        "block, key, value", NOT_INTEGERS,
+        ids=["%s.%s=%r" % (b or "top", k, v) for b, k, v in NOT_INTEGERS])
+    def test_bad_value_exits_2(self, block, key, value, doc_inputs, tmp_path):
+        d, docs = doc_inputs
+        config = copy.deepcopy(docs["config"])
+        if key == "hidden_layers":
+            value = [value]
+        (config if block is None else config[block])[key] = value
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        _assert_rejected(_argv("pipeline", "--config", case, d, out))
+        assert list(out.iterdir()) == []
+
+
 # every subcommand flag that reads a JSON document, with the valid documents
 # its cases are made from
 SWEEP = {

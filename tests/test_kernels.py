@@ -296,6 +296,8 @@ def reference_tree_apply(feature, threshold, left, right, value, X):
 
 
 class TestTreeApply:
+    """TreeModel.apply: one tree scored as an ensemble of one."""
+
     def _stump(self):
         feature = np.array([0, -1, -1], dtype=np.int64)
         threshold = np.array([0.5, 0.0, 0.0])
@@ -307,7 +309,7 @@ class TestTreeApply:
     def test_routing_and_boundary(self):
         tree = self._stump()
         X = np.array([[0.2], [0.5], [0.7]])
-        out = K.tree_apply(*tree, X)
+        out = trees.TreeModel(*tree, n_features=1).apply(X)
         # x == threshold goes left
         assert out.tolist() == [0.25, 0.25, 0.75]
 
@@ -320,7 +322,7 @@ class TestTreeApply:
         right = np.array([2, 4, 6, -1, -1, -1, -1], dtype=np.int64)
         value = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
         X = rng.random((200, 3))
-        a = K.tree_apply(feature, threshold, left, right, value, X)
+        a = trees.TreeModel(feature, threshold, left, right, value, 3).apply(X)
         b = reference_tree_apply(feature, threshold, left, right, value, X)
         assert np.array_equal(a, b)
 
@@ -430,9 +432,8 @@ class TestEnsembleApply:
         assert got.shape == (len(ensemble), X.shape[0])
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
-        assert K.tree_apply(*ensemble[-1], X).tobytes() == want[-1].tobytes()
-
         models = [trees.TreeModel(*tree, n_features=X.shape[1]) for tree in ensemble]
+        assert models[-1].apply(X).tobytes() == want[-1].tobytes()
         forest = trees.ForestModel(models, trees.ForestParams(n_trees=len(models)), 0)
         votes = np.zeros(X.shape[0], dtype=np.int64)
         for w in want:
