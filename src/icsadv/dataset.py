@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     SchemaMismatchError,
     finite_floats,
+    integer,
     parses,
 )
 
@@ -322,7 +323,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         raise ParameterError(
             "train_fraction must be in (0, 1), got %r" % train_fraction
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     perm = rng.permutation(dataset.n_rows)
     n_train = math.floor(train_fraction * dataset.n_rows)
     tr, te = perm[:n_train], perm[n_train:]

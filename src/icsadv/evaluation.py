@@ -17,7 +17,7 @@ division-by-nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
@@ -43,7 +43,7 @@ class ConfusionMatrix:
         return self.tp + self.fn + self.fp + self.tn
 
     def to_json(self) -> dict:
-        return {"tp": self.tp, "fn": self.fn, "fp": self.fp, "tn": self.tn}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConfusionMatrix":
@@ -76,16 +76,8 @@ class MetricsRow:
     flags: tuple[str, ...] = field(default=())
 
     def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "fpr": self.fpr,
-            "f1": self.f1,
-            "attack_precision": self.attack_precision,
-            "attack_recall": self.attack_recall,
-            "flags": list(self.flags),
-        }
+        # asdict keeps the field order, which is the saved key order
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def _ratio(num: int, den: int, name: str, flags: list[str]) -> float:
@@ -167,33 +159,28 @@ def _trunc2(v: float) -> str:
     return str(Decimal(repr(float(v))).quantize(Decimal("0.01"), rounding=ROUND_DOWN))
 
 
+def _table(rows: list[list[str]]) -> list[str]:
+    """Rows of cells as lines, every column padded to its widest cell."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]
+
+
 @parses("assessment report", "assessment")
 def render_text(report: dict) -> str:
     """Aligned text tables; metric values truncated to two decimals."""
-    lines = []
-    header = ["detector", "column"] + list(_FIELDS)
-    rows = [header]
-    for name, block in report["detectors"].items():
-        shown = name if name else "(unnamed)"
-        for col in ("worst", "average", "best"):
-            row = block[col]
-            rows.append(
-                [shown, col] + [_trunc2(row[f]) for f in _FIELDS]
-            )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    lines.append("")
-    lines.append("confusion matrices (tp=normal kept, fn=normal flagged, "
-                 "fp=attack missed, tn=attack caught)")
+    rows = [["detector", "column", *_FIELDS]]
     mat_rows = [["detector", "run", "tp", "fn", "fp", "tn"]]
     for name, block in report["detectors"].items():
         shown = name if name else "(unnamed)"
+        for col in ("worst", "average", "best"):
+            rows.append([shown, col] + [_trunc2(block[col][f]) for f in _FIELDS])
         for i, m in enumerate(block["matrices"]):
             mat_rows.append(
                 [shown, str(i)] + [str(m[k]) for k in ("tp", "fn", "fp", "tn")]
             )
-    widths = [max(len(r[i]) for r in mat_rows) for i in range(6)]
-    for r in mat_rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    lines = _table(rows) + [
+        "",
+        "confusion matrices (tp=normal kept, fn=normal flagged, "
+        "fp=attack missed, tn=attack caught)",
+    ] + _table(mat_rows)
     return "\n".join(lines) + "\n"

@@ -1,24 +1,27 @@
-"""Hot numeric kernels: the two split scans, ensemble traversal
-(QuickScorer; one tree is an ensemble of one) and the tank farm step loop,
-one numpy implementation each.
+"""Hot numeric kernels of the tree detectors: the two split scans and
+ensemble traversal (QuickScorer; one tree is an ensemble of one), one numpy
+implementation each.
 
 The split scans work on a node's rows presorted per feature (SLIQ, Mehta et
 al. 1996): the tree builder sorts every feature once per fit and keeps each
 node's rows as one contiguous slice of that presort, so no scan sorts.
 Their three positional arguments are
 
-* ``order``: (m, d) int array; column j lists the node's m distinct rows
-  (indices into ``X`` and the target) in ascending order of ``X[:, j]``.
-  This is the layout of ``np.argsort(X, axis=0, kind="mergesort")`` for a
-  node holding every row;
+* ``order``: (d, m) int array, the builder's buffer slice as it is stored;
+  row j lists the node's m distinct rows (indices into ``X`` and the
+  target) in ascending order of ``X[:, j]``. This is the layout of
+  ``np.argsort(X.T, axis=1, kind="mergesort")`` for a node holding every
+  row;
 * the target indexed by row: 0/1 labels for Gini, float residuals for SSE;
 * ``feature_indices``: candidate columns in ascending order;
 
-and the keyword ``columns`` is ``X.T`` as a C-contiguous (d, n) array, so
-each feature's values are one contiguous row to gather from. The Gini scan
-also takes ``counts``, an integer weight per row: a bootstrap tree keeps
-each drawn row once and weighs it by its draw count (Breiman 2001; Louppe
-2014, ch. 5), every other tree weighs each row 1.
+and the keywords are ``columns``, ``X.T`` as a C-contiguous (d, n) array,
+so each feature's values are one contiguous row to gather from, and
+``parent_sums``, the node's totals the builder has already summed: its
+(weight, class-1 weight) for Gini, its (sum of r, sum of r * r) for SSE.
+The Gini scan also takes ``counts``, an integer weight per row: a bootstrap
+tree keeps each drawn row once and weighs it by its draw count (Breiman
+2001; Louppe 2014, ch. 5), every other tree weighs each row 1.
 
 Split-scan conventions shared by both criteria:
 
@@ -60,7 +63,7 @@ def _scan(order, feature_indices, columns):
     positions i and i + 1 of candidate c); and the thresholds of the valid
     cuts in scan order (candidate by candidate, thresholds ascending).
     """
-    rows = order.T[feature_indices]
+    rows = order[feature_indices]
     sv = np.empty(rows.shape)
     for c, j in enumerate(feature_indices):
         columns[j].take(rows[c], out=sv[c])
@@ -91,17 +94,15 @@ def _chunks(feature_indices, n):
         yield feature_indices[c:c + step]
 
 
-def gini_best_split(order, y, feature_indices, *, columns, counts):
+def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
     """Best (feature, threshold, gain) under Gini impurity for one node.
 
     y: int64 labels in {0, 1} indexed by row; counts: int64 row weights
-    indexed by row. Returns feature -1 (gain -1.0) when no candidate split
-    exists. gain is parent impurity minus the weighted child impurity.
+    indexed by row; parent_sums: the node's (weight, class-1 weight) as
+    ints. Returns feature -1 (gain -1.0) when no candidate split exists.
+    gain is parent impurity minus the weighted child impurity.
     """
-    node_rows = order[:, 0]
-    node_counts = counts.take(node_rows)
-    n = int(node_counts.sum())
-    n1 = int((node_counts * y.take(node_rows)).sum())
+    n, n1 = parent_sums
     n0 = n - n1
     fn = float(n)
     p0 = n0 / fn
@@ -109,7 +110,7 @@ def gini_best_split(order, y, feature_indices, *, columns, counts):
     g_parent = 1.0 - p0 * p0 - p1 * p1
 
     best = (-1, 0.0, -1.0)
-    for feats in _chunks(feature_indices, order.shape[0]):
+    for feats in _chunks(feature_indices, order.shape[1]):
         rows, valid, thr = _scan(order, feats, columns)
         sc = counts.take(rows)
         nl = np.cumsum(sc, axis=1)[:, :-1][valid].astype(np.float64)
@@ -138,7 +139,7 @@ def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
     (sum of r, sum of r * r). gain is parent SSE minus the sum of child
     SSEs (absolute reduction, not sample-weighted variance).
     """
-    n = order.shape[0]
+    n = order.shape[1]
     fn = float(n)
     total_s, total_q = parent_sums
     sse_parent = total_q - total_s * total_s / fn
@@ -290,63 +291,3 @@ def ensemble_apply(trees, X):
         if several:
             exit_bit = np.minimum.reduceat(exit_bit, words[:-1], axis=1)
         yield rows, bit_value.take(exit_bit.T)
-
-
-def tank_loop(level0, rates, noise, flips, n_steps):
-    """Tank farm simulation: a python loop over the state each step carries.
-
-    rates: (inflow_rate, outflow_rate, level_low, level_high, capacity, dt)
-    noise: (level_noise, inflow_noise, outflow_noise), each (n_steps, n_tanks)
-    flips: (pump_flip, valve_flip) boolean (n_steps, n_tanks)
-    Returns (level_meas, inflow_meas, outflow_meas, pump, valve).
-
-    Per step: read noisy level, run the hysteresis pump controller on the
-    reading, apply actuator-flip overrides, integrate the true level from
-    the (possibly forced) actuator states. Controller memory keeps its own
-    command so forcing an actuator does not corrupt the hysteresis state.
-
-    Only two values pass from one step to the next: each tank's true level
-    and its controller command. The tanks are independent, so the loop runs
-    one tank at a time over plain floats; the valve state and both flow
-    readings depend on no carried state and are computed as whole columns,
-    each element by the same float64 operations as a step would. The loop
-    reads and writes its columns through memoryviews, so it holds no list
-    of float objects: lists of 100k floats per column left the heap
-    fragmented, and peak RSS rose with every call.
-    """
-    inflow_rate, outflow_rate, level_low, level_high, capacity, dt = rates
-    level_noise, inflow_noise, outflow_noise = noise
-    pump_flip, valve_flip = flips
-    n_tanks = level0.shape[0]
-    # one contiguous row per tank, filled in step order, returned transposed
-    level_meas = np.empty((n_tanks, n_steps), dtype=np.float64)
-    pump_out = np.empty((n_tanks, n_steps), dtype=np.int64)
-    valve_out = np.where(valve_flip, 0, 2)
-    q_out = np.where(valve_flip, 0.0, outflow_rate)
-    for k in range(n_tanks):
-        level = float(level0[k])
-        cmd = 0
-        meas_k, pump_k = memoryview(level_meas[k]), memoryview(pump_out[k])
-        for t, (noise_t, pflip, q_out_t) in enumerate(zip(
-            memoryview(np.ascontiguousarray(level_noise[:, k])),
-            memoryview(np.ascontiguousarray(pump_flip[:, k])),
-            memoryview(np.ascontiguousarray(q_out[:, k])),
-        )):
-            meas = level + noise_t
-            if meas < level_low:
-                cmd = 2
-            elif meas > level_high:
-                cmd = 0
-            pump_act = (0 if cmd >= 1 else 2) if pflip else cmd
-            q_in = inflow_rate if pump_act == 2 else 0.0
-            meas_k[t] = meas
-            pump_k[t] = pump_act
-            level += (q_in - q_out_t) * dt
-            if level < 0.0:
-                level = 0.0
-            elif level > capacity:
-                level = capacity
-    level_meas, pump_out = level_meas.T, pump_out.T
-    inflow_meas = np.where(pump_out == 2, inflow_rate, 0.0) + inflow_noise
-    outflow_meas = q_out + outflow_noise
-    return level_meas, inflow_meas, outflow_meas, pump_out, valve_out

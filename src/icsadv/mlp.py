@@ -84,7 +84,7 @@ def init(layer_sizes, seed: int) -> MlpModel:
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
         raise ParameterError("need at least an input and an output layer")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -187,7 +187,7 @@ def train(
 
     m = model.copy()
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     history = []
     for _ in range(epochs):
         perm = rng.permutation(n)

@@ -265,8 +265,9 @@ def _detector_params(kind: str, block: dict):
 
 def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     """Stage 5: fit one detector of ``kind`` with the parameters of its config
-    block; only the forest uses ``seed``."""
+    block; only the forest uses ``seed``, but every kind checks it."""
     params = _detector_params(kind, block)
+    seed = integer(seed, "seed", 0)
     if kind == trees.CART:
         return trees.train_cart(X, y, params)
     if kind == trees.GBC:
@@ -326,14 +327,13 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     default); otherwise the path in the config is loaded.
     """
     config = normalize_config(config)
-    out = Path(out_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-
     if scenario is None:
         if config["scenario"] is None:
             scenario = plantsim.bundled_scenario()
         else:
             scenario = plantsim.load_scenario(config["scenario"])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     seed = config["seed"]
     artifacts: dict[str, str] = {}
@@ -377,6 +377,7 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     # one fit and one prediction serve every run
     jobs = [(trees.FOREST, s) for s in run_seeds] + [(trees.GBC, 0), (trees.CART, 0)]
     *forests, gbc, cart = _fit_detectors(jobs, merged, attacked_n, config)
+    (out / "models").mkdir(exist_ok=True)
     for r, forest in enumerate(forests):
         for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, forest, gbc)):
             emit("models/%s_run%d.json" % (kind, r), write_model, model)

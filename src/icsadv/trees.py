@@ -201,19 +201,19 @@ class _TreeBuilder:
     """Greedy depth-first growth over one row buffer, partitioned in place.
 
     ``columns`` is X.T, C-contiguous; ``counts`` is the integer weight of
-    every row of X (its draw count in a bootstrap sample, else 1), and the
-    rows being fit are those of positive weight. ``order`` is (d + 1, m)
-    over those m rows: its row j < d holds them stably sorted by feature j,
-    its last row holds them in fit order. It is taken from ``presorted``,
-    the same layout over every row of X (see ``_presort``). Every node owns
-    the slice [start, end); a split partitions that slice stably so the
-    left child takes its front and the right child its back. A stable
-    partition keeps the tie order a fresh stable sort of the child's rows
-    would give, so split scans see exactly what per-node sorting showed.
+    every row of X (its draw count in a bootstrap sample, else 1). ``order``
+    is the caller's (d + 1, m) buffer over the m rows being fit, each once
+    and each of positive weight, in ``_presort``'s layout: its row j < d
+    holds them stably sorted by feature j, its last row holds them in fit
+    order. The builder owns it from then on. Every node owns the slice
+    [start, end); a split partitions that slice stably so the left child
+    takes its front and the right child its back. A stable partition keeps
+    the tie order a fresh stable sort of the child's rows would give, so
+    split scans see exactly what per-node sorting showed.
     """
 
     def __init__(self, columns, target, criterion, max_depth, min_samples_split,
-                 min_impurity_decrease, presorted, counts,
+                 min_impurity_decrease, order, counts,
                  features_per_split=None, rng=None):
         self.columns = columns
         self.target = target
@@ -221,9 +221,7 @@ class _TreeBuilder:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        # the rows of positive weight, each once, keep every presort row sorted
-        drawn = (counts > 0).take(presorted)
-        self.order = presorted[drawn].reshape(presorted.shape[0], -1)
+        self.order = order
         self.counts = counts
         self.features_per_split = features_per_split
         self.rng = rng
@@ -253,15 +251,17 @@ class _TreeBuilder:
         self.value.append(0.0)
         return node
 
-    def _best_split(self, start, end, t):
-        """The node's best split; ``t`` is its target in fit order."""
-        order = self.order[:-1, start:end].T
+    def _best_split(self, start, end, t, size, total):
+        """The node's best split; ``t`` is its target in fit order, ``size``
+        its weight and ``total`` its weighted target sum."""
+        order = self.order[:-1, start:end]
         if self.criterion == _GINI:
-            if t.min() == t.max():
+            n1 = int(total)
+            if n1 == 0 or n1 == size:
                 return -1, 0.0, -1.0
             return kernels.gini_best_split(
                 order, self.target, self._candidate_features(),
-                columns=self.columns, counts=self.counts,
+                columns=self.columns, counts=self.counts, parent_sums=(size, n1),
             )
         # parent sums accumulate in fit order; the saved trees keep these bits
         sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
@@ -291,10 +291,11 @@ class _TreeBuilder:
         t = self.target.take(rows)
         weights = self.counts.take(rows)
         size = int(weights.sum())
-        self.value[node] = float((weights * t).sum() / size)
+        total = (weights * t).sum()
+        self.value[node] = float(total / size)
         feat = -1
         if depth < self.max_depth and size >= self.min_samples_split:
-            feat, thr, gain = self._best_split(start, end, t)
+            feat, thr, gain = self._best_split(start, end, t, size, total)
         if feat < 0 or not gain > self.min_impurity_decrease:
             self.leaves.append((node, start, end))
             return node
@@ -361,6 +362,7 @@ class ForestModel:
 def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated CARTs with per-split feature subsampling."""
     X, y = _check_xy(X, y)
+    seed = integer(seed, "seed", 0)
     n, d = X.shape
     k = params.features_per_split
     if k is None:
@@ -375,13 +377,16 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
     trees = []
     for ss in streams:
         rng = np.random.default_rng(ss)
-        counts = (
-            np.bincount(rng.integers(0, n, size=n), minlength=n)
-            if params.bootstrap else ones
-        )
+        if params.bootstrap:
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            # the drawn rows, each once, keep every presort row sorted
+            drawn = (counts > 0).take(presorted)
+            order = presorted[drawn].reshape(presorted.shape[0], -1)
+        else:
+            counts, order = ones, presorted.copy()
         builder = _TreeBuilder(
             columns, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, presorted, counts,
+            params.min_impurity_decrease, order, counts,
             features_per_split=k, rng=rng,
         )
         trees.append(builder.grow())
@@ -452,7 +457,7 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     for _ in range(params.n_stages):
         resid = yf - _sigmoid(scores)
         builder = _TreeBuilder(
-            columns, resid, _SSE, params.max_depth, 2, 0.0, presorted, ones,
+            columns, resid, _SSE, params.max_depth, 2, 0.0, presorted.copy(), ones,
         )
         tree = builder.grow()
         leaf_values = np.zeros(tree.n_nodes)

@@ -118,6 +118,25 @@ class TestExitCodes:
         rc = cli.main(["report", "--input", str(p)])
         assert rc == 2
 
+    def test_evaluate_warns_when_no_row_is_flagged(self, tmp_path, capsys):
+        schema = ds.Schema((ds.Feature("A", "sensor"),))
+        X = np.random.default_rng(0).random((20, 1))
+        (tmp_path / "schema.json").write_text(json.dumps(schema.to_json()))
+        ds.save_csv(ds.Dataset(schema, X, (np.arange(20) % 2).astype(np.int64)),
+                    tmp_path / "data.csv")
+        # a tree trained on normal rows only predicts normal everywhere
+        trees.save_model(trees.train_cart(X, np.zeros(20)), tmp_path / "m.json")
+        rc = cli.main(
+            ["evaluate", "--model", str(tmp_path / "m.json"),
+             "--data", str(tmp_path / "data.csv"),
+             "--schema", str(tmp_path / "schema.json"),
+             "--out", str(tmp_path / "e.json")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: detector never predicts the attack class\n")
+        assert json.loads((tmp_path / "e.json").read_text())["predicts_no_attacks"]
+
 
     @pytest.mark.parametrize("command", ["evaluate", "attack"])
     def test_model_with_missing_key(self, tmp_path, capsys, command):
@@ -251,6 +270,11 @@ PROBES = {
     # two-decimal rendering
     "seed-infinite": ("pipeline", "--config", _pipeline_probe(
         lambda config: config.update(seed=float("inf")))),
+    "hidden-layers-empty": ("pipeline", "--config", _set("mlp", "hidden_layers", [])),
+    "epsilon-schedule-empty": ("pipeline", "--config",
+                               _set("jsma", "epsilon_schedule", [])),
+    "rf-number": ("pipeline", "--config", _pipeline_probe(
+        lambda config: config.update(rf=3))),
     "accuracy-infinite": ("report", "--input", _report_probe(
         lambda block: block["worst"].update(accuracy=float("inf")))),
 }
@@ -333,6 +357,58 @@ class TestConfigSettings:
         out.mkdir()
         _assert_rejected(_argv("pipeline", "--config", case, d, out))
         assert list(out.iterdir()) == []
+
+
+# every integer of a scenario, as a path into the document
+SCENARIO_INTEGERS = [
+    ("plant", "n_tanks"), ("plant", "steps"), ("attacks", 0, "window", 0),
+    ("attacks", 0, "window", 1), ("normal_seed",), ("attack_seed",),
+]
+SCENARIO_NOT_INTEGERS = [
+    (path, value) for path in SCENARIO_INTEGERS for value in (2.5, "7", True)
+] + [(("normal_seed",), -3), (("attack_seed",), -3), (("attacks", 0, "window", 0), -1)]
+
+
+class TestScenarioIntegers:
+    """A scenario's tank count, step count, window bounds and seeds must be
+    integers, the seeds and bounds >= 0; a bad one fails before ``simulate``
+    or ``pipeline`` writes anything."""
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize(
+        "path, value", SCENARIO_NOT_INTEGERS,
+        ids=["%s=%r" % (".".join(map(str, p)), v) for p, v in SCENARIO_NOT_INTEGERS])
+    def test_bad_value_exits_2(self, command, path, value, doc_inputs, tmp_path):
+        d, docs = doc_inputs
+        scenario = copy.deepcopy(docs["scenario"])
+        _at(scenario, path[:-1])[path[-1]] = value
+        case = tmp_path / "scenario.json"
+        case.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "pipeline":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(dict(docs["config"], scenario=str(case))))
+            _assert_rejected(_argv("pipeline", "--config", config, d, out))
+        else:
+            _assert_rejected(_argv("simulate", "--scenario", case, d, out))
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train-mlp", "--seed"), ("train-mlp", "--split-seed"),
+    ("train-detector", "--seed"),
+])
+def test_negative_seed_flag_exits_2(command, flag, doc_inputs, tmp_path):
+    """A negative seed is one error line, and no model is written."""
+    d, _ = doc_inputs
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = _argv(command, flag, -1, d, out)
+    if command == "train-detector":
+        argv[argv.index("cart")] = "rf"
+    _assert_rejected(argv)
+    assert list(out.iterdir()) == []
 
 
 # every subcommand flag that reads a JSON document, with the valid documents

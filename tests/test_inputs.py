@@ -5,6 +5,8 @@ subclass (README, "Input contract"), never a builtin exception.
 Each entry point is fed a valid input of its own shape, altered one way at
 a time: a NaN, an infinity, a cell that is not a number, a 3-D array, one
 feature too few; and, where it takes labels, a label of 0.5, 1.7, 2 or NaN.
+Every entry point that seeds numpy from a caller's seed rejects -1, 2.5,
+True and "7"; a few other malformed arguments close the file.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from icsadv import dataset as ds
-from icsadv import evaluation, jsma, mlp, trees
+from icsadv import evaluation, jsma, mlp, pipeline, plantsim, trees
 from icsadv.errors import (
     InputContractError,
     LabelError,
@@ -146,3 +148,70 @@ def test_valid_input_accepted(entry):
     float labels that are whole numbers are labels."""
     call, x, y, _ = ENTRY_POINTS[entry]
     call(x, None if y is None else y.astype(np.float64))
+
+
+# the seeded entry points, each called with a seed; every detector kind
+# checks the seed, although only the forest uses it
+SMALL = {trees.CART: {}, trees.FOREST: {"n_trees": 2}, trees.GBC: {"n_stages": 2}}
+SEEDED = {
+    "mlp.init": lambda s: mlp.init([D, 4, 2], s),
+    "mlp.train": lambda s: mlp.train(ORACLE, X, Y, epochs=1, seed=s),
+    "dataset.split": lambda s: ds.split(ds.Dataset(SCHEMA, X, Y), 0.5, s),
+    "train_forest": lambda s: trees.train_forest(
+        X, Y, trees.ForestParams(n_trees=2), seed=s),
+    "simulate_normal": lambda s: plantsim.simulate_normal(
+        plantsim.PlantConfig(steps=50), s),
+    "simulate_with_attacks": lambda s: plantsim.simulate_with_attacks(
+        plantsim.PlantConfig(steps=50), [], s),
+    **{"train_detector-" + kind: (
+        lambda s, kind=kind: pipeline.train_detector(
+            kind, X, Y, dict(pipeline.default_config()[kind], **SMALL[kind]), s))
+       for kind in SMALL},
+}
+BAD_SEEDS = {"-1": -1, "2.5": 2.5, "True": True, "'7'": "7"}
+SEED_PROBES = [(e, c) for e in SEEDED for c in BAD_SEEDS]
+
+
+@pytest.mark.parametrize("entry, case", SEED_PROBES,
+                         ids=["%s-seed=%s" % p for p in SEED_PROBES])
+def test_bad_seed(entry, case):
+    with pytest.raises(ParameterError, match="seed"):
+        SEEDED[entry](BAD_SEEDS[case])
+
+
+@pytest.mark.parametrize("entry", list(SEEDED))
+def test_valid_seed_accepted(entry):
+    SEEDED[entry](np.int64(7))
+
+
+# name: (call, documented class)
+REJECTED = {
+    "schema-empty-name": (lambda: ds.Schema((ds.Feature("", "sensor"),)),
+                          ParameterError),
+    "schema-index-of-unknown": (lambda: SCHEMA.index_of("F9"), ParameterError),
+    "schema-kind-of-unknown": (lambda: SCHEMA.kind_of("F9"), ParameterError),
+    "dataset-2-d-labels": (lambda: ds.Dataset(SCHEMA, X, Y[:, None]),
+                           ParameterError),
+    "minmax-max-below-min": (lambda: ds.NormalizationParams(
+        ("F0",), np.array([1.0]), np.array([0.5])), ParameterError),
+    "mlp-one-layer": (lambda: mlp.MlpModel([D], [], []), ParameterError),
+    "mlp-size-0-layer": (lambda: mlp.MlpModel(
+        [D, 0, 2], [np.zeros((0, D)), np.zeros((2, 0))], [np.zeros(0), np.zeros(2)]),
+        ParameterError),
+    "mlp-misshaped-weight": (lambda: mlp.MlpModel(
+        [D, 2], [np.zeros((D, 2))], [np.zeros(2)]), ShapeError),
+    "saliency-unknown-direction": (
+        lambda: jsma.saliency_map(ORACLE, X[0], 0, "sideways"), ParameterError),
+    "labels-not-an-array": (lambda: evaluation.confusion([0, 1], [[0], [0, 1]]),
+                            InputContractError),
+    "train-detector-unknown-kind": (
+        lambda: pipeline.train_detector("xgb", X, Y, {}), ParameterError),
+    "model-kind-unknown": (lambda: trees.model_kind(object()), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+def test_malformed_argument(name):
+    call, error = REJECTED[name]
+    with pytest.raises(error):
+        call()

@@ -1,4 +1,4 @@
-"""Kernel-level tests: presorted split scans, tree traversal, tank loop."""
+"""Kernel-level tests: presorted split scans and tree traversal."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,8 +11,8 @@ from icsadv import trees
 
 
 def presorted(X):
-    """Every row of X as one node: (n, d) stable per-feature sort order."""
-    return np.argsort(X, axis=0, kind="mergesort")
+    """Every row of X as one node: (d, n) stable per-feature sort order."""
+    return np.argsort(X.T, axis=1, kind="mergesort")
 
 
 def gini_split(X, y, feats):
@@ -20,6 +20,7 @@ def gini_split(X, y, feats):
     return K.gini_best_split(
         presorted(X), y, feats, columns=np.ascontiguousarray(X.T),
         counts=np.ones(X.shape[0], dtype=np.int64),
+        parent_sums=(X.shape[0], int(y.sum())),
     )
 
 
@@ -173,8 +174,8 @@ def node_slice(X, idx):
     lays it out: the global presort cut down to the distinct drawn rows,
     plus every row's draw count."""
     counts = np.bincount(idx, minlength=X.shape[0])
-    P = presorted(X).T
-    return P[counts[P] > 0].reshape(X.shape[1], -1).T, counts
+    P = presorted(X)
+    return P[counts[P] > 0].reshape(X.shape[1], -1), counts
 
 
 def direct_gini_split(X, y, feature_indices):
@@ -249,7 +250,8 @@ class TestPresortedNodes:
         y = rng.integers(0, 2, X.shape[0]).astype(np.int64)
         order, counts = node_slice(X, idx)
         got = K.gini_best_split(
-            order, y, feats, columns=np.ascontiguousarray(X.T), counts=counts
+            order, y, feats, columns=np.ascontiguousarray(X.T), counts=counts,
+            parent_sums=(len(idx), int(y[idx].sum())),
         )
         assert got == direct_gini_split(X[idx], y[idx], feats)
         efeat, _, egain = exhaustive_gini_split(X[idx], y[idx], feats)
@@ -462,155 +464,3 @@ class TestEnsembleApply:
 
     def test_no_trees(self):
         assert list(K.ensemble_apply([], np.zeros((3, 2)))) == []
-
-
-class TestTankLoopNumpy:
-    def _run(self, n_steps=50, noise_std=0.0, pump_flip=None, valve_flip=None):
-        n_tanks = 1
-        z = np.zeros((n_steps, n_tanks))
-        noise = (z.copy() + noise_std, z.copy(), z.copy())
-        flips = (
-            pump_flip if pump_flip is not None else np.zeros((n_steps, 1), bool),
-            valve_flip if valve_flip is not None else np.zeros((n_steps, 1), bool),
-        )
-        rates = (1.2, 0.8, 40.0, 60.0, 100.0, 1.0)
-        return K.tank_loop(np.array([50.0]), rates, noise, flips, n_steps)
-
-    def test_noise_free_sawtooth(self):
-        level, inflow, outflow, pump, valve = self._run(n_steps=60)
-        # pump starts off (mid-band), level drains 0.8/step until below 40
-        expect = []
-        lv = 50.0
-        for _ in range(60):
-            expect.append(lv)
-            lv -= 0.8
-            if lv < 40.0:
-                break
-        drain = np.array(expect)
-        assert np.array_equal(level[: len(expect), 0], drain)
-        assert (pump[: len(expect) - 1, 0] == 0).all()
-        # first reading below the low mark turns the pump on
-        t_on = len(expect)
-        assert level[t_on, 0] < 40.0
-        assert pump[t_on, 0] == 2
-        assert inflow[t_on, 0] == 1.2
-        assert (valve[:, 0] == 2).all()
-        assert (outflow[:, 0] == 0.8).all()
-
-    def test_band_invariant(self):
-        level, _, _, _, _ = self._run(n_steps=400)
-        assert level[:, 0].min() >= 40.0 - 0.8
-        assert level[:, 0].max() <= 60.0 + 1.2
-
-    def test_pump_flip_drains_tank(self):
-        flip = np.zeros((400, 1), bool)
-        flip[100:, 0] = True
-        level, _, _, pump, _ = self._run(n_steps=400, pump_flip=flip)
-        assert (pump[100:, 0] == 0).all()
-        assert level[-1, 0] == 0.0  # clamped at empty
-
-    def test_valve_flip_fills_tank(self):
-        flip = np.zeros((400, 1), bool)
-        flip[100:, 0] = True
-        level, _, outflow, _, valve = self._run(n_steps=400, valve_flip=flip)
-        assert (valve[100:, 0] == 0).all()
-        assert (outflow[100:, 0] == 0.0).all()
-        # inflow stops once the reading passes level_high; level parks there
-        assert 60.0 <= level[-1, 0] <= 60.0 + 1.2
-
-
-def reference_tank_loop(level0, rates, noise, flips, n_steps):
-    """Tank farm simulation, one python step at a time."""
-    inflow_rate, outflow_rate, level_low, level_high, capacity, dt = rates
-    level_noise, inflow_noise, outflow_noise = noise
-    pump_flip, valve_flip = flips
-    n_tanks = level0.shape[0]
-    shape = (n_steps, n_tanks)
-    level_meas = np.empty(shape, dtype=np.float64)
-    inflow_meas = np.empty(shape, dtype=np.float64)
-    outflow_meas = np.empty(shape, dtype=np.float64)
-    pump_out = np.empty(shape, dtype=np.int64)
-    valve_out = np.empty(shape, dtype=np.int64)
-    level = level0.copy()
-    pump_cmd = np.zeros(n_tanks, dtype=np.int64)
-    for t in range(n_steps):
-        for k in range(n_tanks):
-            meas = level[k] + level_noise[t, k]
-            cmd = pump_cmd[k]
-            if meas < level_low:
-                cmd = 2
-            elif meas > level_high:
-                cmd = 0
-            pump_cmd[k] = cmd
-            if pump_flip[t, k]:
-                pump_act = 0 if cmd >= 1 else 2
-            else:
-                pump_act = cmd
-            valve_act = 0 if valve_flip[t, k] else 2
-            q_in = inflow_rate if pump_act == 2 else 0.0
-            q_out = outflow_rate if valve_act == 2 else 0.0
-            level_meas[t, k] = meas
-            inflow_meas[t, k] = q_in + inflow_noise[t, k]
-            outflow_meas[t, k] = q_out + outflow_noise[t, k]
-            pump_out[t, k] = pump_act
-            valve_out[t, k] = valve_act
-            level[k] += (q_in - q_out) * dt
-            if level[k] < 0.0:
-                level[k] = 0.0
-            elif level[k] > capacity:
-                level[k] = capacity
-    return level_meas, inflow_meas, outflow_meas, pump_out, valve_out
-
-
-tank_cases = st.tuples(
-    st.integers(0, 2**32 - 1),  # data seed
-    st.integers(1, 3),  # tanks
-    st.integers(1, 300),  # steps
-    st.booleans(),  # noisy readings, else all-zero noise
-    st.floats(0.0, 1.0),  # share of steps with the pump flipped
-    st.floats(0.0, 1.0),  # share of steps with the valve flipped
-)
-
-
-def draw_tank_case(case):
-    """Arguments for tank_loop. Flow rates reach 5-60% of capacity per
-    step and start levels span [0, capacity], so runs hit both clamps."""
-    seed, n_tanks, n_steps, noisy, p_pump, p_valve = case
-    rng = np.random.default_rng(seed)
-    capacity = float(rng.uniform(5.0, 100.0))
-    level_low = float(rng.uniform(0.05, 0.5)) * capacity
-    level_high = float(rng.uniform(level_low, 0.95 * capacity))
-    inflow, outflow = (float(v) * capacity for v in rng.uniform(0.05, 0.6, 2))
-    dt = float(rng.choice([0.5, 1.0, 1.7]))
-    rates = (inflow, outflow, level_low, level_high, capacity, dt)
-    shape = (n_steps, n_tanks)
-    std = 0.1 * capacity if noisy else 0.0
-    noise = tuple(rng.normal(0.0, std, shape) if noisy else np.zeros(shape)
-                  for _ in range(3))
-    flips = (rng.random(shape) < p_pump, rng.random(shape) < p_valve)
-    level0 = rng.uniform(0.0, capacity, n_tanks)
-    return level0, rates, noise, flips, n_steps
-
-
-class TestTankLoopReference:
-    @settings(max_examples=200, deadline=None)
-    @given(tank_cases)
-    def test_matches_step_by_step_loop(self, case):
-        args = draw_tank_case(case)
-        got = K.tank_loop(*args)
-        want = reference_tank_loop(*args)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-
-    def test_cases_reach_both_clamps(self):
-        """The drawn cases do drive levels to 0 and to capacity."""
-        empty = full = 0
-        for seed in range(40):
-            # without noise the level reading is the true level
-            args = draw_tank_case((seed, 2, 300, False, 0.3, 0.3))
-            level = reference_tank_loop(*args)[0]
-            capacity = args[1][4]
-            empty += bool((level == 0.0).any())
-            full += bool((level == capacity).any())
-        assert empty > 0 and full > 0

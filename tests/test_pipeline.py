@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ParameterError, match="n_runs"):
             pl.normalize_config({"n_runs": 0})
 
+    def test_bad_scenario_writes_nothing(self, tmp_path, tiny_scenario):
+        tiny_scenario["normal_seed"] = -3
+        with pytest.raises(ParameterError, match="normal_seed"):
+            pl.run_pipeline(pl.default_config(), tmp_path, scenario=tiny_scenario)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDirectoryLock:
     def test_exclusive(self, tmp_path):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsadv import dataset as ds
 from icsadv import plantsim as ps
@@ -77,6 +79,27 @@ class TestNormalRun:
     def test_all_rows_labeled_normal(self):
         data = ps.simulate_normal(quiet_config(), seed=0)
         assert (data.y == 0).all()
+
+    def test_noise_free_sawtooth(self):
+        data = ps.simulate_normal(quiet_config(steps=60), seed=0)
+        level, inflow, outflow, pump, valve = data.X.T
+        # pump starts off (mid-band), level drains 0.8/step until below 40
+        expect = []
+        lv = 50.0
+        for _ in range(60):
+            expect.append(lv)
+            lv -= 0.8
+            if lv < 40.0:
+                break
+        assert np.array_equal(level[: len(expect)], np.array(expect))
+        assert (pump[: len(expect) - 1] == 0).all()
+        # first reading below the low mark turns the pump on
+        t_on = len(expect)
+        assert level[t_on] < 40.0
+        assert pump[t_on] == 2
+        assert inflow[t_on] == 1.2
+        assert (valve == 2).all()
+        assert (outflow == 0.8).all()
 
     def test_noise_free_levels_stay_in_band(self):
         data = ps.simulate_normal(quiet_config(steps=2000), seed=0)
@@ -253,6 +276,119 @@ class TestAttackedRun:
                 [ps.AttackSpec("sensor-bias", "LIT101", 1.0, (90, 120))],
                 seed=0,
             )
+
+
+def reference_tank_loop(config, level0, noise, flips):
+    """Tank farm simulation, one python step at a time; returns the level,
+    inflow, outflow, pump and valve columns, each (steps, n_tanks)."""
+    level_noise, inflow_noise, outflow_noise = noise
+    pump_flip, valve_flip = flips
+    n_tanks = level0.shape[0]
+    shape = (config.steps, n_tanks)
+    level_meas = np.empty(shape, dtype=np.float64)
+    inflow_meas = np.empty(shape, dtype=np.float64)
+    outflow_meas = np.empty(shape, dtype=np.float64)
+    pump_out = np.empty(shape, dtype=np.int64)
+    valve_out = np.empty(shape, dtype=np.int64)
+    level = level0.copy()
+    pump_cmd = np.zeros(n_tanks, dtype=np.int64)
+    for t in range(config.steps):
+        for k in range(n_tanks):
+            meas = level[k] + level_noise[t, k]
+            cmd = pump_cmd[k]
+            if meas < config.level_low:
+                cmd = 2
+            elif meas > config.level_high:
+                cmd = 0
+            pump_cmd[k] = cmd
+            if pump_flip[t, k]:
+                pump_act = 0 if cmd >= 1 else 2
+            else:
+                pump_act = cmd
+            valve_act = 0 if valve_flip[t, k] else 2
+            q_in = config.inflow_rate if pump_act == 2 else 0.0
+            q_out = config.outflow_rate if valve_act == 2 else 0.0
+            level_meas[t, k] = meas
+            inflow_meas[t, k] = q_in + inflow_noise[t, k]
+            outflow_meas[t, k] = q_out + outflow_noise[t, k]
+            pump_out[t, k] = pump_act
+            valve_out[t, k] = valve_act
+            level[k] += (q_in - q_out) * config.dt
+            if level[k] < 0.0:
+                level[k] = 0.0
+            elif level[k] > config.tank_capacity:
+                level[k] = config.tank_capacity
+    return level_meas, inflow_meas, outflow_meas, pump_out, valve_out
+
+
+tank_cases = st.tuples(
+    st.integers(0, 2**32 - 1),  # data and simulation seed
+    st.integers(1, 3),  # tanks
+    st.integers(1, 300),  # steps
+    st.booleans(),  # noisy readings, else noise-free
+    st.floats(0.0, 1.0),  # share of steps with the pump flipped
+    st.floats(0.0, 1.0),  # share of steps with the valve flipped
+)
+
+
+def _runs(mask):
+    """The [start, end) windows of the runs of True in a boolean column."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.view(np.int8), [0]))))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def draw_tank_case(case):
+    """A plant, its (pump, valve) flips per step and tank, and the attacks
+    that flip them. Flow rates reach 5-60% of capacity per step, so runs
+    hit both clamps."""
+    seed, n_tanks, n_steps, noisy, p_pump, p_valve = case
+    rng = np.random.default_rng(seed)
+    capacity = float(rng.uniform(5.0, 100.0))
+    level_low = float(rng.uniform(0.05, 0.5)) * capacity
+    level_high = float(rng.uniform(level_low, 0.95 * capacity))
+    inflow, outflow = (float(v) * capacity for v in rng.uniform(0.05, 0.6, 2))
+    config = ps.PlantConfig(
+        n_tanks=n_tanks, tank_capacity=capacity, inflow_rate=inflow,
+        outflow_rate=outflow, level_low=level_low, level_high=level_high,
+        sensor_noise_std=0.1 * capacity if noisy else 0.0,
+        dt=float(rng.choice([0.5, 1.0, 1.7])), steps=n_steps,
+    )
+    shape = (n_steps, n_tanks)
+    flips = (rng.random(shape) < p_pump, rng.random(shape) < p_valve)
+    attacks = [
+        ps.AttackSpec("actuator-flip", "%s%d01" % (name, k + 1), 0.0, window)
+        for name, flip in zip(("P", "MV"), flips)
+        for k in range(n_tanks)
+        for window in _runs(flip[:, k])
+    ]
+    return config, flips, attacks
+
+
+class TestTankLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(tank_cases)
+    def test_matches_step_by_step_loop(self, case):
+        config, flips, attacks = draw_tank_case(case)
+        seed = case[0]
+        got = ps.simulate_with_attacks(config, attacks, seed)
+        want = reference_tank_loop(
+            config, ps.initial_levels(config), ps._draw_noise(config, seed), flips
+        )
+        for slot, column in enumerate(want):
+            assert got.X[:, slot::5].tobytes() == column.astype(np.float64).tobytes()
+
+    def test_cases_reach_both_clamps(self):
+        """The drawn cases do drive levels to 0 and to capacity."""
+        empty = full = 0
+        for seed in range(40):
+            config, flips, _ = draw_tank_case((seed, 2, 300, False, 0.3, 0.3))
+            # without noise the level reading is the true level
+            level = reference_tank_loop(
+                config, ps.initial_levels(config), ps._draw_noise(config, seed), flips
+            )[0]
+            empty += bool((level == 0.0).any())
+            full += bool((level == config.tank_capacity).any())
+        assert empty > 0 and full > 0
 
 
 class TestScenario:
