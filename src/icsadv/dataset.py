@@ -28,6 +28,7 @@ from .errors import (
     finite_floats,
     integer,
     parses,
+    real,
 )
 
 SENSOR = "sensor"
@@ -319,7 +320,7 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split; |train| = floor(train_fraction * n_rows)."""
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < real(train_fraction, "train_fraction") < 1.0:
         raise ParameterError(
             "train_fraction must be in (0, 1), got %r" % train_fraction
         )

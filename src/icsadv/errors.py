@@ -1,18 +1,20 @@
-"""Exception types shared across the package, and the one rule each for
-JSON input documents, array inputs and integer settings.
+"""Exception types shared across the package, and one rule for each kind
+of input a user supplies. Every error raised on bad input derives from
+ValueError, so a caller that does not care about the type catches one thing.
 
-Every error raised on bad user input derives from ValueError so callers
-that do not care about the fine-grained type can catch one thing. Every
-JSON document read from outside is built by a function decorated with
-``parses``, and every input file is decoded by ``read_json``, so a
-malformed document raises ``ParseError`` naming the document and the file.
-
-Feature arrays go through ``finite_array``, label vectors through
-``class_labels`` (checked before the cast, so 0.5 is never read as 0), and
-configured counts through ``integer``, which truncates nothing.
+* JSON documents: each is built by a function decorated with ``parses``,
+  and each input file is decoded by ``read_json``, so a malformed document
+  raises ``ParseError`` naming the document and the file;
+* arrays: feature arrays go through ``finite_array``, label vectors through
+  ``class_labels`` (checked before the cast, so 0.5 is never read as 0),
+  a document's number arrays through ``finite_floats``;
+* settings: counts and seeds go through ``integer``, every real-valued
+  setting through ``real``; neither truncates nor converts text, and
+  ``real`` rejects NaN and infinity. Each is checked once, where it is set.
 """
 import functools
 import json
+import math
 import numbers
 
 import numpy as np
@@ -150,6 +152,19 @@ def integer(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ParameterError("%s must be >= %d, got %r" % (name, minimum, value))
     return int(value)
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float when it is a finite real number (not a bool);
+    anything else, NaN, inf, true or "1.2" included, raises
+    ``ParameterError`` naming ``name``."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ParameterError("%s must be a finite number, got %r" % (name, value))
 
 
 def read_json(path, build):

@@ -45,10 +45,6 @@ class ConfusionMatrix:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConfusionMatrix":
-        return cls(int(obj["tp"]), int(obj["fn"]), int(obj["fp"]), int(obj["tn"]))
-
 
 def confusion(predictions, labels) -> ConfusionMatrix:
     """Count prediction outcomes; 0 = Normal (positive), 1 = Attack."""

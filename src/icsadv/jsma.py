@@ -44,7 +44,7 @@ import numpy as np
 
 from . import mlp
 from .dataset import Dataset
-from .errors import InputContractError, ParameterError, finite_array, integer
+from .errors import InputContractError, ParameterError, finite_array, integer, real
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
@@ -65,9 +65,9 @@ class JsmaConfig:
     direction: str = INCREASE
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
+        if not 0.0 < real(self.epsilon, "epsilon") <= 1.0:
             raise ParameterError("epsilon must be in (0, 1], got %r" % self.epsilon)
-        if not 0.0 < self.theta_max_features <= 1.0:
+        if not 0.0 < real(self.theta_max_features, "theta_max_features") <= 1.0:
             raise ParameterError(
                 "theta_max_features must be in (0, 1], got %r"
                 % self.theta_max_features
@@ -240,7 +240,7 @@ def variant_configs(
 ) -> list[JsmaConfig]:
     """``config`` with each of the first ``variants_per_row`` epsilons of the
     schedule, which must have that many."""
-    schedule = [float(e) for e in epsilon_schedule]
+    schedule = [real(e, "epsilon_schedule entry") for e in epsilon_schedule]
     integer(variants_per_row, "variants_per_row", 1)
     if len(schedule) < variants_per_row:
         raise ParameterError(

@@ -34,6 +34,7 @@ from .errors import (
     integer,
     parses,
     read_json,
+    real,
 )
 
 
@@ -41,13 +42,11 @@ class MlpModel:
     """Weights/biases plus layer sizes; weights[k] has shape (out, in)."""
 
     def __init__(self, layer_sizes, weights, biases):
-        self.layer_sizes = [int(s) for s in layer_sizes]
+        self.layer_sizes = [integer(s, "layer size", 1) for s in layer_sizes]
         self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if len(self.layer_sizes) < 2:
             raise ParameterError("need at least an input and an output layer")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ParameterError("layer sizes must be >= 1")
         if len(self.weights) != len(self.layer_sizes) - 1 or len(self.biases) != len(
             self.weights
         ):
@@ -80,10 +79,9 @@ class MlpModel:
 
 
 def init(layer_sizes, seed: int) -> MlpModel:
-    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2:
-        raise ParameterError("need at least an input and an output layer")
+    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases;
+    ``MlpModel`` checks that there are at least two layers."""
+    sizes = [integer(s, "layer size", 1) for s in layer_sizes]
     rng = np.random.default_rng(integer(seed, "seed", 0))
     weights = []
     biases = []
@@ -160,7 +158,7 @@ def _training_set(model: MlpModel, X, y):
 
 def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None:
     """The ranges ``train`` accepts for its hyperparameters."""
-    if learning_rate < 0 or l2_penalty < 0:
+    if real(learning_rate, "learning_rate") < 0 or real(l2_penalty, "l2_penalty") < 0:
         raise ParameterError("learning_rate and l2_penalty must be >= 0")
     integer(epochs, "epochs", 1)
     integer(batch_size, "batch_size", 1)
@@ -228,7 +226,7 @@ def save_model(model: MlpModel, path) -> None:
         "biases": [b.tolist() for b in model.biases],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 @parses("mlp model", "mlp")

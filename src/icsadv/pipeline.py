@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .errors import IcsAdvError, ParameterError, ParseError, integer, parses
+from .errors import IcsAdvError, ParameterError, ParseError, integer, parses, real
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -194,15 +194,11 @@ def _oracle_args(block: dict):
     hidden = [integer(h, "mlp hidden_layers", 1) for h in block["hidden_layers"]]
     if not hidden:
         raise ParameterError("mlp hidden_layers must not be empty")
-    fraction = float(block["train_fraction"])
+    fraction = real(block["train_fraction"], "mlp train_fraction")
     if not 0.0 < fraction <= 1.0:
         raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
-    train_args = {
-        "learning_rate": float(block["learning_rate"]),
-        "epochs": block["epochs"],
-        "batch_size": block["batch_size"],
-        "l2_penalty": float(block["l2_penalty"]),
-    }
+    train_args = {key: block[key]
+                  for key in ("learning_rate", "epochs", "batch_size", "l2_penalty")}
     mlp.check_training_params(**train_args)
     return hidden, fraction, train_args
 
@@ -224,17 +220,14 @@ def train_oracle(data: ds.Dataset, mlp_block: dict, split_seed: int,
 @parses("jsma block")
 def _generation_args(block: dict):
     """The jsma block as (attack config, epsilon schedule, variants per row)."""
-    schedule = [float(e) for e in block["epsilon_schedule"]]
-    if not schedule:
-        raise ParameterError("jsma epsilon_schedule must not be empty")
     config = jsma.JsmaConfig(
-        epsilon=schedule[0],
-        theta_max_features=float(block["theta_max_features"]),
+        theta_max_features=block["theta_max_features"],
         max_iterations=block["max_iterations"],
         direction=str(block["direction"]),
     )
-    variants = block["variants_per_row"]
-    jsma.variant_configs(config, schedule, variants)
+    schedule, variants = block["epsilon_schedule"], block["variants_per_row"]
+    # the attack config takes the schedule's first epsilon
+    config = jsma.variant_configs(config, schedule, variants)[0]
     return config, schedule, variants
 
 
@@ -323,8 +316,9 @@ def _fit_detectors(jobs, merged: ds.Dataset, attacked_n: ds.Dataset,
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     """Execute every stage into ``out_dir`` and return the run manifest.
 
-    ``scenario`` overrides the config's scenario path (used for the bundled
-    default); otherwise the path in the config is loaded.
+    ``scenario``, a scenario document, overrides the config's ``scenario``;
+    without it the config's scenario file is loaded, or the bundled scenario
+    when the config's ``scenario`` is null.
     """
     config = normalize_config(config)
     if scenario is None:
@@ -414,7 +408,7 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         },
         "mlp": {
             "layer_sizes": oracle.layer_sizes,
-            "epochs": int(config["mlp"]["epochs"]),
+            "epochs": config["mlp"]["epochs"],
             "final_loss": history[-1],
         },
         "generation": {

@@ -25,13 +25,13 @@ inside any attack window is labeled Attack, even when delta is zero.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
 
 from .dataset import ACTUATOR, SENSOR, Dataset, Feature, Schema
-from .errors import KindMismatchError, ParameterError, integer, parses, read_json
+from .errors import KindMismatchError, ParameterError, integer, parses, read_json, real
 
 SENSOR_BIAS = "sensor-bias"
 ACTUATOR_FLIP = "actuator-flip"
@@ -54,6 +54,11 @@ class PlantConfig:
 
     def __post_init__(self):
         integer(self.n_tanks, "n_tanks", 1)
+        integer(self.steps, "steps", 1)
+        # every float field holds a float, so a scenario's 100 loads as 100.0
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, real(getattr(self, f.name), f.name))
         if not 0.0 < self.level_low < self.level_high < self.tank_capacity:
             raise ParameterError(
                 "levels must satisfy 0 < level_low < level_high < tank_capacity"
@@ -64,7 +69,6 @@ class PlantConfig:
             raise ParameterError("sensor_noise_std must be >= 0")
         if self.dt <= 0:
             raise ParameterError("dt must be positive")
-        integer(self.steps, "steps", 1)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -72,17 +76,7 @@ class PlantConfig:
     @classmethod
     @parses("plant config")
     def from_json(cls, obj: dict) -> "PlantConfig":
-        return cls(
-            n_tanks=obj["n_tanks"],
-            tank_capacity=float(obj["tank_capacity"]),
-            inflow_rate=float(obj["inflow_rate"]),
-            outflow_rate=float(obj["outflow_rate"]),
-            level_low=float(obj["level_low"]),
-            level_high=float(obj["level_high"]),
-            sensor_noise_std=float(obj["sensor_noise_std"]),
-            dt=float(obj["dt"]),
-            steps=obj["steps"],
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,7 @@ class AttackSpec:
                 "attack kind must be %r or %r, got %r"
                 % (SENSOR_BIAS, ACTUATOR_FLIP, self.kind)
             )
+        object.__setattr__(self, "delta", real(self.delta, "attack delta"))
         start, end = self.window
         integer(start, "attack window start", 0)
         integer(end, "attack window end", 0)
@@ -123,7 +118,7 @@ class AttackSpec:
         return cls(
             kind=str(obj["kind"]),
             target_feature=str(obj["target_feature"]),
-            delta=float(obj.get("delta", 0.0)),
+            delta=obj.get("delta", 0.0),
             window=(window[0], window[1]),
         )
 

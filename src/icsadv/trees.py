@@ -37,8 +37,9 @@ prediction and score keeps its bits.
 
 Training and prediction (``predict_classes``, ``GbcModel.decision_scores``,
 ``TreeModel.apply``) take their features and labels through the array rule
-of :mod:`icsadv.errors`, and every count and depth in the params must be an
-integer; ``load_model`` turns any malformed document into ``ParseError``.
+of :mod:`icsadv.errors`, every count and depth in the params through
+``errors.integer`` and every rate through ``errors.real``; ``load_model``
+turns any malformed document into ``ParseError``.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ from .errors import (
     integer,
     parses,
     read_json,
+    real,
 )
 
 CART = "cart"
@@ -79,7 +81,7 @@ class CartParams:
     def __post_init__(self):
         integer(self.max_depth, "max_depth", 1)
         integer(self.min_samples_split, "min_samples_split", 2)
-        if not self.min_impurity_decrease >= 0:  # NaN too
+        if real(self.min_impurity_decrease, "min_impurity_decrease") < 0:
             raise ParameterError("min_impurity_decrease must be >= 0")
 
 
@@ -101,7 +103,7 @@ class ForestParams:
                                  % (self.bootstrap,))
         integer(self.max_depth, "max_depth", 1)
         integer(self.min_samples_split, "min_samples_split", 2)
-        if not self.min_impurity_decrease >= 0:  # NaN too
+        if real(self.min_impurity_decrease, "min_impurity_decrease") < 0:
             raise ParameterError("min_impurity_decrease must be >= 0")
 
 
@@ -113,8 +115,8 @@ class GbcParams:
 
     def __post_init__(self):
         integer(self.n_stages, "n_stages", 1)
-        if not 0 < self.learning_rate < math.inf:
-            raise ParameterError("learning_rate must be positive and finite")
+        if real(self.learning_rate, "learning_rate") <= 0:
+            raise ParameterError("learning_rate must be positive")
         integer(self.max_depth, "max_depth", 1)
 
 
@@ -127,7 +129,7 @@ class TreeModel:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
-        self.n_features = int(n_features)
+        self.n_features = integer(n_features, "n_features", 1)
 
     @property
     def n_nodes(self) -> int:
@@ -406,12 +408,9 @@ class GbcModel:
         X = _check_matrix(X, self.stages[0].n_features)
         if n_stages is None:
             n_stages = len(self.stages)
-        elif not (isinstance(n_stages, (int, np.integer))
-                  and 0 <= n_stages <= len(self.stages)):
-            raise ParameterError(
-                "n_stages must be an integer in [0, %d], got %r"
-                % (len(self.stages), n_stages)
-            )
+        elif integer(n_stages, "n_stages", 0) > len(self.stages):
+            raise ParameterError("n_stages must be <= %d, got %r"
+                                 % (len(self.stages), n_stages))
         return self._scores(X, self.stages[:n_stages])
 
     def _scores(self, X, stages) -> np.ndarray:
@@ -537,7 +536,7 @@ def save_model(model, path) -> None:
         doc["initial_log_odds"] = model.initial_log_odds
         doc["stages"] = [t.to_json() for t in model.stages]
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_model(path):
@@ -555,7 +554,7 @@ def _model_from_json(doc: dict):
         return ForestModel(
             _trees_from_json(doc["trees"]),
             ForestParams(**doc["params"]),
-            int(doc.get("seed", 0)),
+            integer(doc["seed"], "seed", 0),
         )
     if kind == GBC:
         return GbcModel(

@@ -335,20 +335,32 @@ NOT_INTEGERS = [
     (block, key, value) for block, key in INTEGER_SETTINGS
     for value in (2.5, "7", True)
 ] + [("rf", "bootstrap", "no"), ("rf", "bootstrap", 0)]
+# every real-valued setting of a pipeline config; epsilon_schedule takes its
+# bad value as a list entry
+REAL_SETTINGS = [
+    ("mlp", "learning_rate"), ("mlp", "l2_penalty"), ("mlp", "train_fraction"),
+    ("jsma", "epsilon_schedule"), ("jsma", "theta_max_features"),
+    ("cart", "min_impurity_decrease"), ("rf", "min_impurity_decrease"),
+    ("gbc", "learning_rate"),
+]
+BAD_REALS = (float("nan"), float("inf"), float("-inf"), True, "1.2")
+NOT_SETTINGS = NOT_INTEGERS + [
+    (block, key, value) for block, key in REAL_SETTINGS for value in BAD_REALS
+]
 
 
 class TestConfigSettings:
-    """A count, depth or seed must be an integer and bootstrap a boolean: no
-    value is truncated or read as text, and a bad one fails before the
-    pipeline writes anything."""
+    """A count, depth or seed must be an integer, a rate or fraction a finite
+    real number and bootstrap a boolean: no value is truncated or read as
+    text, and a bad one fails before the pipeline writes anything."""
 
     @pytest.mark.parametrize(
-        "block, key, value", NOT_INTEGERS,
-        ids=["%s.%s=%r" % (b or "top", k, v) for b, k, v in NOT_INTEGERS])
+        "block, key, value", NOT_SETTINGS,
+        ids=["%s.%s=%r" % (b or "top", k, v) for b, k, v in NOT_SETTINGS])
     def test_bad_value_exits_2(self, block, key, value, doc_inputs, tmp_path):
         d, docs = doc_inputs
         config = copy.deepcopy(docs["config"])
-        if key == "hidden_layers":
+        if key in ("hidden_layers", "epsilon_schedule"):
             value = [value]
         (config if block is None else config[block])[key] = value
         case = tmp_path / "case.json"
@@ -359,20 +371,27 @@ class TestConfigSettings:
         assert list(out.iterdir()) == []
 
 
-# every integer of a scenario, as a path into the document
+# every integer and every real of a scenario, as a path into the document
 SCENARIO_INTEGERS = [
     ("plant", "n_tanks"), ("plant", "steps"), ("attacks", 0, "window", 0),
     ("attacks", 0, "window", 1), ("normal_seed",), ("attack_seed",),
 ]
+SCENARIO_REALS = [
+    ("plant", "tank_capacity"), ("plant", "inflow_rate"), ("plant", "outflow_rate"),
+    ("plant", "level_low"), ("plant", "level_high"), ("plant", "sensor_noise_std"),
+    ("plant", "dt"), ("attacks", 0, "delta"),
+]
 SCENARIO_NOT_INTEGERS = [
     (path, value) for path in SCENARIO_INTEGERS for value in (2.5, "7", True)
-] + [(("normal_seed",), -3), (("attack_seed",), -3), (("attacks", 0, "window", 0), -1)]
+] + [(("normal_seed",), -3), (("attack_seed",), -3), (("attacks", 0, "window", 0), -1)
+     ] + [(path, value) for path in SCENARIO_REALS for value in BAD_REALS]
 
 
 class TestScenarioIntegers:
     """A scenario's tank count, step count, window bounds and seeds must be
-    integers, the seeds and bounds >= 0; a bad one fails before ``simulate``
-    or ``pipeline`` writes anything."""
+    integers, the seeds and bounds >= 0, and its rates, levels, noise, time
+    step and attack offsets finite real numbers; a bad one fails before
+    ``simulate`` or ``pipeline`` writes anything."""
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     @pytest.mark.parametrize(
@@ -395,18 +414,31 @@ class TestScenarioIntegers:
         assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("train-mlp", "--seed"), ("train-mlp", "--split-seed"),
-    ("train-detector", "--seed"),
-])
-def test_negative_seed_flag_exits_2(command, flag, doc_inputs, tmp_path):
-    """A negative seed is one error line, and no model is written."""
+# (command, flag, value); a -1 seed keeps the id (command, flag)
+BAD_FLAGS = [
+    ("train-mlp", "--seed", -1), ("train-mlp", "--split-seed", -1),
+    ("train-detector", "--seed", -1),
+    ("train-mlp", "--learning-rate", "nan"), ("train-mlp", "--learning-rate", "inf"),
+    ("train-mlp", "--l2-penalty", "inf"), ("train-mlp", "--train-fraction", "nan"),
+    ("attack", "--theta", "nan"), ("train-detector", "--learning-rate", "inf"),
+    ("train-detector", "--min-impurity-decrease", "inf"),
+]
+# the detector kind that reads each train-detector flag
+FLAG_KIND = {"--seed": "rf", "--learning-rate": "gbc", "--min-impurity-decrease": "cart"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", BAD_FLAGS,
+    ids=["%s-%s" % (c, f) + ("" if v == -1 else "=%s" % v) for c, f, v in BAD_FLAGS])
+def test_negative_seed_flag_exits_2(command, flag, value, doc_inputs, tmp_path):
+    """A negative seed, or a real-valued flag that is NaN or infinite, is one
+    error line, and no model or sample file is written."""
     d, _ = doc_inputs
     out = tmp_path / "out"
     out.mkdir()
-    argv = _argv(command, flag, -1, d, out)
+    argv = _argv(command, flag, value, d, out)
     if command == "train-detector":
-        argv[argv.index("cart")] = "rf"
+        argv[argv.index("cart")] = FLAG_KIND[flag]
     _assert_rejected(argv)
     assert list(out.iterdir()) == []
 

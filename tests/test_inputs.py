@@ -6,7 +6,8 @@ Each entry point is fed a valid input of its own shape, altered one way at
 a time: a NaN, an infinity, a cell that is not a number, a 3-D array, one
 feature too few; and, where it takes labels, a label of 0.5, 1.7, 2 or NaN.
 Every entry point that seeds numpy from a caller's seed rejects -1, 2.5,
-True and "7"; a few other malformed arguments close the file.
+True and "7"; every real-valued setting rejects NaN, inf, -inf, True and
+"1.2", naming the setting; a few other malformed arguments close the file.
 """
 from __future__ import annotations
 
@@ -210,8 +211,43 @@ REJECTED = {
 }
 
 
+PLANT_REALS = ("tank_capacity", "inflow_rate", "outflow_rate", "level_low",
+               "level_high", "sensor_noise_std", "dt")
+# every real-valued setting of the Python API, as "entry-setting": call(value)
+REAL_SETTINGS = {
+    **{"PlantConfig-" + f: (lambda v, f=f: plantsim.PlantConfig(**{f: v}))
+       for f in PLANT_REALS},
+    "AttackSpec-delta": lambda v: plantsim.AttackSpec(
+        plantsim.SENSOR_BIAS, "LIT101", v, (0, 1)),
+    "CartParams-min_impurity_decrease": lambda v: trees.CartParams(
+        min_impurity_decrease=v),
+    "ForestParams-min_impurity_decrease": lambda v: trees.ForestParams(
+        min_impurity_decrease=v),
+    "GbcParams-learning_rate": lambda v: trees.GbcParams(learning_rate=v),
+    "JsmaConfig-epsilon": lambda v: jsma.JsmaConfig(epsilon=v),
+    "JsmaConfig-theta_max_features": lambda v: jsma.JsmaConfig(theta_max_features=v),
+    "variant_configs-epsilon_schedule": lambda v: jsma.variant_configs(ATTACK, [v], 1),
+    "mlp.train-learning_rate": lambda v: mlp.train(
+        ORACLE, X, Y, learning_rate=v, epochs=1),
+    "mlp.train-l2_penalty": lambda v: mlp.train(ORACLE, X, Y, l2_penalty=v, epochs=1),
+    "dataset.split-train_fraction": lambda v: ds.split(
+        ds.Dataset(SCHEMA, X, Y), v, 0),
+}
+BAD_REALS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+             "True": True, "'1.2'": "1.2"}
+# the setting each probe below must name in its error
+NAMED = {"decision-scores-n-stages-true": "n_stages"}
+REJECTED["decision-scores-n-stages-true"] = (
+    lambda: GBC.decision_scores(X, n_stages=True), ParameterError)
+for _setting, _call in REAL_SETTINGS.items():
+    for _case, _value in BAD_REALS.items():
+        _name = "%s=%s" % (_setting, _case)
+        REJECTED[_name] = (lambda c=_call, v=_value: c(v), ParameterError)
+        NAMED[_name] = _setting.split("-", 1)[1]
+
+
 @pytest.mark.parametrize("name", list(REJECTED))
 def test_malformed_argument(name):
     call, error = REJECTED[name]
-    with pytest.raises(error):
+    with pytest.raises(error, match=NAMED.get(name)):
         call()

@@ -13,11 +13,11 @@ import pytest
 
 from icsadv import cli
 from icsadv import dataset as ds
-from icsadv import mlp
+from icsadv import evaluation, mlp
 from icsadv import pipeline as pl
 from icsadv import plantsim
 from icsadv import trees
-from icsadv.errors import IcsAdvError, ParameterError, ParseError
+from icsadv.errors import IcsAdvError, ParameterError, ParseError, read_json
 
 
 class TestConfig:
@@ -246,6 +246,32 @@ class TestRunPipeline:
             data = ds.load_csv(out / name, schema)
             assert data.X.min() >= 0.0
             assert data.X.max() <= 1.0
+
+    def test_every_artifact_loads_through_its_loader(self, pipeline_run):
+        """A run writes nothing its own loaders reject: each JSON artifact
+        that has a public loader loads through it, the text report is the
+        rendering of the JSON one, and every CSV loads under the schema."""
+        out, _, cfg = pipeline_run
+        loaders = {
+            "mlp.json": mlp.load_model,
+            "minmax.json": lambda p: read_json(p, ds.NormalizationParams.from_json),
+            "schema.json": lambda p: read_json(p, ds.Schema.from_json),
+            "scenario.json": plantsim.load_scenario,
+            "report.json": lambda p: read_json(p, evaluation.render_text),
+        }
+        models = sorted((out / "models").glob("*.json"))
+        assert len(models) == 3 * cfg["n_runs"]
+        loaders.update((str(p.relative_to(out)), trees.load_model) for p in models)
+        # the generation report and the manifest have no loader
+        written = {str(p.relative_to(out)) for p in out.rglob("*.json")}
+        assert written == set(loaders) | {"generation_report.json",
+                                          "run_manifest.json"}
+        loaded = {name: load(out / name) for name, load in loaders.items()}
+        assert loaded["report.json"] == (out / "report.txt").read_text()
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 5
+        for path in csvs:
+            ds.load_csv(path, loaded["schema.json"])
 
     def test_saved_models_reproduce_report_matrices(self, pipeline_run):
         # any stage is re-runnable from the files alone: re-evaluating the

@@ -342,6 +342,7 @@ class TestSerialization:
         ("rf", ("trees", 0, "threshold")),
         ("gbc", ("initial_log_odds",)),
         ("gbc", ("stages", 1, "value")),
+        ("rf", ("seed",)),  # the writer always writes it
     ])
     def test_missing_key_is_a_parse_error(self, kind, path, tmp_path):
         X, y = blob_data(n=60, seed=3)
@@ -472,12 +473,30 @@ class TestTreeDocuments:
         with pytest.raises(ParseError):
             trees.load_model(p)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_learning_rate(self, value, tmp_path):
-        p, doc = _saved_doc("gbc", tmp_path)
-        doc["params"]["learning_rate"] = value
+    # (kind, path to the setting, value); a learning rate keeps the id value
+    BAD_SETTINGS = [
+        ("gbc", ("params", "learning_rate"), float("nan")),
+        ("gbc", ("params", "learning_rate"), float("inf")),
+        *[("rf", ("seed",), v) for v in (2.5, True, -4, "7")],
+        ("cart", ("tree", "n_features"), 3.7),
+        ("rf", ("trees", 0, "n_features"), True),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, path, value", BAD_SETTINGS,
+        ids=["%s" % v if p[-1] == "learning_rate" else "%s-%s=%r" % (k, p[-1], v)
+             for k, p, v in BAD_SETTINGS])
+    def test_non_finite_learning_rate(self, kind, path, value, tmp_path):
+        """A setting of a model document that is not a finite rate, or a
+        forest seed or feature count that is not a whole number in range,
+        is a ParameterError naming it: nothing is truncated."""
+        p, doc = _saved_doc(kind, tmp_path)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
         p.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError, match="learning_rate"):
+        with pytest.raises(ParameterError, match=path[-1]):
             trees.load_model(p)
 
 
