@@ -135,8 +135,7 @@ def cmd_pipeline(args) -> int:
     if args.config is None:
         config = pipeline.default_config()
     else:
-        # run_pipeline checks the document
-        config = read_json(args.config, lambda doc: doc)
+        config = read_json(args.config, pipeline.normalize_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with pipeline.DirectoryLock(out):

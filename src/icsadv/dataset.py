@@ -21,10 +21,13 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    InputContractError,
     LabelError,
     ParameterError,
     ParseError,
     SchemaMismatchError,
+    class_labels,
+    finite_array,
     finite_floats,
     integer,
     parses,
@@ -127,39 +130,17 @@ def label_decode(value: int) -> str:
 class Dataset:
     """Feature matrix + encoded labels bound to a schema.
 
-    X is float64 (n_rows, n_features); y is int64 in {0, 1}.
+    X is a C-contiguous float64 (n_rows, n_features) matrix of finite
+    values; y is int64 in {0, 1}. Both are checked by the array rule in
+    ``errors``: a non-number, NaN or infinite cell raises
+    ``InputContractError``, a wrong ndim, width or length ``ShapeError``,
+    and a label other than 0 or 1 ``ParameterError``.
     """
 
     def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray):
-        try:
-            X = np.ascontiguousarray(X, dtype=np.float64)
-            y = np.asarray(y)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError("X and y must be arrays of numbers: %s" % exc) from None
-        if X.ndim != 2:
-            raise ParameterError("X must be 2-D, got %d-D" % X.ndim)
-        if y.ndim != 1:
-            raise ParameterError("y must be 1-D, got %d-D" % y.ndim)
-        if X.shape[0] != y.shape[0]:
-            raise ParameterError(
-                "row count mismatch: X has %d rows, y has %d" % (X.shape[0], y.shape[0])
-            )
-        if X.shape[1] != schema.n_features:
-            raise SchemaMismatchError(
-                "X has %d columns but schema lists %d features"
-                % (X.shape[1], schema.n_features)
-            )
-        if not np.isfinite(X).all():
-            bad = np.argwhere(~np.isfinite(X))[0]
-            raise ParameterError(
-                "non-finite value at row %d, column %r"
-                % (bad[0], schema.features[bad[1]].name)
-            )
-        if y.size and not np.isin(y, (0, 1)).all():
-            raise LabelError("labels must be 0 or 1")
         self.schema = schema
-        self.X = X
-        self.y = y.astype(np.int64, copy=False)  # checked before the cast
+        self.X = np.ascontiguousarray(finite_array(X, 2, schema.n_features))
+        self.y = class_labels(y, self.X.shape[0])
 
     @property
     def n_rows(self) -> int:
@@ -179,8 +160,12 @@ def load_csv(path, schema: Schema) -> Dataset:
     except UnicodeDecodeError as exc:
         raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
     X = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(expected) - 1)
-    y = np.frombuffer(labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(schema, X, y)
+    try:
+        return Dataset(schema, X, np.frombuffer(labels, dtype=np.uint8))
+    except InputContractError:  # float() parses "nan" and "inf"
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ParseError("%s: line %d, column %r: %s is not a finite number"
+                         % (path, row + 2, expected[col], X[row, col])) from None
 
 
 def _read_rows(reader, path, expected):

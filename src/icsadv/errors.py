@@ -4,10 +4,12 @@ ValueError, so a caller that does not care about the type catches one thing.
 
 * JSON documents: each is built by a function decorated with ``parses``,
   and each input file is decoded by ``read_json``, so a malformed document
-  raises ``ParseError`` naming the document and the file;
+  raises ``ParseError`` naming the document, and every error from a file
+  names the file;
 * arrays: feature arrays go through ``finite_array``, label vectors through
   ``class_labels`` (checked before the cast, so 0.5 is never read as 0),
-  a document's number arrays through ``finite_floats``;
+  a training set through ``training_set``, which applies both, and a
+  document's number arrays through ``finite_floats``;
 * settings: counts and seeds go through ``integer``, every real-valued
   setting through ``real``; neither truncates nor converts text, and
   ``real`` rejects NaN and infinity. Each is checked once, where it is set.
@@ -138,9 +140,19 @@ def class_labels(values, n_rows: int | None, n_classes: int = 2) -> np.ndarray:
                          % (y.shape, "n" if n_rows is None else n_rows))
     if not np.isfinite(y).all():
         raise InputContractError("labels contain NaN or infinite values")
-    if y.size and ((y != np.trunc(y)).any() or y.min() < 0 or y.max() >= n_classes):
+    if y.size and ((y.dtype.kind == "f" and (y != np.trunc(y)).any())
+                   or y.min() < 0 or y.max() >= n_classes):
         raise ParameterError("labels must be integers in [0, %d)" % n_classes)
-    return y.astype(np.int64)
+    return y.astype(np.int64, copy=False)
+
+
+def training_set(X, y, width: int | None, n_classes: int):
+    """A training set: X as a C-contiguous matrix of at least one row,
+    ``width`` columns unless None, and y as its class indices."""
+    X = np.ascontiguousarray(finite_array(X, 2, width))
+    if X.shape[0] == 0:
+        raise EmptyInputError("cannot train on an empty dataset")
+    return X, class_labels(y, X.shape[0], n_classes)
 
 
 def integer(value, name: str, minimum: int) -> int:
@@ -169,8 +181,9 @@ def real(value, name: str) -> float:
 
 def read_json(path, build):
     """``build(document)`` for the JSON file at ``path``. Text that is not
-    JSON raises ``ParseError``, which like one from ``build`` names the
-    path; a missing or unreadable file raises ``OSError``."""
+    JSON raises ``ParseError``; it and every package error from ``build``
+    keep their class and name the path. A missing or unreadable file raises
+    ``OSError``."""
     with open(path, "r") as fh:
         try:
             doc = json.load(fh)
@@ -178,5 +191,5 @@ def read_json(path, build):
             raise ParseError("%s: invalid JSON: %s" % (path, exc)) from exc
     try:
         return build(doc)
-    except ParseError as exc:
-        raise ParseError("%s: %s" % (path, exc)) from exc
+    except IcsAdvError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from exc

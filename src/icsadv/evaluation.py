@@ -17,7 +17,7 @@ division-by-nothing.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
@@ -102,10 +102,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsRow:
     )
 
 
-_FIELDS = (
-    "accuracy", "precision", "recall", "fpr", "f1",
-    "attack_precision", "attack_recall",
-)
+_FIELDS = tuple(f.name for f in fields(MetricsRow) if f.name != "flags")
 
 
 def aggregate(rows: list[MetricsRow]) -> dict[str, MetricsRow]:

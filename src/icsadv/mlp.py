@@ -25,16 +25,15 @@ import json
 import numpy as np
 
 from .errors import (
-    EmptyInputError,
     ParameterError,
     ShapeError,
-    class_labels,
     finite_array,
     finite_floats,
     integer,
     parses,
     read_json,
     real,
+    training_set,
 )
 
 
@@ -147,15 +146,6 @@ def jacobian(model: MlpModel, x) -> np.ndarray:
     return _logits_and_jacobians(model, finite_array(x, 1, model.n_inputs)[None])[1][0]
 
 
-def _training_set(model: MlpModel, X, y):
-    """X as a C-contiguous matrix of at least one row of the model's width,
-    y as its class indices."""
-    X = np.ascontiguousarray(finite_array(X, 2, model.n_inputs))
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on an empty dataset")
-    return X, class_labels(y, X.shape[0], model.n_classes)
-
-
 def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None:
     """The ranges ``train`` accepts for its hyperparameters."""
     if real(learning_rate, "learning_rate") < 0 or real(l2_penalty, "l2_penalty") < 0:
@@ -180,7 +170,7 @@ def train(
     mean cross-entropy, measured on each batch before its update; with
     learning_rate 0 the history is therefore constant.
     """
-    X, y = _training_set(model, X, y)
+    X, y = training_set(X, y, model.n_inputs, model.n_classes)
     check_training_params(learning_rate, epochs, batch_size, l2_penalty)
 
     m = model.copy()

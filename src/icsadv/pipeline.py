@@ -329,7 +329,6 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    seed = config["seed"]
     artifacts: dict[str, str] = {}
 
     def emit(name: str, writer, obj) -> None:
@@ -337,6 +336,16 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         artifacts[name] = sha256_file(out / name)
 
     normal, attacked, _parsed = _simulate(scenario, emit)
+    seed = config["seed"]
+    seeds = {
+        "scenario_normal": scenario["normal_seed"],
+        "scenario_attack": scenario["attack_seed"],
+        "split": seed + SPLIT_SEED_OFFSET,
+        "mlp_init": seed + MLP_INIT_SEED_OFFSET,
+        "mlp_train": seed + MLP_TRAIN_SEED_OFFSET,
+        "detector_runs": [seed + DETECTOR_SEED_OFFSET + r
+                          for r in range(config["n_runs"])],
+    }
 
     # stage 2: fit scaling on the attacked trace, normalize both legs
     params = ds.fit_minmax(attacked)
@@ -347,8 +356,8 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     emit("attacked_norm.csv", write_csv, attacked_n)
 
     oracle, history = train_oracle(
-        attacked_n, config["mlp"], seed + SPLIT_SEED_OFFSET,
-        seed + MLP_INIT_SEED_OFFSET, seed + MLP_TRAIN_SEED_OFFSET,
+        attacked_n, config["mlp"], seeds["split"], seeds["mlp_init"],
+        seeds["mlp_train"],
     )
     emit("mlp.json", write_model, oracle)
 
@@ -362,14 +371,14 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     # detectors train on normal + adversarial only, and are scored on the
     # full attacked trace
     merged = ds.merge(normal_n, adversarial)
-    run_seeds = [seed + DETECTOR_SEED_OFFSET + r for r in range(config["n_runs"])]
     matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
         k: [] for k in DETECTOR_ORDER
     }
 
     # the forests, the longest fits, go first; cart and gbc take no seed, so
     # one fit and one prediction serve every run
-    jobs = [(trees.FOREST, s) for s in run_seeds] + [(trees.GBC, 0), (trees.CART, 0)]
+    jobs = ([(trees.FOREST, s) for s in seeds["detector_runs"]]
+            + [(trees.GBC, 0), (trees.CART, 0)])
     *forests, gbc, cart = _fit_detectors(jobs, merged, attacked_n, config)
     (out / "models").mkdir(exist_ok=True)
     for r, forest in enumerate(forests):
@@ -398,14 +407,7 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         "format": "run-manifest",
         "version": 1,
         "config": config,
-        "seeds": {
-            "scenario_normal": scenario["normal_seed"],
-            "scenario_attack": scenario["attack_seed"],
-            "split": seed + SPLIT_SEED_OFFSET,
-            "mlp_init": seed + MLP_INIT_SEED_OFFSET,
-            "mlp_train": seed + MLP_TRAIN_SEED_OFFSET,
-            "detector_runs": run_seeds,
-        },
+        "seeds": seeds,
         "mlp": {
             "layer_sizes": oracle.layer_sizes,
             "epochs": config["mlp"]["epochs"],

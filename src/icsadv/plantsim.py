@@ -156,8 +156,7 @@ def _check_attacks(config: PlantConfig, attacks) -> None:
     schema = schema_for(config)
     by_feature: dict[str, list[tuple[int, int]]] = {}
     for spec in attacks:
-        idx = schema.index_of(spec.target_feature)
-        kind = schema.features[idx].kind
+        kind = schema.kind_of(spec.target_feature)
         if spec.kind == SENSOR_BIAS and kind != SENSOR:
             raise KindMismatchError(
                 "sensor-bias target %r is an actuator column" % spec.target_feature

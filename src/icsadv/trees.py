@@ -52,16 +52,15 @@ import numpy as np
 from . import kernels
 from .errors import (
     DegenerateTargetError,
-    EmptyInputError,
     ParameterError,
     ParseError,
-    class_labels,
     finite_array,
     finite_floats,
     integer,
     parses,
     read_json,
     real,
+    training_set,
 )
 
 CART = "cart"
@@ -327,15 +326,6 @@ def _presort(X):
     return columns, order
 
 
-def _check_xy(X, y):
-    """A training set: X as a C-contiguous matrix of at least one row, y as
-    its 0/1 labels."""
-    X = np.ascontiguousarray(finite_array(X, 2))
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on an empty dataset")
-    return X, class_labels(y, X.shape[0])
-
-
 class CartModel:
     def __init__(self, tree: TreeModel, params: CartParams):
         self.tree = tree
@@ -344,7 +334,7 @@ class CartModel:
 
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
-    X, y = _check_xy(X, y)
+    X, y = training_set(X, y, None, 2)
     columns, presorted = _presort(X)
     builder = _TreeBuilder(
         columns, y, _GINI, params.max_depth, params.min_samples_split,
@@ -363,7 +353,7 @@ class ForestModel:
 
 def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated CARTs with per-split feature subsampling."""
-    X, y = _check_xy(X, y)
+    X, y = training_set(X, y, None, 2)
     seed = integer(seed, "seed", 0)
     n, d = X.shape
     k = params.features_per_split
@@ -439,7 +429,7 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     values take the damped Newton form sum(r) / sum(|r| (1 - |r|)) with a
     zero denominator mapping to a zero leaf.
     """
-    X, y = _check_xy(X, y)
+    X, y = training_set(X, y, None, 2)
     p = float(y.mean())
     if p == 0.0 or p == 1.0:
         raise DegenerateTargetError(

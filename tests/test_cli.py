@@ -177,11 +177,15 @@ def _run_cli(argv):
     return rc, err.getvalue()
 
 
-def _assert_rejected(argv):
+def _assert_rejected(argv, names=None):
+    """``argv`` exits 2 with one ``error:`` line, which holds the path
+    ``names`` when given."""
     rc, err = _run_cli(argv)
     assert rc == 2, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if names is not None:
+        assert str(names) in lines[0], err
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +281,11 @@ PROBES = {
         lambda config: config.update(rf=3))),
     "accuracy-infinite": ("report", "--input", _report_probe(
         lambda block: block["worst"].update(accuracy=float("inf")))),
+    "mlp-without-weights": ("attack", "--model", lambda docs: {
+        k: v for k, v in docs["mlp"].items() if k != "weights"}),
+    "gbc-learning-rate-nan": ("evaluate", "--model", lambda docs: dict(
+        docs["detector"][2], params=dict(docs["detector"][2]["params"],
+                                         learning_rate=float("nan")))),
 }
 
 
@@ -305,8 +314,8 @@ def _argv(command, flag, case, d, out):
 
 
 class TestMalformedInput:
-    """Every malformed document exits 2 with one error line; a bad config
-    value fails before the pipeline writes anything."""
+    """Every malformed document exits 2 with one error line naming its
+    file; a bad config value fails before the pipeline writes anything."""
 
     @pytest.mark.parametrize("name", sorted(PROBES))
     def test_probe_exits_2(self, name, doc_inputs, tmp_path):
@@ -316,7 +325,7 @@ class TestMalformedInput:
         case.write_text(json.dumps(build(docs)))
         out = tmp_path / "out"
         out.mkdir()
-        _assert_rejected(_argv(command, flag, case, d, out))
+        _assert_rejected(_argv(command, flag, case, d, out), case)
         if command == "pipeline":
             assert list(out.iterdir()) == []
 
@@ -352,7 +361,8 @@ NOT_SETTINGS = NOT_INTEGERS + [
 class TestConfigSettings:
     """A count, depth or seed must be an integer, a rate or fraction a finite
     real number and bootstrap a boolean: no value is truncated or read as
-    text, and a bad one fails before the pipeline writes anything."""
+    text, and a bad one fails, naming the config file, before the pipeline
+    writes anything."""
 
     @pytest.mark.parametrize(
         "block, key, value", NOT_SETTINGS,
@@ -367,7 +377,7 @@ class TestConfigSettings:
         case.write_text(json.dumps(config))
         out = tmp_path / "out"
         out.mkdir()
-        _assert_rejected(_argv("pipeline", "--config", case, d, out))
+        _assert_rejected(_argv("pipeline", "--config", case, d, out), case)
         assert list(out.iterdir()) == []
 
 
@@ -390,8 +400,8 @@ SCENARIO_NOT_INTEGERS = [
 class TestScenarioIntegers:
     """A scenario's tank count, step count, window bounds and seeds must be
     integers, the seeds and bounds >= 0, and its rates, levels, noise, time
-    step and attack offsets finite real numbers; a bad one fails before
-    ``simulate`` or ``pipeline`` writes anything."""
+    step and attack offsets finite real numbers; a bad one fails, naming
+    the scenario file, before ``simulate`` or ``pipeline`` writes anything."""
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     @pytest.mark.parametrize(
@@ -408,9 +418,9 @@ class TestScenarioIntegers:
         if command == "pipeline":
             config = tmp_path / "config.json"
             config.write_text(json.dumps(dict(docs["config"], scenario=str(case))))
-            _assert_rejected(_argv("pipeline", "--config", config, d, out))
+            _assert_rejected(_argv("pipeline", "--config", config, d, out), case)
         else:
-            _assert_rejected(_argv("simulate", "--scenario", case, d, out))
+            _assert_rejected(_argv("simulate", "--scenario", case, d, out), case)
         assert list(out.iterdir()) == []
 
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from icsadv import dataset as ds
 from icsadv.errors import (
     EmptyInputError,
+    InputContractError,
     LabelError,
     ParameterError,
     ParseError,
     SchemaMismatchError,
+    ShapeError,
 )
 
 
@@ -87,23 +89,30 @@ class TestLabels:
 class TestDatasetObject:
     def test_basic_shape_checks(self):
         schema = small_schema(2)
-        with pytest.raises(ParameterError, match="2-D"):
+        with pytest.raises(ShapeError, match="ndim 2"):
             ds.Dataset(schema, np.zeros(4), np.zeros(4, dtype=int))
-        with pytest.raises(ParameterError, match="row count"):
+        with pytest.raises(ShapeError, match=r"labels .*\(3,\)"):
             ds.Dataset(schema, np.zeros((3, 2)), np.zeros(4, dtype=int))
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(ShapeError, match="width 2"):
             ds.Dataset(schema, np.zeros((3, 5)), np.zeros(3, dtype=int))
 
-    def test_non_finite_named_by_position(self):
+    def test_non_finite_named_by_position(self, tmp_path):
+        """The dataset rejects a NaN cell; a CSV holding it names the
+        file's line, not the 0-based data row, and the column."""
         schema = small_schema(2)
         X = np.zeros((3, 2))
         X[2, 1] = np.nan
-        with pytest.raises(ParameterError, match=r"row 2.*LIT201"):
+        with pytest.raises(InputContractError):
             ds.Dataset(schema, X, np.zeros(3, dtype=int))
+        p = tmp_path / "a.csv"
+        p.write_text("LIT101,LIT201,Normal/Attack\n"
+                     + "".join("%r,%r,Normal\n" % tuple(row) for row in X.tolist()))
+        with pytest.raises(ParseError, match=r"a\.csv: line 4, column 'LIT201'"):
+            ds.load_csv(p, schema)
 
     def test_bad_labels_rejected(self):
         schema = small_schema(1)
-        with pytest.raises(LabelError):
+        with pytest.raises(ParameterError, match="labels"):
             ds.Dataset(schema, np.zeros((2, 1)), np.array([0, 5]))
 
 
@@ -136,13 +145,17 @@ class TestCsv:
             ds.load_csv(p, small_schema(1))
 
     def test_bad_cell_names_line_and_column(self, tmp_path):
+        """A cell that is not a number, and one that float() parses but is
+        not finite, each name the file, line and column."""
         schema = small_schema(2)
         p = tmp_path / "a.csv"
-        p.write_text(
-            "LIT101,LIT201,Normal/Attack\n1.0,2.0,Normal\n1.0,oops,Attack\n"
-        )
-        with pytest.raises(ParseError, match=r"line 3.*LIT201.*oops"):
-            ds.load_csv(p, schema)
+        for cell in ("oops", "nan", "inf", "-inf"):
+            p.write_text(
+                "LIT101,LIT201,Normal/Attack\n1.0,2.0,Normal\n1.0,%s,Attack\n" % cell
+            )
+            with pytest.raises(ParseError,
+                               match=r"a\.csv: line 3, column 'LIT201'.*%s" % cell):
+                ds.load_csv(p, schema)
 
     def test_bad_label_names_line(self, tmp_path):
         schema = small_schema(1)

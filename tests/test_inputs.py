@@ -18,9 +18,7 @@ from icsadv import dataset as ds
 from icsadv import evaluation, jsma, mlp, pipeline, plantsim, trees
 from icsadv.errors import (
     InputContractError,
-    LabelError,
     ParameterError,
-    SchemaMismatchError,
     ShapeError,
 )
 
@@ -110,13 +108,7 @@ ENTRY_POINTS = {
                      dict.fromkeys(LABEL_CASES, InputContractError)),
     # predictions stand in for the features: one too few is a length mismatch
     "confusion": (evaluation.confusion, Y.astype(np.float64), Y, {}),
-    # the dataset names the row and column of a bad cell, so its matrix
-    # errors keep their own classes
-    "Dataset": (lambda x, y: ds.Dataset(SCHEMA, x, y), X, Y, {
-        "nan": ParameterError, "inf": ParameterError, "text-cell": ParameterError,
-        "3-d": ParameterError, "wrong-width": SchemaMismatchError,
-        **dict.fromkeys(LABEL_CASES, LabelError),
-    }),
+    "Dataset": (lambda x, y: ds.Dataset(SCHEMA, x, y), X, Y, {}),
 }
 
 MATRIX_PROBES = [(e, c) for e, spec in ENTRY_POINTS.items() for c in MATRIX_CASES
@@ -192,7 +184,7 @@ REJECTED = {
     "schema-index-of-unknown": (lambda: SCHEMA.index_of("F9"), ParameterError),
     "schema-kind-of-unknown": (lambda: SCHEMA.kind_of("F9"), ParameterError),
     "dataset-2-d-labels": (lambda: ds.Dataset(SCHEMA, X, Y[:, None]),
-                           ParameterError),
+                           ShapeError),
     "minmax-max-below-min": (lambda: ds.NormalizationParams(
         ("F0",), np.array([1.0]), np.array([0.5])), ParameterError),
     "mlp-one-layer": (lambda: mlp.MlpModel([D], [], []), ParameterError),

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestConfig:
     def test_bad_n_runs_rejected(self):
         with pytest.raises(ParameterError, match="n_runs"):
             pl.normalize_config({"n_runs": 0})
+
+    def test_parameter_defaults_match_bundled_documents(self):
+        """The dataclass defaults and the shipped documents give the same
+        values, so an API caller and a pipeline run agree."""
+        cfg = pl.default_config()
+        assert asdict(trees.CartParams()) == cfg["cart"]
+        assert asdict(trees.ForestParams()) == cfg["rf"]
+        assert asdict(trees.GbcParams()) == cfg["gbc"]
+        assert asdict(plantsim.PlantConfig()) == plantsim.bundled_scenario()["plant"]
 
     def test_bad_scenario_writes_nothing(self, tmp_path, tiny_scenario):
         tiny_scenario["normal_seed"] = -3
