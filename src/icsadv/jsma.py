@@ -59,7 +59,7 @@ MAX_LIVE_ROWS = 1024
 
 @dataclass(frozen=True)
 class JsmaConfig:
-    epsilon: float = 0.1
+    epsilon: float = 0.05
     theta_max_features: float = 0.3
     max_iterations: int = 200
     direction: str = INCREASE

@@ -1,7 +1,10 @@
 """Small fully-connected ReLU network trained with minibatch SGD.
 
-This is the gradient oracle for adversarial generation, so the parts that
-matter are exactness and replayability rather than training speed:
+This is the gradient oracle for adversarial generation, so exactness and
+replayability come first. Training speed matters too: the oracle is the
+longest serial stage of a pipeline run, so ``train`` updates its arrays in
+place, with the same floating-point operations in the same order as the
+plain loop (``tests/test_mlp.py`` keeps that loop as its reference):
 
 * Glorot-uniform init, zero biases, seeded (identical seed, identical net);
 * hidden ReLU with subgradient 0 at the kink, linear output layer;
@@ -99,25 +102,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _walk(model: MlpModel, X: np.ndarray):
     """Forward pass over one input vector or a batch of rows: (input of each
-    layer, hidden pre-activations, logits)."""
+    layer, logits). A hidden layer's output is > 0 exactly where its
+    pre-activation is, so it also gives the layer's ReLU mask."""
     acts = [X]
-    pre_acts = []
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        Z = acts[-1] @ W.T + b
-        pre_acts.append(Z)
-        acts.append(np.maximum(Z, 0.0))
-    return acts, pre_acts, acts[-1] @ model.weights[-1].T + model.biases[-1]
+        Z = acts[-1] @ W.T
+        Z += b
+        acts.append(np.maximum(Z, 0.0, out=Z))
+    logits = acts[-1] @ model.weights[-1].T
+    logits += model.biases[-1]
+    return acts, logits
 
 
 def forward(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, softmax probabilities) for one input vector."""
-    logits = _walk(model, finite_array(x, 1, model.n_inputs))[2]
+    logits = _walk(model, finite_array(x, 1, model.n_inputs))[1]
     return logits, _softmax(logits)
 
 
 def predict(model: MlpModel, x) -> int:
     """Class with the largest logit; ties go to the lowest index."""
-    return int(np.argmax(_walk(model, finite_array(x, 1, model.n_inputs))[2]))
+    return int(np.argmax(_walk(model, finite_array(x, 1, model.n_inputs))[1]))
 
 
 def _logits_and_jacobians(model: MlpModel, X: np.ndarray):
@@ -128,10 +133,10 @@ def _logits_and_jacobians(model: MlpModel, X: np.ndarray):
     vector-matrix product per row, the same product (and the same bits) as
     walking that row alone; a (n, d) matrix product sums in another order.
     """
-    _, pre_acts, logits = _walk(model, X[:, None, :])
+    acts, logits = _walk(model, X[:, None, :])
     J = model.weights[-1]
-    for W, z in zip(reversed(model.weights[:-1]), reversed(pre_acts)):
-        J = (J * (z > 0.0)) @ W
+    for W, a in zip(reversed(model.weights[:-1]), reversed(acts[1:])):
+        J = (J * (a > 0.0)) @ W
     return logits[:, 0], np.broadcast_to(J, (X.shape[0],) + J.shape[-2:])
 
 
@@ -159,7 +164,7 @@ def train(
     X,
     y,
     learning_rate: float = 0.05,
-    epochs: int = 30,
+    epochs: int = 60,
     batch_size: int = 64,
     l2_penalty: float = 0.0,
     seed: int = 0,
@@ -179,30 +184,37 @@ def train(
     history = []
     for _ in range(epochs):
         perm = rng.permutation(n)
-        # per-sample losses stored by original row so the epoch mean sums in
-        # a fixed order; batch iteration order then cannot perturb the value
-        losses = np.empty(n)
+        X_epoch, y_epoch = X[perm], y[perm]
+        # each row's true-class probability, stored by original row so the
+        # epoch's loss sums in a fixed order; batch order then cannot
+        # perturb the value
+        p_true = np.empty(n)
         for lo in range(0, n, batch_size):
-            idx = perm[lo : lo + batch_size]
-            xb = X[idx]
-            yb = y[idx]
-            nb = xb.shape[0]
+            hi = lo + batch_size
+            yb = y_epoch[lo:hi]
+            nb = yb.shape[0]
+            true_class = (np.arange(nb), yb)
 
-            acts, pre_acts, logits = _walk(m, xb)
-            probs = _softmax(logits)
-            p_true = probs[np.arange(nb), yb]
-            losses[idx] = -np.log(np.maximum(p_true, 1e-300))
-
-            delta = probs.copy()
-            delta[np.arange(nb), yb] -= 1.0
+            acts, delta = _walk(m, X_epoch[lo:hi])
+            # softmax of the logits, then the output delta, in place
+            delta -= delta.max(axis=1, keepdims=True)
+            np.exp(delta, out=delta)
+            delta /= delta.sum(axis=1, keepdims=True)
+            p_true[perm[lo:hi]] = delta[true_class]
+            delta[true_class] -= 1.0
             delta /= nb
             for k in range(len(m.weights) - 1, -1, -1):
-                grad_W = delta.T @ acts[k] + l2_penalty * m.weights[k]
+                W = m.weights[k]
+                # the l2 term stays at penalty 0: 0 * inf is NaN
+                grad_W = delta.T @ acts[k]
+                grad_W += l2_penalty * W
                 grad_b = delta.sum(axis=0)
                 if k > 0:
-                    delta = (delta @ m.weights[k]) * (pre_acts[k - 1] > 0.0)
-                m.weights[k] = m.weights[k] - learning_rate * grad_W
-                m.biases[k] = m.biases[k] - learning_rate * grad_b
+                    delta = delta @ W
+                    delta *= acts[k] > 0.0
+                W -= learning_rate * grad_W
+                m.biases[k] -= learning_rate * grad_b
+        losses = -np.log(np.maximum(p_true, 1e-300))
         history.append(float(losses.sum()) / n)
     return m, history
 

@@ -1,16 +1,18 @@
 """End-to-end orchestration: simulate, normalize, oracle, generate, train,
 assess.
 
-Every stage persists its artifact into the output directory before the
-next stage starts, so any stage can be re-run standalone through the CLI
-from the files alone: stages 3-5 are ``train_oracle``,
-``generate_adversarial`` and ``train_detector``, which the ``train-mlp``,
-``attack`` and ``train-detector`` subcommands call with their flags as the
-config block. Every file is written to a temp file and renamed into place,
-so an interrupted run leaves no truncated artifact. All randomness derives
-from the scenario seeds plus the single pipeline seed via fixed offsets,
-and floats serialize via repr, so two runs with the same config produce
-byte-identical artifacts.
+Every stage persists its artifacts into the output directory, so any stage
+can be re-run standalone through the CLI from the files alone: stages 3-5
+are ``train_oracle``, ``generate_adversarial`` and ``train_detector``, which
+the ``train-mlp``, ``attack`` and ``train-detector`` subcommands call with
+their flags as the config block. Stage 3 overlaps the writes before it: one
+forked worker writes the four stage 1-2 logs while the parent trains the
+oracle, and the parent joins it before ``mlp.json`` is written. Every file
+is written to a temp file and renamed into place, so an interrupted run
+leaves no truncated artifact, and every file is in place before the run
+manifest is written. All randomness derives from the scenario seeds plus
+the single pipeline seed via fixed offsets, and floats serialize via repr,
+so two runs with the same config produce byte-identical artifacts.
 
 Stage 5 fans out: every forest run, the boosted model and the single tree
 are independent fits, so each is one job in a pool of forked worker
@@ -172,8 +174,8 @@ class DirectoryLock:
 
 
 def _simulate(scenario: dict, emit):
-    """Stage 1: simulate both legs of ``scenario``; the scenario, its schema
-    and both logs go to ``emit(name, writer, obj)``.
+    """Stage 1: simulate both legs of ``scenario``; the scenario and its
+    schema go to ``emit(name, writer, obj)``, and the caller writes the logs.
 
     Returns (normal, attacked, parse_scenario's tuple)."""
     parsed = plantsim.parse_scenario(scenario)
@@ -182,8 +184,6 @@ def _simulate(scenario: dict, emit):
     emit("schema.json", write_json, plantsim.schema_for(plant).to_json())
     normal = plantsim.simulate_normal(plant, normal_seed)
     attacked = plantsim.simulate_with_attacks(plant, attacks, attack_seed)
-    emit("normal.csv", write_csv, normal)
-    emit("attacked.csv", write_csv, attacked)
     return normal, attacked, parsed
 
 
@@ -268,20 +268,51 @@ def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     return trees.train_forest(X, y, params, seed=seed)
 
 
-# (training set, evaluation set, config) of a stage-5 worker process
-_FIT_INPUTS = None
+# what a forked worker inherits from the parent: (training set, evaluation
+# set, config) in stage 5, (output directory, logs) for the log writer
+_WORKER_INPUTS = None
 
 
-def _init_fit_worker(merged: ds.Dataset, attacked_n: ds.Dataset, config: dict):
-    global _FIT_INPUTS
-    _FIT_INPUTS = (merged, attacked_n, config)
+def _init_worker(*inputs):
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = inputs
+
+
+def _forked_pool(n_workers: int, *inputs):
+    """A ``ProcessPoolExecutor`` of ``n_workers`` forked processes that
+    inherit ``inputs`` as ``_WORKER_INPUTS``.
+
+    Only the jobs and the results are pickled. A job's exception is
+    re-raised in the parent with its class and message; a worker that dies
+    raises ``BrokenProcessPool``.
+    """
+    # imported here, not at the top: they add about 40 ms to every import
+    # of the package, and only a pipeline run needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=inputs,
+    )
+
+
+def _write_logs() -> dict:
+    """Write the inherited logs into the inherited output directory, in
+    order; returns {name: SHA-256}."""
+    out, logs = _WORKER_INPUTS
+    for name, data in logs.items():
+        write_csv(data, out / name)
+    return {name: sha256_file(out / name) for name in logs}
 
 
 def _fit_job(job):
     """Fit the detector ``job = (kind, run seed)`` on the training set and
     score it on the evaluation set; returns (model, confusion matrix)."""
     kind, run_seed = job
-    merged, attacked_n, config = _FIT_INPUTS
+    merged, attacked_n, config = _WORKER_INPUTS
     model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
     preds = trees.predict_classes(model, attacked_n.X)
     return model, evaluation.confusion(preds, attacked_n.y)
@@ -293,23 +324,8 @@ def _worker_count(n_jobs: int) -> int:
 
 def _fit_detectors(jobs, merged: ds.Dataset, attacked_n: ds.Dataset,
                    config: dict) -> list:
-    """``_fit_job`` over ``jobs`` in forked workers, results in job order.
-
-    Forked workers inherit both datasets, so only the jobs and the results
-    are pickled. A job's exception is re-raised here with its class and
-    message; a worker that dies raises ``BrokenProcessPool``.
-    """
-    # imported here, not at the top: they add about 40 ms to every import
-    # of the package, and only a pipeline run needs them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=_worker_count(len(jobs)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_fit_worker,
-        initargs=(merged, attacked_n, config),
-    ) as pool:
+    """``_fit_job`` over ``jobs`` in forked workers, results in job order."""
+    with _forked_pool(_worker_count(len(jobs)), merged, attacked_n, config) as pool:
         return list(pool.map(_fit_job, jobs))
 
 
@@ -330,12 +346,20 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, str] = {}
+    # the stage 1-2 logs, written by a forked worker while the oracle trains
+    logs: dict[str, ds.Dataset] = {}
 
     def emit(name: str, writer, obj) -> None:
         writer(obj, out / name)
         artifacts[name] = sha256_file(out / name)
 
+    def defer(name: str, data: ds.Dataset) -> None:
+        artifacts[name] = ""  # keeps the emit order; the writer's hash follows
+        logs[name] = data
+
     normal, attacked, _parsed = _simulate(scenario, emit)
+    defer("normal.csv", normal)
+    defer("attacked.csv", attacked)
     seed = config["seed"]
     seeds = {
         "scenario_normal": scenario["normal_seed"],
@@ -352,13 +376,19 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     emit("minmax.json", write_json, params.to_json())
     normal_n = ds.apply_minmax(normal, params)
     attacked_n = ds.apply_minmax(attacked, params)
-    emit("normal_norm.csv", write_csv, normal_n)
-    emit("attacked_norm.csv", write_csv, attacked_n)
+    defer("normal_norm.csv", normal_n)
+    defer("attacked_norm.csv", attacked_n)
 
-    oracle, history = train_oracle(
-        attacked_n, config["mlp"], seeds["split"], seeds["mlp_init"],
-        seeds["mlp_train"],
-    )
+    # stage 3 runs here while one forked worker writes the four logs; the
+    # pool joins the writer even when training raises, and a failed write
+    # raises here before any later artifact exists
+    with _forked_pool(1, out, logs) as writer:
+        written = writer.submit(_write_logs)
+        oracle, history = train_oracle(
+            attacked_n, config["mlp"], seeds["split"], seeds["mlp_init"],
+            seeds["mlp_train"],
+        )
+        artifacts.update(written.result())
     emit("mlp.json", write_model, oracle)
 
     # the samples must pass the oracle as normal (class 0)
@@ -451,6 +481,8 @@ def simulate_to_dir(scenario: dict, out_dir) -> dict:
     normal, attacked, (_plant, attacks, normal_seed, attack_seed) = _simulate(
         scenario, lambda name, writer, obj: writer(obj, out / name)
     )
+    write_csv(normal, out / "normal.csv")
+    write_csv(attacked, out / "attacked.csv")
     manifest = {
         "format": "simulation-manifest",
         "version": 1,

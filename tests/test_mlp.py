@@ -240,6 +240,75 @@ class TestTrain:
             mlp.train(m, X, y, epochs=0)
 
 
+def reference_train(model, X, y, learning_rate, epochs, batch_size, l2_penalty,
+                    seed):
+    """The SGD loop written plainly, one new array per step: the reference
+    that ``mlp.train`` must match bit for bit."""
+    weights = [W.copy() for W in model.weights]
+    biases = [b.copy() for b in model.biases]
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        losses = np.empty(n)
+        for lo in range(0, n, batch_size):
+            idx = perm[lo : lo + batch_size]
+            xb = X[idx]
+            yb = y[idx]
+            nb = xb.shape[0]
+
+            acts = [xb]
+            pre_acts = []
+            for W, b in zip(weights[:-1], biases[:-1]):
+                Z = acts[-1] @ W.T + b
+                pre_acts.append(Z)
+                acts.append(np.maximum(Z, 0.0))
+            logits = acts[-1] @ weights[-1].T + biases[-1]
+            z = logits - logits.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            probs = e / e.sum(axis=-1, keepdims=True)
+            p_true = probs[np.arange(nb), yb]
+            losses[idx] = -np.log(np.maximum(p_true, 1e-300))
+
+            delta = probs.copy()
+            delta[np.arange(nb), yb] -= 1.0
+            delta /= nb
+            for k in range(len(weights) - 1, -1, -1):
+                grad_W = delta.T @ acts[k] + l2_penalty * weights[k]
+                grad_b = delta.sum(axis=0)
+                if k > 0:
+                    delta = (delta @ weights[k]) * (pre_acts[k - 1] > 0.0)
+                weights[k] = weights[k] - learning_rate * grad_W
+                biases[k] = biases[k] - learning_rate * grad_b
+        history.append(float(losses.sum()) / n)
+    return weights, biases, history
+
+
+class TestTrainMatchesReference:
+    """``mlp.train`` reuses its arrays; it must still compute every value
+    the plain loop computes, bit for bit."""
+
+    @pytest.mark.parametrize("sizes, n, kwargs", [
+        ([2, 16, 2], 203, dict(batch_size=64)),  # short last batch
+        ([2, 8, 2], 50, dict(batch_size=64)),  # one batch, smaller than its size
+        ([2, 16, 2], 200, dict(batch_size=32, l2_penalty=0.01)),
+        ([2, 12, 8, 6, 2], 150, dict(batch_size=16)),  # three hidden layers
+        ([2, 8, 2], 100, dict(batch_size=32, learning_rate=0.0)),
+    ], ids=["short-last-batch", "batch-over-n", "l2", "three-hidden", "lr-0"])
+    def test_bit_identical(self, sizes, n, kwargs):
+        X, y = blob_data(n=n + n % 2, seed=3)
+        X, y = X[:n], y[:n]
+        m0 = mlp.init(sizes, seed=4)
+        args = dict(learning_rate=0.3, epochs=6, l2_penalty=0.0, seed=5)
+        args.update(kwargs)
+        m, history = mlp.train(m0, X, y, **args)
+        weights, biases, want = reference_train(m0, X, y, **args)
+        assert all(np.array_equal(a, b) for a, b in zip(m.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(m.biases, biases))
+        assert history == want
+
+
 class TestNonFiniteInput:
     """A NaN or infinite feature anywhere is rejected, never scored."""
 

@@ -1,20 +1,25 @@
 """Pipeline orchestration: config handling, artifacts, provenance, reruns."""
 from __future__ import annotations
 
+import errno
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from icsadv import cli
 from icsadv import dataset as ds
-from icsadv import evaluation, mlp
+from icsadv import evaluation, jsma, mlp
 from icsadv import pipeline as pl
 from icsadv import plantsim
 from icsadv import trees
@@ -59,6 +64,11 @@ class TestConfig:
         assert asdict(trees.ForestParams()) == cfg["rf"]
         assert asdict(trees.GbcParams()) == cfg["gbc"]
         assert asdict(plantsim.PlantConfig()) == plantsim.bundled_scenario()["plant"]
+        train_defaults = {name: param.default for name, param
+                          in inspect.signature(mlp.train).parameters.items()}
+        _hidden, _fraction, train_args = pl._oracle_args(cfg["mlp"])
+        assert train_args == {key: train_defaults[key] for key in train_args}
+        assert pl._generation_args(cfg["jsma"])[0] == jsma.JsmaConfig()
 
     def test_bad_scenario_writes_nothing(self, tmp_path, tiny_scenario):
         tiny_scenario["normal_seed"] = -3
@@ -419,6 +429,91 @@ class TestDetectorWorkers:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+
+LOGS = ("normal.csv", "attacked.csv", "normal_norm.csv", "attacked_norm.csv")
+
+
+class TestLogWriter:
+    """A forked worker writes the stage 1-2 logs while the oracle trains."""
+
+    def test_failed_write_raises_before_the_oracle_is_saved(
+            self, tmp_path, tiny_scenario, tiny_config, monkeypatch):
+        real_write = pl.write_csv
+
+        def full_disk(data, tmp):
+            tmp.write_text("partial\n")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def write_csv(data, path):
+            if path.name == "normal_norm.csv":
+                pl._replace_into(full_disk, data, path)
+            else:
+                real_write(data, path)
+
+        # the writer is forked after this, so it inherits the patch
+        monkeypatch.setattr(pl, "write_csv", write_csv)
+        with pytest.raises(OSError) as info:
+            pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        assert type(info.value) is OSError
+        assert str(info.value) == "[Errno 28] No space left on device"
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert "mlp.json" not in left
+        assert not [n for n in left if n.endswith(".tmp")], left
+        assert multiprocessing.active_children() == []
+
+    def test_dead_writer_raises_instead_of_hanging(self, tmp_path, tiny_scenario,
+                                                   tiny_config, monkeypatch):
+        real_write = pl.write_csv
+
+        def write_csv(data, path):
+            if path.name == "normal_norm.csv":
+                os._exit(3)
+            real_write(data, path)
+
+        def hung(signum, frame):
+            raise TimeoutError("the pipeline hung after the log writer died")
+
+        monkeypatch.setattr(pl, "write_csv", write_csv)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not (tmp_path / "mlp.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_writer_is_joined_when_the_oracle_raises(self, tmp_path, tiny_scenario,
+                                                     tiny_config, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ParameterError("oracle failed")
+
+        monkeypatch.setattr(pl, "train_oracle", boom)
+        with pytest.raises(ParameterError, match="oracle failed"):
+            pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        assert multiprocessing.active_children() == []
+        # the writer ran to its end: every log is whole and in place
+        schema = ds.Schema.from_json(json.loads((tmp_path / "schema.json").read_text()))
+        for name in LOGS:
+            assert ds.load_csv(tmp_path / name, schema).n_rows == (
+                tiny_scenario["plant"]["steps"])
+        assert not (tmp_path / "mlp.json").exists()
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """``multiprocessing`` and ``concurrent.futures`` cost about 40 ms to
+    import, and only a pipeline run uses them, so the modules import them
+    lazily."""
+    code = ("import sys, icsadv.pipeline, icsadv.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "[]\n"
 
 
 class TestEvaluateModel:
