@@ -12,7 +12,9 @@ ValueError, so a caller that does not care about the type catches one thing.
   document's number arrays through ``finite_floats``;
 * settings: counts and seeds go through ``integer``, every real-valued
   setting through ``real``; neither truncates nor converts text, and
-  ``real`` rejects NaN and infinity. Each is checked once, where it is set.
+  ``real`` rejects NaN and infinity. Each is checked once, where it is set;
+* keys: a document block with a fixed set of keys goes through
+  ``known_keys``, so a misspelt key fails rather than being ignored.
 """
 import functools
 import json
@@ -177,6 +179,16 @@ def real(value, name: str) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ParameterError("%s must be a finite number, got %r" % (name, value))
+
+
+def known_keys(doc: dict, allowed, where: str) -> None:
+    """Raise ``ParameterError`` naming ``where`` and every key of ``doc``
+    outside ``allowed``."""
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ParameterError(
+            "unknown keys in %s: %s" % (where, ", ".join(sorted(unknown)))
+        )
 
 
 def read_json(path, build):

@@ -50,7 +50,8 @@ import numpy as np
 # scan's temporaries stay near 1 MB however many features a node weighs
 _CHUNK_CELLS = 1 << 13
 # most cells (rows x 64-bit words, at least 64 a row) one prediction chunk
-# holds, so each of its bit, exit and value arrays stays within 512 kB
+# holds, so each of its bit, exit and value arrays stays within 512 kB; an
+# ensemble of more words still scores one row a chunk
 _CHUNK_WORDS = 1 << 16
 
 
@@ -269,7 +270,7 @@ def ensemble_apply(trees, X):
         groups.append((w0, w1, _group_tables(feature, threshold, lo, hi, w0, w1)))
     # a multi-word tree's exit is its least leaf bit over its words
     several = n_words > len(trees)
-    chunk = _CHUNK_WORDS // max(n_words, 64)
+    chunk = max(_CHUNK_WORDS // max(n_words, 64), 1)
     for start in range(0, X.shape[0], chunk):
         rows = slice(start, min(start + chunk, X.shape[0]))
         columns = X[rows].T.copy()

@@ -5,21 +5,23 @@ Every stage persists its artifacts into the output directory, so any stage
 can be re-run standalone through the CLI from the files alone: stages 3-5
 are ``train_oracle``, ``generate_adversarial`` and ``train_detector``, which
 the ``train-mlp``, ``attack`` and ``train-detector`` subcommands call with
-their flags as the config block. Stage 3 overlaps the writes before it: one
-forked worker writes the four stage 1-2 logs while the parent trains the
-oracle, and the parent joins it before ``mlp.json`` is written. Every file
-is written to a temp file and renamed into place, so an interrupted run
-leaves no truncated artifact, and every file is in place before the run
-manifest is written. All randomness derives from the scenario seeds plus
-the single pipeline seed via fixed offsets, and floats serialize via repr,
-so two runs with the same config produce byte-identical artifacts.
+their flags as the config block. Every file is written by the parent, to a
+temp file renamed into place, so an interrupted run leaves no truncated
+artifact, and every file is in place before the run manifest is written.
+All randomness derives from the scenario seeds plus the single pipeline
+seed via fixed offsets, and floats serialize via repr, so two runs with the
+same config produce byte-identical artifacts.
 
-Stage 5 fans out: every forest run, the boosted model and the single tree
-are independent fits, so each is one job in a pool of forked worker
-processes (one per usable core, at most one per job). The workers inherit
-the training and evaluation rows; each job sends back its model and
-confusion matrix, and the parent writes them in a fixed order, so the
-artifacts are the same bytes whatever the number of workers.
+A run forks one pool of worker processes right after stage 2 (one per
+usable core, at most one per detector fit) and keeps it to the end. The
+workers inherit both normalized legs and the config. The pool's first job
+trains the oracle while the parent writes the stage 1-2 files; the parent
+then takes the oracle back, runs JSMA, and maps the detector fits over the
+same pool: every forest run, the boosted model and the single tree are
+independent fits, and each job gets the adversarial set with its arguments.
+Each job sends back only its result, and the parent writes the results in
+a fixed order, so the artifacts are the same bytes whatever the number of
+workers.
 
 The run manifest records a SHA-256 per artifact plus which files fed
 detector training. The evaluation dataset's hash must never appear among
@@ -36,7 +38,8 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .errors import IcsAdvError, ParameterError, ParseError, integer, parses, real
+from .errors import (IcsAdvError, ParameterError, ParseError, integer, known_keys,
+                     parses, real)
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -57,11 +60,7 @@ def _merge_block(defaults: dict, user: dict | None, where: str) -> dict:
         return dict(defaults)
     if not isinstance(user, dict):
         raise ParseError("%s must be an object" % where)
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ParameterError(
-            "unknown keys in %s: %s" % (where, ", ".join(sorted(unknown)))
-        )
+    known_keys(user, defaults, where)
     merged = dict(defaults)
     merged.update(user)
     return merged
@@ -268,8 +267,8 @@ def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     return trees.train_forest(X, y, params, seed=seed)
 
 
-# what a forked worker inherits from the parent: (training set, evaluation
-# set, config) in stage 5, (output directory, logs) for the log writer
+# what a forked worker inherits from the parent: (normalized normal leg,
+# normalized attacked leg, config)
 _WORKER_INPUTS = None
 
 
@@ -299,20 +298,20 @@ def _forked_pool(n_workers: int, *inputs):
     )
 
 
-def _write_logs() -> dict:
-    """Write the inherited logs into the inherited output directory, in
-    order; returns {name: SHA-256}."""
-    out, logs = _WORKER_INPUTS
-    for name, data in logs.items():
-        write_csv(data, out / name)
-    return {name: sha256_file(out / name) for name in logs}
+def _oracle_job(seeds):
+    """Stage 3 on the inherited attacked leg; ``seeds`` = (split, init,
+    train). Returns (model, loss history)."""
+    _normal_n, attacked_n, config = _WORKER_INPUTS
+    return train_oracle(attacked_n, config["mlp"], *seeds)
 
 
 def _fit_job(job):
-    """Fit the detector ``job = (kind, run seed)`` on the training set and
-    score it on the evaluation set; returns (model, confusion matrix)."""
-    kind, run_seed = job
-    merged, attacked_n, config = _WORKER_INPUTS
+    """Fit the detector ``job = (kind, run seed, adversarial set)`` on the
+    inherited normal leg plus the adversarial set, and score it on the
+    attacked leg; returns (model, confusion matrix)."""
+    kind, run_seed, adversarial = job
+    normal_n, attacked_n, config = _WORKER_INPUTS
+    merged = ds.merge(normal_n, adversarial)
     model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
     preds = trees.predict_classes(model, attacked_n.X)
     return model, evaluation.confusion(preds, attacked_n.y)
@@ -320,13 +319,6 @@ def _fit_job(job):
 
 def _worker_count(n_jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_jobs)
-
-
-def _fit_detectors(jobs, merged: ds.Dataset, attacked_n: ds.Dataset,
-                   config: dict) -> list:
-    """``_fit_job`` over ``jobs`` in forked workers, results in job order."""
-    with _forked_pool(_worker_count(len(jobs)), merged, attacked_n, config) as pool:
-        return list(pool.map(_fit_job, jobs))
 
 
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
@@ -346,20 +338,12 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     artifacts: dict[str, str] = {}
-    # the stage 1-2 logs, written by a forked worker while the oracle trains
-    logs: dict[str, ds.Dataset] = {}
 
     def emit(name: str, writer, obj) -> None:
         writer(obj, out / name)
         artifacts[name] = sha256_file(out / name)
 
-    def defer(name: str, data: ds.Dataset) -> None:
-        artifacts[name] = ""  # keeps the emit order; the writer's hash follows
-        logs[name] = data
-
     normal, attacked, _parsed = _simulate(scenario, emit)
-    defer("normal.csv", normal)
-    defer("attacked.csv", attacked)
     seed = config["seed"]
     seeds = {
         "scenario_normal": scenario["normal_seed"],
@@ -373,43 +357,41 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
 
     # stage 2: fit scaling on the attacked trace, normalize both legs
     params = ds.fit_minmax(attacked)
-    emit("minmax.json", write_json, params.to_json())
     normal_n = ds.apply_minmax(normal, params)
     attacked_n = ds.apply_minmax(attacked, params)
-    defer("normal_norm.csv", normal_n)
-    defer("attacked_norm.csv", attacked_n)
-
-    # stage 3 runs here while one forked worker writes the four logs; the
-    # pool joins the writer even when training raises, and a failed write
-    # raises here before any later artifact exists
-    with _forked_pool(1, out, logs) as writer:
-        written = writer.submit(_write_logs)
-        oracle, history = train_oracle(
-            attacked_n, config["mlp"], seeds["split"], seeds["mlp_init"],
-            seeds["mlp_train"],
-        )
-        artifacts.update(written.result())
-    emit("mlp.json", write_model, oracle)
-
-    # the samples must pass the oracle as normal (class 0)
-    adversarial, gen_report = generate_adversarial(
-        oracle, attacked_n, config["jsma"], target=0
-    )
-    emit("adversarial.csv", write_csv, adversarial)
-    emit("generation_report.json", write_json, gen_report)
-
-    # detectors train on normal + adversarial only, and are scored on the
-    # full attacked trace
-    merged = ds.merge(normal_n, adversarial)
-    matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
-        k: [] for k in DETECTOR_ORDER
-    }
 
     # the forests, the longest fits, go first; cart and gbc take no seed, so
     # one fit and one prediction serve every run
     jobs = ([(trees.FOREST, s) for s in seeds["detector_runs"]]
             + [(trees.GBC, 0), (trees.CART, 0)])
-    *forests, gbc, cart = _fit_detectors(jobs, merged, attacked_n, config)
+    # stage 3 trains in the pool while the parent writes the stage 1-2
+    # files; leaving the block joins every job, so a failed write raises
+    # after the oracle is done and before any later artifact exists
+    with _forked_pool(_worker_count(len(jobs)), normal_n, attacked_n, config) as pool:
+        trained = pool.submit(_oracle_job, (seeds["split"], seeds["mlp_init"],
+                                            seeds["mlp_train"]))
+        emit("normal.csv", write_csv, normal)
+        emit("attacked.csv", write_csv, attacked)
+        emit("minmax.json", write_json, params.to_json())
+        emit("normal_norm.csv", write_csv, normal_n)
+        emit("attacked_norm.csv", write_csv, attacked_n)
+        oracle, history = trained.result()
+        emit("mlp.json", write_model, oracle)
+
+        # the samples must pass the oracle as normal (class 0)
+        adversarial, gen_report = generate_adversarial(
+            oracle, attacked_n, config["jsma"], target=0
+        )
+        emit("adversarial.csv", write_csv, adversarial)
+        emit("generation_report.json", write_json, gen_report)
+
+        # detectors train on normal + adversarial only, and are scored on
+        # the full attacked trace
+        *forests, gbc, cart = pool.map(
+            _fit_job, [(kind, s, adversarial) for kind, s in jobs])
+    matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
+        k: [] for k in DETECTOR_ORDER
+    }
     (out / "models").mkdir(exist_ok=True)
     for r, forest in enumerate(forests):
         for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, forest, gbc)):

@@ -31,7 +31,8 @@ from importlib import resources
 import numpy as np
 
 from .dataset import ACTUATOR, SENSOR, Dataset, Feature, Schema
-from .errors import KindMismatchError, ParameterError, integer, parses, read_json, real
+from .errors import (KindMismatchError, ParameterError, integer, known_keys, parses,
+                     read_json, real)
 
 SENSOR_BIAS = "sensor-bias"
 ACTUATOR_FLIP = "actuator-flip"
@@ -76,7 +77,9 @@ class PlantConfig:
     @classmethod
     @parses("plant config")
     def from_json(cls, obj: dict) -> "PlantConfig":
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        known_keys(obj, names, "plant")
+        return cls(**{name: obj[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,12 @@ class AttackSpec:
     @classmethod
     @parses("attack spec")
     def from_json(cls, obj: dict) -> "AttackSpec":
+        known_keys(obj, [f.name for f in fields(cls)], "attack")
         window = obj["window"]
+        if len(window) != 2:
+            raise ParameterError(
+                "attack window must be [start, end], got %r" % (window,)
+            )
         return cls(
             kind=str(obj["kind"]),
             target_feature=str(obj["target_feature"]),
@@ -294,12 +302,16 @@ def simulate_with_attacks(
 # ---------------------------------------------------------------------------
 
 
+_SCENARIO_KEYS = ("format", "version", "plant", "normal_seed", "attack_seed", "attacks")
+
+
 @parses("scenario", "scenario")
 def parse_scenario(obj: dict):
     """Validate a scenario document.
 
     Returns (config, attacks, normal_seed, attack_seed).
     """
+    known_keys(obj, _SCENARIO_KEYS, "scenario")
     config = PlantConfig.from_json(obj["plant"])
     normal_seed = integer(obj["normal_seed"], "normal_seed", 0)
     attack_seed = integer(obj["attack_seed"], "attack_seed", 0)

@@ -119,6 +119,15 @@ class GbcParams:
         integer(self.max_depth, "max_depth", 1)
 
 
+def _node_indices(values, what: str):
+    """A tree document's ``what`` array, for ``TreeModel.from_json``: a
+    list of integers, bools excluded."""
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ValueError("tree %s holds %r, not an integer index" % (what, bad[0]))
+    return values
+
+
 class TreeModel:
     """Flat binary tree; feature == -1 marks a leaf holding ``value``."""
 
@@ -165,12 +174,14 @@ class TreeModel:
         n_nodes, a leaf has -1 for both; and every node but node 0 is the
         child of exactly one internal node. So every node is reachable and
         traversal ends at a leaf. Growth writes its nodes in pre-order, but
-        any numbering that passes, breadth-first too, loads."""
+        any numbering that passes, breadth-first too, loads. Feature and
+        child indices must be JSON integers: 0.7 and true are not read as 0
+        and 1."""
         tree = cls(
-            obj["feature"],
+            _node_indices(obj["feature"], "feature"),
             finite_floats(obj["threshold"], "tree threshold"),
-            obj["left"],
-            obj["right"],
+            _node_indices(obj["left"], "left"),
+            _node_indices(obj["right"], "right"),
             finite_floats(obj["value"], "tree value"),
             obj["n_features"],
         )

@@ -1,16 +1,19 @@
 """The benchmark still runs against this source: ``perfbench/workloads.py``
 and ``perfbench/tracer.py`` import, the tracer's hooks name functions that
-exist with the arguments it reads, and every workload listed in
-``BENCHMARK.json`` builds a scenario and a config that parse.
+exist with the arguments it reads, every workload listed in
+``BENCHMARK.json`` builds a scenario and a config that parse, and a smoke
+run of each one passes the benchmark's own output check.
 
-The two modules are loaded from their files without writing bytecode, so
-the test leaves ``perfbench/`` as it found it.
+The modules are loaded, and the smoke runs started, without writing
+bytecode, so the test leaves ``perfbench/`` as it found it.
 """
 from __future__ import annotations
 
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +61,17 @@ def test_tracer_hooks_name_live_functions():
         positional = [p for p in inspect.signature(fn).parameters.values()
                       if p.kind == p.POSITIONAL_OR_KEYWORD]
         assert len(positional) == 3, name
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_smoke_run_is_correct(workload):
+    """One untraced operation on the desk inputs: exit 0, and a last line
+    that reports it correct with no failed operation."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--smoke", "--seconds", "0", "--trace", "0"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -394,14 +394,19 @@ SCENARIO_REALS = [
 SCENARIO_NOT_INTEGERS = [
     (path, value) for path in SCENARIO_INTEGERS for value in (2.5, "7", True)
 ] + [(("normal_seed",), -3), (("attack_seed",), -3), (("attacks", 0, "window", 0), -1)
-     ] + [(path, value) for path in SCENARIO_REALS for value in BAD_REALS]
+     ] + [(path, value) for path in SCENARIO_REALS for value in BAD_REALS] + [
+    # a misspelt key is not ignored, and a window has exactly two bounds
+    (("attacks", 0, "detla"), 5.0), (("plant", "stpes"), 100), (("comment",), "x"),
+    (("attacks", 0, "window"), [200, 320, 99999]), (("attacks", 0, "window"), [200]),
+]
 
 
 class TestScenarioIntegers:
     """A scenario's tank count, step count, window bounds and seeds must be
     integers, the seeds and bounds >= 0, and its rates, levels, noise, time
-    step and attack offsets finite real numbers; a bad one fails, naming
-    the scenario file, before ``simulate`` or ``pipeline`` writes anything."""
+    step and attack offsets finite real numbers; a bad one, an unknown key
+    or a window that is not two bounds fails, naming the scenario file,
+    before ``simulate`` or ``pipeline`` writes anything."""
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     @pytest.mark.parametrize(

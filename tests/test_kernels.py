@@ -464,3 +464,17 @@ class TestEnsembleApply:
 
     def test_no_trees(self):
         assert list(K.ensemble_apply([], np.zeros((3, 2)))) == []
+
+    def test_more_words_than_a_chunk_holds(self, monkeypatch):
+        """An ensemble of more words than ``_CHUNK_WORDS`` scores one row a
+        chunk instead of a chunk of zero rows."""
+        monkeypatch.setattr(K, "_CHUNK_WORDS", 64)
+        rng = np.random.default_rng(5)
+        ensemble = [random_tree(rng, 2, 2, GRID, False) for _ in range(65)]
+        X = rng.choice(GRID, (3, 2))
+        chunks = list(K.ensemble_apply(ensemble, X))
+        assert [rows for rows, _ in chunks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        got = np.concatenate([values for _, values in chunks], axis=1)
+        want = [reference_tree_apply(*tree, X) for tree in ensemble]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()

@@ -435,7 +435,8 @@ LOGS = ("normal.csv", "attacked.csv", "normal_norm.csv", "attacked_norm.csv")
 
 
 class TestLogWriter:
-    """A forked worker writes the stage 1-2 logs while the oracle trains."""
+    """The parent writes the stage 1-2 logs while the oracle trains in the
+    run's pool."""
 
     def test_failed_write_raises_before_the_oracle_is_saved(
             self, tmp_path, tiny_scenario, tiny_config, monkeypatch):
@@ -451,7 +452,6 @@ class TestLogWriter:
             else:
                 real_write(data, path)
 
-        # the writer is forked after this, so it inherits the patch
         monkeypatch.setattr(pl, "write_csv", write_csv)
         with pytest.raises(OSError) as info:
             pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
@@ -462,19 +462,16 @@ class TestLogWriter:
         assert not [n for n in left if n.endswith(".tmp")], left
         assert multiprocessing.active_children() == []
 
-    def test_dead_writer_raises_instead_of_hanging(self, tmp_path, tiny_scenario,
-                                                   tiny_config, monkeypatch):
-        real_write = pl.write_csv
-
-        def write_csv(data, path):
-            if path.name == "normal_norm.csv":
-                os._exit(3)
-            real_write(data, path)
+    def test_dead_oracle_worker_raises_instead_of_hanging(
+            self, tmp_path, tiny_scenario, tiny_config, monkeypatch):
+        def die(*args, **kwargs):
+            os._exit(3)
 
         def hung(signum, frame):
-            raise TimeoutError("the pipeline hung after the log writer died")
+            raise TimeoutError("the pipeline hung after the oracle's worker died")
 
-        monkeypatch.setattr(pl, "write_csv", write_csv)
+        # the pool is forked after this, so its workers inherit the patch
+        monkeypatch.setattr(pl, "train_oracle", die)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -484,10 +481,11 @@ class TestLogWriter:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert not (tmp_path / "mlp.json").exists()
+        _assert_logs_whole(tmp_path, tiny_scenario)
         assert multiprocessing.active_children() == []
 
-    def test_writer_is_joined_when_the_oracle_raises(self, tmp_path, tiny_scenario,
-                                                     tiny_config, monkeypatch):
+    def test_logs_are_whole_when_the_oracle_raises(self, tmp_path, tiny_scenario,
+                                                   tiny_config, monkeypatch):
         def boom(*args, **kwargs):
             raise ParameterError("oracle failed")
 
@@ -495,12 +493,56 @@ class TestLogWriter:
         with pytest.raises(ParameterError, match="oracle failed"):
             pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
         assert multiprocessing.active_children() == []
-        # the writer ran to its end: every log is whole and in place
-        schema = ds.Schema.from_json(json.loads((tmp_path / "schema.json").read_text()))
-        for name in LOGS:
-            assert ds.load_csv(tmp_path / name, schema).n_rows == (
-                tiny_scenario["plant"]["steps"])
+        _assert_logs_whole(tmp_path, tiny_scenario)
         assert not (tmp_path / "mlp.json").exists()
+
+
+def _assert_logs_whole(out, scenario):
+    """Every stage 1-2 log is in place, whole, with no temp file beside it."""
+    schema = ds.Schema.from_json(json.loads((out / "schema.json").read_text()))
+    for name in LOGS:
+        assert ds.load_csv(out / name, schema).n_rows == scenario["plant"]["steps"]
+    assert not list(out.glob("*.tmp"))
+
+
+class TestRunPool:
+    """Stages 3-5 run on one pool of workers forked after stage 2."""
+
+    def test_one_pool_per_run(self, tmp_path, tiny_scenario, tiny_config,
+                              monkeypatch):
+        calls = []
+        real_pool = pl._forked_pool
+
+        def counted(*args):
+            calls.append(args[0])
+            return real_pool(*args)
+
+        monkeypatch.setattr(pl, "_forked_pool", counted)
+        pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        assert len(calls) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_oracle_trained_in_a_worker_matches_in_process(self, tiny_scenario,
+                                                            tiny_config):
+        config = pl.normalize_config(tiny_config)
+        plant, attacks, normal_seed, attack_seed = plantsim.parse_scenario(
+            tiny_scenario)
+        normal = plantsim.simulate_normal(plant, normal_seed)
+        attacked = plantsim.simulate_with_attacks(plant, attacks, attack_seed)
+        params = ds.fit_minmax(attacked)
+        normal_n = ds.apply_minmax(normal, params)
+        attacked_n = ds.apply_minmax(attacked, params)
+        seeds = (config["seed"] + pl.SPLIT_SEED_OFFSET,
+                 config["seed"] + pl.MLP_INIT_SEED_OFFSET,
+                 config["seed"] + pl.MLP_TRAIN_SEED_OFFSET)
+        with pl._forked_pool(1, normal_n, attacked_n, config) as pool:
+            job = pool.submit(pl._oracle_job, seeds)
+            forked, forked_history = job.result(timeout=120)
+        local, local_history = pl.train_oracle(attacked_n, config["mlp"], *seeds)
+        assert forked.layer_sizes == local.layer_sizes
+        for a, b in zip(forked.weights + forked.biases, local.weights + local.biases):
+            assert np.array_equal(a, b)
+        assert forked_history == local_history
 
 
 def test_importing_the_package_loads_no_process_pool():

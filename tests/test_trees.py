@@ -402,6 +402,13 @@ class TestTreeDocuments:
         ("threshold", 0, float("inf")),
         ("value", -1, None),
         ("value", -1, float("nan")),
+        ("feature", 0, 0.5),  # indices are integers, never truncated
+        ("feature", 0, 0.0),
+        ("left", 0, 1.0),
+        ("right", 0, 2.5),
+        ("feature", 0, True),
+        ("left", 0, True),
+        ("right", -1, False),
     ])
     def test_forged_cart_is_a_parse_error(self, key, node, value, tmp_path):
         p, doc = _saved_doc("cart", tmp_path)
