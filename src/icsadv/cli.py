@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default_pipeline.json; flags the kind has no parameter for are ignored.",
     )
     p.add_argument("--kind", required=True,
-                   choices=[trees.CART, trees.FOREST, trees.GBC])
+                   choices=list(trees.KINDS))
     p.add_argument("--train", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)

@@ -9,7 +9,8 @@ ValueError, so a caller that does not care about the type catches one thing.
 * arrays: feature arrays go through ``finite_array``, label vectors through
   ``class_labels`` (checked before the cast, so 0.5 is never read as 0),
   a training set through ``training_set``, which applies both, and a
-  document's number arrays through ``finite_floats``;
+  document's numbers through ``finite_floats``, which takes only JSON
+  numbers (no text, no bools) and only finite ones;
 * settings: counts and seeds go through ``integer``, every real-valued
   setting through ``real``; neither truncates nor converts text, and
   ``real`` rejects NaN and infinity. Each is checked once, where it is set;
@@ -17,6 +18,7 @@ ValueError, so a caller that does not care about the type catches one thing.
   ``known_keys``, so a misspelt key fails rather than being ignored.
 """
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -101,12 +103,21 @@ def parses(document: str, tag: str | None = None):
 
 
 def finite_floats(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, for a builder decorated with
-    ``parses``: JSON ``null`` converts to NaN, so a NaN or infinite entry
-    raises ``ValueError`` naming ``what``."""
+    """``values``, a JSON number or a nest of lists of them, as a float64
+    array, for a builder decorated with ``parses``. An entry that is not a
+    JSON number (a string, a bool, a null) or is NaN or infinite raises
+    ``ValueError`` naming ``what``: "1.5" and true are not read as 1.5 and
+    1."""
     out = np.asarray(values, dtype=np.float64)
+    entries = [values]
+    for _ in range(out.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    # one pass over the parsed entries
+    other = set(map(type, entries)) - {int, float}
+    if other:
+        raise ValueError("%s holds a %s, not a number" % (what, other.pop().__name__))
     if not np.isfinite(out).all():
-        raise ValueError("%s holds a null, NaN or infinite number" % what)
+        raise ValueError("%s holds a NaN or infinite number" % what)
     return out
 
 

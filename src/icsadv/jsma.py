@@ -29,7 +29,8 @@ no feature with positive saliency left, would need a new feature beyond
 its budget, or has taken max_iterations steps, and a row not yet attacked
 takes its place; ``AdversarialResult.stop_reason`` names why it left.
 ``jsma_attack`` is the one-row case of the same loop, and ``generate_set``
-runs it once per epsilon over every row.
+runs it once per config (one per epsilon of the schedule, see
+``variant_configs``) over every row.
 
 Everything is deterministic: same model, input and config give the same
 sample, so repeated generation runs are byte-identical. A row's walk
@@ -253,17 +254,17 @@ def variant_configs(
 def generate_set(
     model: mlp.MlpModel,
     data: Dataset,
-    config: JsmaConfig,
-    epsilon_schedule,
-    variants_per_row: int,
+    configs: list[JsmaConfig],
     target: int = 0,
 ) -> tuple[Dataset, dict]:
-    """Attack every row, variants_per_row times with different epsilons,
-    and collect the successful samples (labeled attack).
+    """Attack every row once per config of ``configs`` (see
+    ``variant_configs``), and collect the successful samples (labeled
+    attack).
 
-    ``data`` must contain only attack rows in the unit box. Each epsilon runs
-    the attack loop once over all rows; output order is (row index, epsilon
-    index), so repeated runs are byte-identical.
+    ``data`` must contain only attack rows in the unit box, and the configs,
+    at least one, share one direction, which the report names. Each config
+    runs the attack loop once over all rows; output order is (row index,
+    config index), so repeated runs are byte-identical.
     """
     if data.n_rows == 0:
         raise InputContractError("generation needs at least one attack row")
@@ -271,10 +272,12 @@ def generate_set(
         raise InputContractError(
             "generation input must contain only attack rows (label 1)"
         )
-    configs = variant_configs(config, epsilon_schedule, variants_per_row)
+    if len({c.direction for c in configs}) != 1:
+        raise ParameterError("generation needs at least one attack config, "
+                             "all of one direction")
     X = _check_rows(model, data.X, target, ndim=2)
 
-    # one attack loop per epsilon, stacked on axis 1, so that selecting with a
+    # one attack loop per config, stacked on axis 1, so that selecting with a
     # (row, epsilon) mask yields the rows in (row, epsilon) order
     samples, iterations, perturbed, stop = (
         np.stack(arrays, axis=1)
@@ -288,17 +291,17 @@ def generate_set(
     out = Dataset(data.schema, samples[won], np.ones(n_out, dtype=np.int64))
     report = {
         "rows": data.n_rows,
-        "variants_per_row": variants_per_row,
+        "variants_per_row": len(configs),
         "target": target,
-        "direction": config.direction,
+        "direction": configs[0].direction,
         "per_epsilon": [
             {
-                "epsilon": configs[v].epsilon,
+                "epsilon": c.epsilon,
                 "attempts": data.n_rows,
-                "successes": int(successes[v]),
-                "success_rate": int(successes[v]) / data.n_rows,
+                "successes": int(n),
+                "success_rate": int(n) / data.n_rows,
             }
-            for v in range(variants_per_row)
+            for c, n in zip(configs, successes)
         ],
         "emitted": n_out,
         "mean_features_perturbed": float(np.mean(feat_counts)) if n_out else 0.0,

@@ -23,6 +23,10 @@ Each job sends back only its result, and the parent writes the results in
 a fixed order, so the artifacts are the same bytes whatever the number of
 workers.
 
+The detector kinds, their config blocks and their report order are
+``trees.KINDS``; the jsma block becomes one attack config per epsilon
+variant, which ``jsma.generate_set`` takes as they are.
+
 The run manifest records a SHA-256 per artifact plus which files fed
 detector training. The evaluation dataset's hash must never appear among
 the detector training inputs; the pipeline asserts that invariant and
@@ -46,8 +50,6 @@ SPLIT_SEED_OFFSET = 101
 MLP_INIT_SEED_OFFSET = 211
 MLP_TRAIN_SEED_OFFSET = 223
 DETECTOR_SEED_OFFSET = 503
-
-DETECTOR_ORDER = (trees.CART, trees.FOREST, trees.GBC)
 
 
 def default_config() -> dict:
@@ -92,7 +94,7 @@ def normalize_config(config: dict) -> dict:
         out[block] = _merge_block(base[block], config.get(block), block)
     _oracle_args(out["mlp"])
     _generation_args(out["jsma"])
-    for kind in DETECTOR_ORDER:
+    for kind in trees.KINDS:
         _detector_params(kind, out[kind])
     return out
 
@@ -217,17 +219,16 @@ def train_oracle(data: ds.Dataset, mlp_block: dict, split_seed: int,
 
 
 @parses("jsma block")
-def _generation_args(block: dict):
-    """The jsma block as (attack config, epsilon schedule, variants per row)."""
+def _generation_args(block: dict) -> list[jsma.JsmaConfig]:
+    """The jsma block as its attack configs, one per epsilon variant."""
     config = jsma.JsmaConfig(
         theta_max_features=block["theta_max_features"],
         max_iterations=block["max_iterations"],
         direction=str(block["direction"]),
     )
-    schedule, variants = block["epsilon_schedule"], block["variants_per_row"]
-    # the attack config takes the schedule's first epsilon
-    config = jsma.variant_configs(config, schedule, variants)[0]
-    return config, schedule, variants
+    return jsma.variant_configs(
+        config, block["epsilon_schedule"], block["variants_per_row"]
+    )
 
 
 def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
@@ -237,22 +238,17 @@ def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
     Returns the adversarial dataset and the generation report.
     """
     attack_rows = ds.Dataset(data.schema, data.X[data.y == 1], data.y[data.y == 1])
-    config, schedule, variants = _generation_args(jsma_block)
     return jsma.generate_set(
-        oracle, attack_rows, config, schedule, variants, target=target
+        oracle, attack_rows, _generation_args(jsma_block), target=target
     )
-
-
-_DETECTOR_PARAMS = {trees.CART: trees.CartParams, trees.FOREST: trees.ForestParams,
-                    trees.GBC: trees.GbcParams}
 
 
 @parses("detector block")
 def _detector_params(kind: str, block: dict):
     """The config block of detector ``kind`` as its params dataclass."""
-    if kind not in _DETECTOR_PARAMS:
+    if kind not in trees.KINDS:
         raise ParameterError("unknown detector kind %r" % kind)
-    return _DETECTOR_PARAMS[kind](**block)
+    return trees.KINDS[kind](**block)
 
 
 def train_detector(kind: str, X, y, block: dict, seed: int = 0):
@@ -390,11 +386,11 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
         *forests, gbc, cart = pool.map(
             _fit_job, [(kind, s, adversarial) for kind, s in jobs])
     matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
-        k: [] for k in DETECTOR_ORDER
+        k: [] for k in trees.KINDS
     }
     (out / "models").mkdir(exist_ok=True)
     for r, forest in enumerate(forests):
-        for kind, (model, matrix) in zip(DETECTOR_ORDER, (cart, forest, gbc)):
+        for kind, (model, matrix) in zip(trees.KINDS, (cart, forest, gbc)):
             emit("models/%s_run%d.json" % (kind, r), write_model, model)
             matrices[kind].append(matrix)
 

@@ -13,9 +13,10 @@ tests pin down:
   fraction reaches 0.5; forest votes break ties toward class 0; the boosted
   model predicts 1 when the sigmoid of its score reaches 0.5.
 
-A forest with one tree, no bootstrap and all features per split grows the
-identical tree a plain CART would (the per-split feature draw is skipped
-when the subset covers every feature, to keep the RNG stream out of it).
+CART and every forest tree grow through one loop: a CART is its one tree
+with no bootstrap sample and every feature, so no RNG draw touches it (the
+per-split feature draw is skipped when the subset covers every feature).
+``KINDS`` maps each detector kind to its params class, in report order.
 
 Growth sorts each feature once per fit, not once per node: CART sorts once,
 a forest once for all its trees, boosting once for all its stages. Each
@@ -39,7 +40,9 @@ Training and prediction (``predict_classes``, ``GbcModel.decision_scores``,
 ``TreeModel.apply``) take their features and labels through the array rule
 of :mod:`icsadv.errors`, every count and depth in the params through
 ``errors.integer`` and every rate through ``errors.real``; ``load_model``
-turns any malformed document into ``ParseError``.
+turns any malformed document into ``ParseError``: a number that is not a
+JSON number (``errors.finite_floats``), or an ensemble whose tree count is
+not its params' ``n_trees`` or ``n_stages``.
 """
 from __future__ import annotations
 
@@ -100,10 +103,8 @@ class ForestParams:
         if not isinstance(self.bootstrap, bool):
             raise ParameterError("bootstrap must be true or false, got %r"
                                  % (self.bootstrap,))
-        integer(self.max_depth, "max_depth", 1)
-        integer(self.min_samples_split, "min_samples_split", 2)
-        if real(self.min_impurity_decrease, "min_impurity_decrease") < 0:
-            raise ParameterError("min_impurity_decrease must be >= 0")
+        # the growth fields are CART's, checked the same way
+        CartParams.__post_init__(self)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,10 @@ class GbcParams:
         if real(self.learning_rate, "learning_rate") <= 0:
             raise ParameterError("learning_rate must be positive")
         integer(self.max_depth, "max_depth", 1)
+
+
+# detector kind -> params class, in report order
+KINDS = {CART: CartParams, FOREST: ForestParams, GBC: GbcParams}
 
 
 def _node_indices(values, what: str):
@@ -337,7 +342,33 @@ def _presort(X):
     return columns, order
 
 
+def _grow_gini_trees(X, y, params, rngs, features_per_split, bootstrap):
+    """One Gini tree per generator of ``rngs``; a CART is the one tree with
+    generator None, no bootstrap and no feature draw."""
+    n = X.shape[0]
+    columns, presorted = _presort(X)
+    ones = np.ones(n, dtype=np.int64)
+    trees = []
+    for rng in rngs:
+        if bootstrap:
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            # the drawn rows, each once, keep every presort row sorted
+            drawn = (counts > 0).take(presorted)
+            order = presorted[drawn].reshape(presorted.shape[0], -1)
+        else:
+            counts, order = ones, presorted.copy()
+        builder = _TreeBuilder(
+            columns, y, _GINI, params.max_depth, params.min_samples_split,
+            params.min_impurity_decrease, order, counts,
+            features_per_split=features_per_split, rng=rng,
+        )
+        trees.append(builder.grow())
+    return trees
+
+
 class CartModel:
+    kind = CART
+
     def __init__(self, tree: TreeModel, params: CartParams):
         self.tree = tree
         self.params = params
@@ -346,16 +377,13 @@ class CartModel:
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
     X, y = training_set(X, y, None, 2)
-    columns, presorted = _presort(X)
-    builder = _TreeBuilder(
-        columns, y, _GINI, params.max_depth, params.min_samples_split,
-        params.min_impurity_decrease, presorted,
-        np.ones(X.shape[0], dtype=np.int64),
-    )
-    return CartModel(builder.grow(), params)
+    (tree,) = _grow_gini_trees(X, y, params, [None], None, False)
+    return CartModel(tree, params)
 
 
 class ForestModel:
+    kind = FOREST
+
     def __init__(self, trees: list[TreeModel], params: ForestParams, seed: int):
         self.trees = trees
         self.params = params
@@ -366,7 +394,7 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
     """Bootstrap-aggregated CARTs with per-split feature subsampling."""
     X, y = training_set(X, y, None, 2)
     seed = integer(seed, "seed", 0)
-    n, d = X.shape
+    d = X.shape[1]
     k = params.features_per_split
     if k is None:
         k = math.ceil(math.sqrt(d))
@@ -374,29 +402,15 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
         raise ParameterError(
             "features_per_split %d exceeds feature count %d" % (k, d)
         )
-    streams = np.random.SeedSequence(seed).spawn(params.n_trees)
-    columns, presorted = _presort(X)
-    ones = np.ones(n, dtype=np.int64)
-    trees = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        if params.bootstrap:
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            # the drawn rows, each once, keep every presort row sorted
-            drawn = (counts > 0).take(presorted)
-            order = presorted[drawn].reshape(presorted.shape[0], -1)
-        else:
-            counts, order = ones, presorted.copy()
-        builder = _TreeBuilder(
-            columns, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, order, counts,
-            features_per_split=k, rng=rng,
-        )
-        trees.append(builder.grow())
-    return ForestModel(trees, params, seed)
+    rngs = (np.random.default_rng(ss)
+            for ss in np.random.SeedSequence(seed).spawn(params.n_trees))
+    return ForestModel(_grow_gini_trees(X, y, params, rngs, k, params.bootstrap),
+                       params, seed)
 
 
 class GbcModel:
+    kind = GBC
+
     def __init__(self, initial_log_odds: float, stages: list[TreeModel],
                  params: GbcParams):
         self.initial_log_odds = float(initial_log_odds)
@@ -486,32 +500,20 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 
 
 def model_kind(model) -> str:
-    if isinstance(model, CartModel):
-        return CART
-    if isinstance(model, ForestModel):
-        return FOREST
-    if isinstance(model, GbcModel):
-        return GBC
-    raise ParameterError("unknown detector model type %r" % type(model).__name__)
-
-
-def model_n_features(model) -> int:
-    kind = model_kind(model)
-    if kind == CART:
-        return model.tree.n_features
-    if kind == FOREST:
-        return model.trees[0].n_features
-    return model.stages[0].n_features
+    if not isinstance(model, (CartModel, ForestModel, GbcModel)):
+        raise ParameterError("unknown detector model type %r" % type(model).__name__)
+    return model.kind
 
 
 def predict_classes(model, X) -> np.ndarray:
     """Batch 0/1 predictions for any detector kind."""
-    X = _check_matrix(X, model_n_features(model))
     kind = model_kind(model)
-    if kind == GBC:
-        return (_sigmoid(model._scores(X, model.stages)) >= 0.5).astype(np.int64)
     # a CART is a forest of one tree
-    ensemble = model.trees if kind == FOREST else [model.tree]
+    ensemble = (model.stages if kind == GBC
+                else model.trees if kind == FOREST else [model.tree])
+    X = _check_matrix(X, ensemble[0].n_features)
+    if kind == GBC:
+        return (_sigmoid(model._scores(X, ensemble)) >= 0.5).astype(np.int64)
     votes = np.empty(X.shape[0], dtype=np.int64)
     for rows, values in kernels.ensemble_apply([t.arrays() for t in ensemble], X):
         votes[rows] = np.count_nonzero(values >= 0.5, axis=0)
@@ -547,30 +549,29 @@ def load_model(path):
 @parses("detector model", "detector")
 def _model_from_json(doc: dict):
     kind = doc.get("kind")
+    if kind not in KINDS:
+        raise ParseError("unknown detector kind %r" % kind)
+    params = KINDS[kind](**doc["params"])
     if kind == CART:
-        return CartModel(
-            TreeModel.from_json(doc["tree"]), CartParams(**doc["params"])
-        )
+        return CartModel(TreeModel.from_json(doc["tree"]), params)
     if kind == FOREST:
         return ForestModel(
-            _trees_from_json(doc["trees"]),
-            ForestParams(**doc["params"]),
+            _trees_from_json(doc["trees"], params.n_trees, "trees"),
+            params,
             integer(doc["seed"], "seed", 0),
         )
-    if kind == GBC:
-        return GbcModel(
-            finite_floats(float(doc["initial_log_odds"]), "initial_log_odds"),
-            _trees_from_json(doc["stages"]),
-            GbcParams(**doc["params"]),
-        )
-    raise ParseError("unknown detector kind %r" % kind)
+    return GbcModel(
+        finite_floats(doc["initial_log_odds"], "initial_log_odds"),
+        _trees_from_json(doc["stages"], params.n_stages, "stages"),
+        params,
+    )
 
 
-def _trees_from_json(docs) -> list[TreeModel]:
-    """The trees of an ensemble: at least one, all on one feature count."""
+def _trees_from_json(docs, count: int, what: str) -> list[TreeModel]:
+    """The ``count`` trees of an ensemble, all on one feature count."""
+    if len(docs) != count:
+        raise ValueError("%d %s under n_%s %d" % (len(docs), what, what, count))
     ensemble = [TreeModel.from_json(t) for t in docs]
-    if not ensemble:
-        raise ValueError("ensemble has no trees")
     if len({t.n_features for t in ensemble}) != 1:
         raise ValueError("ensemble trees disagree on n_features")
     return ensemble

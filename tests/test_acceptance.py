@@ -161,8 +161,9 @@ def test_criterion_4_jsma_contracts(criterion, tmp_path):
                 successes += 1
                 assert mlp.predict(model, res.sample) == 0
         assert successes > 0  # the contract checks above must actually fire
-        a, ra = jsma.generate_set(model, rows, config, [0.2, 0.1], 2)
-        b, rb = jsma.generate_set(model, rows, config, [0.2, 0.1], 2)
+        configs = jsma.variant_configs(config, [0.2, 0.1], 2)
+        a, ra = jsma.generate_set(model, rows, configs)
+        b, rb = jsma.generate_set(model, rows, configs)
         assert ra == rb
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         ds.save_csv(a, pa)

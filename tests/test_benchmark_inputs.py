@@ -2,7 +2,8 @@
 and ``perfbench/tracer.py`` import, the tracer's hooks name functions that
 exist with the arguments it reads, every workload listed in
 ``BENCHMARK.json`` builds a scenario and a config that parse, and a smoke
-run of each one passes the benchmark's own output check.
+run of each one, untraced and traced, passes the benchmark's own output
+check.
 
 The modules are loaded, and the smoke runs started, without writing
 bytecode, so the test leaves ``perfbench/`` as it found it.
@@ -63,14 +64,19 @@ def test_tracer_hooks_name_live_functions():
         assert len(positional) == 3, name
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_smoke_run_is_correct(workload):
-    """One untraced operation on the desk inputs: exit 0, and a last line
-    that reports it correct with no failed operation."""
+# the traced runs read the models' trees and wrap the trainers by name
+SMOKE_RUNS = [(w, "0") for w in WORKLOADS] + [(w, "1") for w in WORKLOADS]
+
+
+@pytest.mark.parametrize("workload, trace", SMOKE_RUNS,
+                         ids=[w if t == "0" else w + "-traced" for w, t in SMOKE_RUNS])
+def test_smoke_run_is_correct(workload, trace):
+    """One operation on the desk inputs, untraced and traced: exit 0, and a
+    last line that reports it correct with no failed operation."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-         "--smoke", "--seconds", "0", "--trace", "0"],
+         "--smoke", "--seconds", "0", "--trace", trace],
         env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1])

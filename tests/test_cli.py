@@ -241,6 +241,16 @@ def _report_probe(change):
     return probe
 
 
+def _detector_probe(index, change):
+    """The detector document ``index`` of the valid ones (cart, rf, gbc),
+    changed by ``change``."""
+    def probe(docs):
+        doc = copy.deepcopy(docs["detector"][index])
+        change(doc)
+        return doc
+    return probe
+
+
 def _set(block, key, value):
     return _pipeline_probe(lambda config: config[block].update({key: value}))
 
@@ -286,6 +296,20 @@ PROBES = {
     "gbc-learning-rate-nan": ("evaluate", "--model", lambda docs: dict(
         docs["detector"][2], params=dict(docs["detector"][2]["params"],
                                          learning_rate=float("nan")))),
+    # a document number is a JSON number: no text, no bools
+    "cart-threshold-text": ("evaluate", "--model", _detector_probe(
+        0, lambda doc: doc["tree"]["threshold"].__setitem__(0, "1.5"))),
+    "gbc-initial-log-odds-true": ("evaluate", "--model", _detector_probe(
+        2, lambda doc: doc.update(initial_log_odds=True))),
+    "mlp-bias-true": ("attack", "--model", lambda docs: dict(
+        docs["mlp"], biases=[[True] * len(b) for b in docs["mlp"]["biases"]])),
+    "params-mins-text": ("preprocess", "--params", lambda docs: dict(
+        docs["params"], mins=[str(v) for v in docs["params"]["mins"]])),
+    # an ensemble holds as many trees as its params name
+    "rf-fewer-trees": ("evaluate", "--model", _detector_probe(
+        1, lambda doc: doc["params"].update(n_trees=3))),
+    "gbc-more-stages": ("evaluate", "--model", _detector_probe(
+        2, lambda doc: doc["stages"].append(doc["stages"][0]))),
 }
 
 
@@ -552,9 +576,9 @@ def _breaks_tree(tree, key, i, v):
 
 @st.composite
 def _holed(draw, doc, arrays):
-    """``doc`` with one hole its loader must reject: a null (which loads as
-    NaN) in one of its numeric ``arrays`` or, in a tree, a feature or child
-    index that breaks the pre-order structure."""
+    """``doc`` with one hole its loader must reject: a null, a bool or a
+    string in one of its numeric ``arrays`` or, in a tree, a feature or
+    child index that breaks the pre-order structure."""
     doc = copy.deepcopy(doc)
     if doc["format"] == "detector" and draw(st.booleans()):
         tree = draw(st.sampled_from(_tree_docs(doc)))
@@ -568,7 +592,7 @@ def _holed(draw, doc, arrays):
         p for p in _paths(doc)
         if set(p) & set(arrays) and isinstance(_at(doc, p), float)
     ]))
-    _at(doc, path[:-1])[path[-1]] = None
+    _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from([None, True, "0.5"]))
     return doc
 
 

@@ -242,7 +242,7 @@ class TestMinmax:
             ds.fit_minmax(empty)
 
     @pytest.mark.parametrize("key", ["mins", "maxs"])
-    @pytest.mark.parametrize("bad", [None, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("-inf"), True, "0.5"])
     def test_non_finite_params_are_parse_errors(self, key, bad):
         doc = ds.fit_minmax(small_dataset(seed=3)).to_json()
         doc[key][1] = bad

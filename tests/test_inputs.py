@@ -11,6 +11,8 @@ True and "7"; every real-valued setting rejects NaN, inf, -inf, True and
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def _generate(x, y):
     it was built, as a caller holding a Dataset can do."""
     data = ds.Dataset(SCHEMA, X, np.ones(len(X), dtype=np.int64))
     data.X, data.y = np.asarray(x), np.asarray(y)
-    return jsma.generate_set(ORACLE, data, ATTACK, [0.1], 1)
+    return jsma.generate_set(ORACLE, data, [replace(ATTACK, epsilon=0.1)])
 
 
 ONES = np.ones(len(X))

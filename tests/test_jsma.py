@@ -317,7 +317,7 @@ class TestGenerateSet:
     def test_output_order_and_labels(self):
         data = self._attack_rows([[0.0, 0.0], [0.1, 0.2]])
         out, report = jsma.generate_set(
-            self._model(), data, cfg(), epsilon_schedule=[0.5, 0.25], variants_per_row=2
+            self._model(), data, jsma.variant_configs(cfg(), [0.5, 0.25], 2)
         )
         # (row 0, eps 0.5), (row 0, eps 0.25), (row 1, ...), ...
         assert out.n_rows == report["emitted"] == 4
@@ -336,9 +336,7 @@ class TestGenerateSet:
         # can fail; mix both
         m = linear_model([[1.0, -3.0], [-1.0, 3.0]])
         data = self._attack_rows([[0.95, 0.5], [0.0, 0.3]])
-        out, report = jsma.generate_set(
-            m, data, cfg(epsilon=0.1), epsilon_schedule=[0.1], variants_per_row=1
-        )
+        out, report = jsma.generate_set(m, data, [cfg(epsilon=0.1)])
         assert report["per_epsilon"][0]["attempts"] == 2
         assert report["per_epsilon"][0]["successes"] == 1
         assert out.n_rows == 1
@@ -347,8 +345,8 @@ class TestGenerateSet:
         rng = np.random.default_rng(5)
         m = mlp.init([2, 8, 2], seed=4)
         data = self._attack_rows(rng.random((12, 2)))
-        a, ra = jsma.generate_set(m, data, cfg(), [0.3], 1)
-        b, rb = jsma.generate_set(m, data, cfg(), [0.3], 1)
+        a, ra = jsma.generate_set(m, data, [cfg(epsilon=0.3)])
+        b, rb = jsma.generate_set(m, data, [cfg(epsilon=0.3)])
         assert np.array_equal(a.X, b.X)
         assert ra == rb
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -360,19 +358,28 @@ class TestGenerateSet:
         X = np.array([[0.1, 0.1], [0.2, 0.2]])
         data = ds.Dataset(self._schema(), X, np.array([1, 0]))
         with pytest.raises(InputContractError, match="label 1"):
-            jsma.generate_set(self._model(), data, cfg(), [0.5], 1)
+            jsma.generate_set(self._model(), data, [cfg()])
 
     def test_rejects_empty_input(self):
         data = ds.Dataset(
             self._schema(), np.empty((0, 2)), np.empty(0, dtype=np.int64)
         )
         with pytest.raises(InputContractError):
-            jsma.generate_set(self._model(), data, cfg(), [0.5], 1)
+            jsma.generate_set(self._model(), data, [cfg()])
 
     def test_schedule_must_cover_variants(self):
         data = self._attack_rows([[0.0, 0.0]])
         with pytest.raises(ParameterError, match="schedule"):
-            jsma.generate_set(self._model(), data, cfg(), [0.5], variants_per_row=2)
+            jsma.generate_set(self._model(), data,
+                              jsma.variant_configs(cfg(), [0.5], variants_per_row=2))
+
+    @pytest.mark.parametrize("configs", [
+        [], [cfg(), cfg(direction=jsma.SIGNED)]], ids=["none", "two-directions"])
+    def test_configs_share_one_direction(self, configs):
+        """The report names one direction, so the configs need one."""
+        data = self._attack_rows([[0.0, 0.0]])
+        with pytest.raises(ParameterError, match="direction"):
+            jsma.generate_set(self._model(), data, configs)
 
 
 @st.composite
@@ -414,7 +421,8 @@ class TestMatchesReference:
         # a small live-set cap makes rows join as others stop
         with patch.object(jsma, "MAX_LIVE_ROWS", max_live):
             out, report = jsma.generate_set(
-                model, data, config, schedule, len(schedule), target
+                model, data, jsma.variant_configs(config, schedule, len(schedule)),
+                target,
             )
             runs = [jsma._attack(model, X, target, replace(config, epsilon=e))
                     for e in schedule]

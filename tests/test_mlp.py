@@ -396,10 +396,10 @@ class TestSerialization:
     @pytest.mark.parametrize("key, where", [
         ("weights", (0, 0, 1)), ("weights", (1, 1, 0)), ("biases", (0, 2)),
     ])
-    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), True, "0.5"])
     def test_non_finite_numbers_are_parse_errors(self, key, where, bad, tmp_path):
-        # null loads as NaN, and a NaN weight would make predict fail open
-        # to class 0
+        # a NaN weight would make predict fail open to class 0; text and
+        # bools are not read as numbers
         p = tmp_path / "m.json"
         mlp.save_model(mlp.init([2, 3, 2], seed=0), p)
         doc = json.loads(p.read_text())

@@ -402,6 +402,10 @@ class TestTreeDocuments:
         ("threshold", 0, float("inf")),
         ("value", -1, None),
         ("value", -1, float("nan")),
+        ("threshold", 0, "1.5"),  # numbers are JSON numbers, never text
+        ("threshold", 0, True),
+        ("value", -1, "0.5"),
+        ("value", -1, False),
         ("feature", 0, 0.5),  # indices are integers, never truncated
         ("feature", 0, 0.0),
         ("left", 0, 1.0),
@@ -465,6 +469,25 @@ class TestTreeDocuments:
             p, _ = _saved_doc(kind, tmp_path)
             trees.load_model(p)
 
+    @pytest.mark.parametrize("kind, key, count", [
+        ("rf", "trees", "n_trees"), ("gbc", "stages", "n_stages")])
+    def test_ensemble_size_matches_params(self, kind, key, count, tmp_path):
+        """An ensemble holds the number of trees its params name: one
+        dropped tree, or one more in the params, is a ParseError."""
+        p, doc = _saved_doc(kind, tmp_path)
+        n = doc["params"][count]
+        doc[key].pop()
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError,
+                           match="%d %s under %s %d" % (n - 1, key, count, n)):
+            trees.load_model(p)
+        doc["params"][count] = n + 1
+        doc[key].append(doc[key][0])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError,
+                           match="%d %s under %s %d" % (n, key, count, n + 1)):
+            trees.load_model(p)
+
     def test_ensemble_trees_share_feature_count(self, tmp_path):
         p, doc = _saved_doc("rf", tmp_path)
         doc["trees"][1]["n_features"] = 99
@@ -472,7 +495,7 @@ class TestTreeDocuments:
         with pytest.raises(ParseError, match="n_features"):
             trees.load_model(p)
 
-    @pytest.mark.parametrize("value", [None, float("nan"), float("-inf")])
+    @pytest.mark.parametrize("value", [None, float("nan"), float("-inf"), True, "0.5"])
     def test_non_finite_initial_log_odds(self, value, tmp_path):
         p, doc = _saved_doc("gbc", tmp_path)
         doc["initial_log_odds"] = value
