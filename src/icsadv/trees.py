@@ -13,16 +13,15 @@ tests pin down:
   fraction reaches 0.5; forest votes break ties toward class 0; the boosted
   model predicts 1 when the sigmoid of its score reaches 0.5.
 
-CART and every forest tree grow through one loop: a CART is its one tree
-with no bootstrap sample and every feature, so no RNG draw touches it (the
-per-split feature draw is skipped when the subset covers every feature).
-``KINDS`` maps each detector kind to its params class, in report order.
-
-Growth sorts each feature once per fit, not once per node: CART sorts once,
-a forest once for all its trees, boosting once for all its stages. Each
-split then partitions the node's presorted slice stably in place (see
-``_TreeBuilder``), and the trees come out exactly as if every node had been
-sorted afresh.
+Every fit makes one ``_TreeBuilder``, which sorts each feature once and
+grows every tree of the fit: a CART's one tree, a forest's trees, a boosted
+model's stages. A CART is a forest tree with no bootstrap sample and every
+feature, so no RNG draw touches it (the per-split feature draw is skipped
+when the subset covers every feature); a stage is a CART of the stage depth
+grown on SSE. Each split partitions the node's presorted slice stably in
+place, and the trees come out exactly as if every node had been sorted
+afresh. ``KINDS`` maps each detector kind to its params class, in report
+order.
 
 A bootstrap tree keeps each drawn row once and weighs it by its draw count,
 as in Breiman (2001, "Random Forests") and Louppe (2014, "Understanding
@@ -215,42 +214,42 @@ class TreeModel:
 
 
 class _TreeBuilder:
-    """Greedy depth-first growth over one row buffer, partitioned in place.
+    """Greedy depth-first growth of every tree of one fit.
 
-    ``columns`` is X.T, C-contiguous; ``counts`` is the integer weight of
-    every row of X (its draw count in a bootstrap sample, else 1). ``order``
-    is the caller's (d + 1, m) buffer over the m rows being fit, each once
-    and each of positive weight, in ``_presort``'s layout: its row j < d
-    holds them stably sorted by feature j, its last row holds them in fit
-    order. The builder owns it from then on. Every node owns the slice
-    [start, end); a split partitions that slice stably so the left child
-    takes its front and the right child its back. A stable partition keeps
-    the tie order a fresh stable sort of the child's rows would give, so
-    split scans see exactly what per-node sorting showed.
+    The constructor sorts X once (SLIQ, Mehta et al. 1996): ``columns`` is
+    X.T, C-contiguous, and ``presorted`` the (d + 1, n) row indices whose
+    row j < d is stably sorted by X[:, j] and whose last row is 0..n-1, the
+    rows in fit order. ``params`` gives the growth limits (``max_depth``,
+    ``min_samples_split``, ``min_impurity_decrease``) and
+    ``features_per_split`` the candidates drawn per split (None: every
+    feature, no draw).
+
+    Each ``grow`` fills its own buffer, ``order``, in that layout over the
+    m rows it fits, each once and each of positive weight, and ``counts``
+    with every row's integer weight (its draw count in a bootstrap sample,
+    else 1). Every node owns the slice [start, end); a split partitions
+    that slice stably so the left child takes its front and the right child
+    its back. A stable partition keeps the tie order a fresh stable sort of
+    the child's rows would give, so split scans see exactly what per-node
+    sorting showed, and a leaf's slice of the fit-order row stays
+    ascending.
     """
 
-    def __init__(self, columns, target, criterion, max_depth, min_samples_split,
-                 min_impurity_decrease, order, counts,
-                 features_per_split=None, rng=None):
-        self.columns = columns
-        self.target = target
+    def __init__(self, X, criterion, params, features_per_split=None):
+        self.columns = np.ascontiguousarray(X.T)
+        d, n = self.columns.shape
+        self.presorted = np.empty((d + 1, n), dtype=np.int64)
+        self.presorted[:-1] = np.argsort(self.columns, axis=1, kind="mergesort")
+        self.presorted[-1] = np.arange(n)
+        self.ones = np.ones(n, dtype=np.int64)
+        self.goes_left = np.empty(n, dtype=bool)
+        self.n_features = d
+        self.all_features = np.arange(d, dtype=np.int64)
         self.criterion = criterion
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_impurity_decrease = min_impurity_decrease
-        self.order = order
-        self.counts = counts
+        self.max_depth = params.max_depth
+        self.min_samples_split = params.min_samples_split
+        self.min_impurity_decrease = params.min_impurity_decrease
         self.features_per_split = features_per_split
-        self.rng = rng
-        self.n_features = columns.shape[0]
-        self.all_features = np.arange(self.n_features, dtype=np.int64)
-        self.goes_left = np.empty(columns.shape[1], dtype=bool)
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.leaves: list[tuple[int, int, int]] = []  # (node, start, end)
 
     def _candidate_features(self) -> np.ndarray:
         k = self.features_per_split
@@ -258,15 +257,6 @@ class _TreeBuilder:
             return self.all_features
         chosen = self.rng.choice(self.n_features, size=k, replace=False)
         return np.sort(chosen).astype(np.int64)
-
-    def _new_node(self) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return node
 
     def _best_split(self, start, end, t, size, total):
         """The node's best split; ``t`` is its target in fit order, ``size``
@@ -302,68 +292,48 @@ class _TreeBuilder:
         block[:, mid - start:] = hi
         return mid
 
-    def build(self, start, end, depth) -> int:
-        node = self._new_node()
+    def _build(self, start, end, depth) -> int:
+        """Grow the subtree over [start, end) and return its node index.
+        A node is [feature, threshold, left, right, value], a leaf has
+        feature, left and right -1; nodes are numbered in pre-order."""
+        index = len(self.nodes)
         rows = self.order[-1, start:end]
         t = self.target.take(rows)
         weights = self.counts.take(rows)
         size = int(weights.sum())
         total = (weights * t).sum()
-        self.value[node] = float(total / size)
+        node = [-1, 0.0, -1, -1, float(total / size)]
+        self.nodes.append(node)
         feat = -1
         if depth < self.max_depth and size >= self.min_samples_split:
             feat, thr, gain = self._best_split(start, end, t, size, total)
         if feat < 0 or not gain > self.min_impurity_decrease:
-            self.leaves.append((node, start, end))
-            return node
+            self.leaves.append((index, rows))
+            return index
         mid = self._partition(start, end, feat, thr)
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self.build(start, mid, depth + 1)
-        self.right[node] = self.build(mid, end, depth + 1)
-        return node
+        # the left subtree is built, and numbered, before the right one
+        node[:4] = (feat, thr, self._build(start, mid, depth + 1),
+                    self._build(mid, end, depth + 1))
+        return index
 
-    def grow(self) -> TreeModel:
-        self.build(0, self.order.shape[1], 0)
-        return TreeModel(
-            self.feature, self.threshold, self.left, self.right, self.value,
-            self.n_features,
-        )
-
-
-def _presort(X):
-    """X.T as a C-contiguous (d, n) array, and the (d + 1, n) row indices
-    whose row j < d is stably sorted by X[:, j] and whose last row is
-    0..n-1, the rows in fit order."""
-    columns = np.ascontiguousarray(X.T)
-    order = np.empty((columns.shape[0] + 1, columns.shape[1]), dtype=np.int64)
-    order[:-1] = np.argsort(columns, axis=1, kind="mergesort")
-    order[-1] = np.arange(columns.shape[1])
-    return columns, order
-
-
-def _grow_gini_trees(X, y, params, rngs, features_per_split, bootstrap):
-    """One Gini tree per generator of ``rngs``; a CART is the one tree with
-    generator None, no bootstrap and no feature draw."""
-    n = X.shape[0]
-    columns, presorted = _presort(X)
-    ones = np.ones(n, dtype=np.int64)
-    trees = []
-    for rng in rngs:
+    def grow(self, target, rng=None, bootstrap=False):
+        """One tree on ``target`` (indexed by row), and its leaves as
+        (node, rows): ``rows`` is the leaf's rows in ascending order. A
+        bootstrap tree draws its sample with ``rng``, which also draws the
+        split candidates; any other tree fits every row with weight 1."""
+        presorted = self.presorted
         if bootstrap:
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            n = presorted.shape[1]
+            self.counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             # the drawn rows, each once, keep every presort row sorted
-            drawn = (counts > 0).take(presorted)
-            order = presorted[drawn].reshape(presorted.shape[0], -1)
+            drawn = (self.counts > 0).take(presorted)
+            self.order = presorted[drawn].reshape(presorted.shape[0], -1)
         else:
-            counts, order = ones, presorted.copy()
-        builder = _TreeBuilder(
-            columns, y, _GINI, params.max_depth, params.min_samples_split,
-            params.min_impurity_decrease, order, counts,
-            features_per_split=features_per_split, rng=rng,
-        )
-        trees.append(builder.grow())
-    return trees
+            self.counts, self.order = self.ones, presorted.copy()
+        self.target, self.rng = target, rng
+        self.nodes, self.leaves = [], []
+        self._build(0, self.order.shape[1], 0)
+        return TreeModel(*zip(*self.nodes), self.n_features), self.leaves
 
 
 class CartModel:
@@ -377,8 +347,7 @@ class CartModel:
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
     """Greedy Gini CART; leaves store the class-1 fraction."""
     X, y = training_set(X, y, None, 2)
-    (tree,) = _grow_gini_trees(X, y, params, [None], None, False)
-    return CartModel(tree, params)
+    return CartModel(_TreeBuilder(X, _GINI, params).grow(y)[0], params)
 
 
 class ForestModel:
@@ -402,9 +371,10 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
         raise ParameterError(
             "features_per_split %d exceeds feature count %d" % (k, d)
         )
+    builder = _TreeBuilder(X, _GINI, params, k)
     rngs = (np.random.default_rng(ss)
             for ss in np.random.SeedSequence(seed).spawn(params.n_trees))
-    return ForestModel(_grow_gini_trees(X, y, params, rngs, k, params.bootstrap),
+    return ForestModel([builder.grow(y, rng, params.bootstrap)[0] for rng in rngs],
                        params, seed)
 
 
@@ -465,20 +435,16 @@ def train_gbc(X, y, params: GbcParams = GbcParams()) -> GbcModel:
     n = X.shape[0]
     scores = np.full(n, log_odds)
     stages = []
-    columns, presorted = _presort(X)
-    ones = np.ones(n, dtype=np.int64)
+    # a stage tree is a CART of the stage depth grown on SSE
+    builder = _TreeBuilder(X, _SSE, CartParams(max_depth=params.max_depth))
     step = np.empty(n)
     for _ in range(params.n_stages):
         resid = yf - _sigmoid(scores)
-        builder = _TreeBuilder(
-            columns, resid, _SSE, params.max_depth, 2, 0.0, presorted.copy(), ones,
-        )
-        tree = builder.grow()
+        tree, leaves = builder.grow(resid)
         leaf_values = np.zeros(tree.n_nodes)
-        # a leaf's rows stay in ascending row order, which fixes the order
+        # a leaf's rows come in ascending row order, which fixes the order
         # of the sums below
-        for leaf, start, end in builder.leaves:
-            leaf_rows = builder.order[-1, start:end]
+        for leaf, leaf_rows in leaves:
             r = resid[leaf_rows]
             denom = float(np.sum(np.abs(r) * (1.0 - np.abs(r))))
             leaf_values[leaf] = float(r.sum()) / denom if denom > 0 else 0.0
