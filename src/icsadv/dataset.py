@@ -104,9 +104,18 @@ class Schema:
     @parses("schema")
     def from_json(cls, obj: dict) -> "Schema":
         feats = tuple(
-            Feature(str(f["name"]), str(f["kind"])) for f in obj["features"]
+            Feature(_text(f["name"], "feature name"), _text(f["kind"], "feature kind"))
+            for f in obj["features"]
         )
-        return cls(feats, str(obj["label"]))
+        return cls(feats, _text(obj["label"], "label"))
+
+
+def _text(value, what: str) -> str:
+    """``value`` when it is a JSON string; null, 7 and true are not read as
+    the names "None", "7" and "True"."""
+    if not isinstance(value, str):
+        raise ValueError("schema %s %r is not a JSON string" % (what, value))
+    return value
 
 
 def label_encode(token: str) -> int:
@@ -156,9 +165,12 @@ def load_csv(path, schema: Schema) -> Dataset:
     expected = schema.feature_names + [schema.label_column]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            cells, labels = _read_rows(csv.reader(fh), path, expected)
+            reader = csv.reader(fh)
+            cells, labels = _read_rows(reader, path, expected)
     except UnicodeDecodeError as exc:
         raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
     X = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(expected) - 1)
     try:
         return Dataset(schema, X, np.frombuffer(labels, dtype=np.uint8))

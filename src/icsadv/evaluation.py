@@ -22,7 +22,13 @@ from decimal import ROUND_DOWN, Decimal
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterError, class_labels, parses
+from .errors import (
+    EmptyInputError,
+    ParameterError,
+    class_labels,
+    finite_floats,
+    parses,
+)
 
 
 @dataclass(frozen=True)
@@ -158,18 +164,29 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]
 
 
+def _count(value) -> str:
+    """A matrix count of a report document, as text: a JSON integer >= 0,
+    so "oops", true, null and [1] are not printed as counts."""
+    if type(value) is not int or value < 0:
+        raise ValueError("matrix count %r is not an integer >= 0" % (value,))
+    return str(value)
+
+
 @parses("assessment report", "assessment")
 def render_text(report: dict) -> str:
-    """Aligned text tables; metric values truncated to two decimals."""
+    """Aligned text tables; metric values truncated to two decimals. Metric
+    values must be finite JSON numbers (``finite_floats``) and matrix
+    counts JSON integers >= 0."""
     rows = [["detector", "column", *_FIELDS]]
     mat_rows = [["detector", "run", "tp", "fn", "fp", "tn"]]
     for name, block in report["detectors"].items():
         shown = name if name else "(unnamed)"
         for col in ("worst", "average", "best"):
-            rows.append([shown, col] + [_trunc2(block[col][f]) for f in _FIELDS])
+            values = finite_floats([block[col][f] for f in _FIELDS], "metric value")
+            rows.append([shown, col] + [_trunc2(v) for v in values])
         for i, m in enumerate(block["matrices"]):
             mat_rows.append(
-                [shown, str(i)] + [str(m[k]) for k in ("tp", "fn", "fp", "tn")]
+                [shown, str(i)] + [_count(m[k]) for k in ("tp", "fn", "fp", "tn")]
             )
     lines = _table(rows) + [
         "",

@@ -354,6 +354,9 @@ class ForestModel:
     kind = FOREST
 
     def __init__(self, trees: list[TreeModel], params: ForestParams, seed: int):
+        fault = _ensemble_fault(trees, params.n_trees, "trees")
+        if fault:
+            raise ParameterError(fault)
         self.trees = trees
         self.params = params
         self.seed = seed
@@ -383,7 +386,10 @@ class GbcModel:
 
     def __init__(self, initial_log_odds: float, stages: list[TreeModel],
                  params: GbcParams):
-        self.initial_log_odds = float(initial_log_odds)
+        fault = _ensemble_fault(stages, params.n_stages, "stages")
+        if fault:
+            raise ParameterError(fault)
+        self.initial_log_odds = real(initial_log_odds, "initial_log_odds")
         self.stages = stages
         self.params = params
 
@@ -527,17 +533,28 @@ def _model_from_json(doc: dict):
             integer(doc["seed"], "seed", 0),
         )
     return GbcModel(
-        finite_floats(doc["initial_log_odds"], "initial_log_odds"),
+        float(finite_floats(doc["initial_log_odds"], "initial_log_odds")),
         _trees_from_json(doc["stages"], params.n_stages, "stages"),
         params,
     )
 
 
+def _ensemble_fault(ensemble, count: int, what: str) -> str | None:
+    """Why ``ensemble`` cannot be a model's ``what`` (trees or stages) under
+    n_``what`` ``count``, or None: it must hold ``count`` trees, all on one
+    feature count. The constructors raise the message as
+    ``ParameterError``, the loader as ``ParseError``."""
+    if len(ensemble) != count:
+        return "%d %s under n_%s %d" % (len(ensemble), what, what, count)
+    if len({t.n_features for t in ensemble}) != 1:
+        return "ensemble trees disagree on n_features"
+    return None
+
+
 def _trees_from_json(docs, count: int, what: str) -> list[TreeModel]:
     """The ``count`` trees of an ensemble, all on one feature count."""
-    if len(docs) != count:
-        raise ValueError("%d %s under n_%s %d" % (len(docs), what, what, count))
     ensemble = [TreeModel.from_json(t) for t in docs]
-    if len({t.n_features for t in ensemble}) != 1:
-        raise ValueError("ensemble trees disagree on n_features")
+    fault = _ensemble_fault(ensemble, count, what)
+    if fault:
+        raise ValueError(fault)
     return ensemble

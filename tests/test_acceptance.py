@@ -301,6 +301,23 @@ def test_criterion_7_provenance_invariant(criterion, bundled_run):
         assert eval_hash == pipeline.sha256_file(out / "attacked_norm.csv")
 
 
+# every byte of the full default run: a change that alters outputs by
+# design updates this pin and says why
+BUNDLED_MANIFEST_SHA256 = (
+    "858d0b34b4b6c94ec60e00e30fa77a55ffb722cd1ac1db4073315600cb4a2a5c"
+)
+
+
+def test_bundled_run_artifacts_are_pinned(bundled_run):
+    """The default run's manifest has its pinned hash, and each artifact
+    hash it records is its file's, so the pin covers every file."""
+    out, manifest, _, _ = bundled_run
+    assert pipeline.sha256_file(out / "run_manifest.json") == BUNDLED_MANIFEST_SHA256
+    assert len(manifest["artifacts"]) == 21
+    for name, digest in manifest["artifacts"].items():
+        assert pipeline.sha256_file(out / name) == digest, name
+
+
 # ---------------------------------------------------------------------------
 # criterion 8: byte-identical reruns through the CLI
 # ---------------------------------------------------------------------------

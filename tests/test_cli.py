@@ -544,6 +544,8 @@ NUMERIC_ARRAYS = {
     "mlp": ("weights", "biases"),
     "params": ("mins", "maxs"),
     "detector": ("threshold", "value"),
+    # the metric columns render_text prints; it does not read "runs"
+    "report": ("worst", "average", "best"),
 }
 
 
@@ -653,6 +655,22 @@ def test_non_utf8_csv_exits_2(command, flag, at, bad, doc_inputs):
         rc, err = _run_cli(_argv(command, flag, tmp / "case.csv", d, tmp / "out"))
     assert rc == 2, err
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("command, flag", CSV_FLAGS)
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_csv_field_over_the_size_limit_exits_2(command, flag, where, doc_inputs,
+                                               tmp_path):
+    """A field longer than the csv module's limit (131,072 characters), in
+    the header or in a row, exits 2 with one line naming the file."""
+    d, _ = doc_inputs
+    header, rest = (d / "data.csv").read_text().split("\n", 1)
+    big = "9" * 200_000
+    case = tmp_path / "case.csv"
+    case.write_text(header + big + "\n" + rest if where == "header"
+                    else header + "\n" + rest + big + ",0.5,Normal\r\n")
+    (tmp_path / "out").mkdir()
+    _assert_rejected(_argv(command, flag, case, d, tmp_path / "out"), names=case)
 
 
 class TestAtomicWrites:

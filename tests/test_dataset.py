@@ -60,6 +60,19 @@ class TestSchema:
         with pytest.raises(ParameterError):
             ds.Schema(())
 
+    @pytest.mark.parametrize("path", [("features", 0, "name"),
+                                      ("features", 0, "kind"), ("label",)])
+    @pytest.mark.parametrize("value", [None, 7, True, ["A"]])
+    def test_names_kinds_and_label_must_be_strings(self, path, value):
+        """null is not read as a feature named "None", nor 7 as "7"."""
+        doc = ds.Schema((ds.Feature("A", "sensor"),)).to_json()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ParseError, match="not a JSON string"):
+            ds.Schema.from_json(doc)
+
 
 class TestLabels:
     @pytest.mark.parametrize(
@@ -142,6 +155,19 @@ class TestCsv:
         p = tmp_path / "a.csv"
         p.write_text("")
         with pytest.raises(ParseError, match="empty"):
+            ds.load_csv(p, small_schema(1))
+
+    @pytest.mark.parametrize("text, line", [
+        ("LIT101" + "0" * 200_000 + ",Normal/Attack\n1,Normal\n", 1),
+        ("LIT101,Normal/Attack\n1,Normal\n" + "1" * 200_000 + ",Normal\n", 3),
+    ])
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, text,
+                                                         line):
+        """A field longer than csv.field_size_limit() (131,072 characters)
+        is a ParseError naming the file and the line, not a csv.Error."""
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="a.csv: line %d: field larger" % line):
             ds.load_csv(p, small_schema(1))
 
     def test_bad_cell_names_line_and_column(self, tmp_path):

@@ -191,3 +191,20 @@ class TestRenderText:
     def test_render_rejects_other_documents(self):
         with pytest.raises(ParseError):
             ev.render_text({"format": "scenario"})
+
+    @pytest.mark.parametrize("column", ["worst", "average", "best"])
+    @pytest.mark.parametrize("value", ["0.93", True, None, [0.5], float("nan")])
+    def test_metric_values_must_be_finite_numbers(self, column, value):
+        """"0.93" is not rendered as 0.93, nor true as 1.00."""
+        rep = self._report()
+        rep["detectors"]["cart"][column]["f1"] = value
+        with pytest.raises(ParseError, match="assessment report"):
+            ev.render_text(rep)
+
+    @pytest.mark.parametrize("key", ["tp", "fn", "fp", "tn"])
+    @pytest.mark.parametrize("value", ["oops", True, None, [1], -1, 2.0])
+    def test_matrix_counts_must_be_integers(self, key, value):
+        rep = self._report()
+        rep["detectors"]["cart"]["matrices"][1][key] = value
+        with pytest.raises(ParseError, match="matrix count"):
+            ev.render_text(rep)

@@ -299,6 +299,106 @@ class TestGbc:
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def _leaf(value, n_features=2):
+    return trees.TreeModel([-1], [0.0], [-1], [-1], [value], n_features)
+
+
+class TestEnsembleConstructors:
+    """The Python API refuses, with ParameterError, an ensemble its own
+    methods could not use or its loader would refuse."""
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: trees.ForestModel([], trees.ForestParams(n_trees=1), 0),
+         "0 trees under n_trees 1"),
+        (lambda: trees.ForestModel([_leaf(1.0)] * 2, trees.ForestParams(n_trees=3),
+                                   seed=0),
+         "2 trees under n_trees 3"),
+        (lambda: trees.GbcModel(0.0, [], trees.GbcParams(n_stages=1)),
+         "0 stages under n_stages 1"),
+        (lambda: trees.GbcModel(0.0, [_leaf(0.0)] * 3, trees.GbcParams(n_stages=2)),
+         "3 stages under n_stages 2"),
+    ], ids=["forest-empty", "forest-short", "gbc-empty", "gbc-long"])
+    def test_tree_count_must_match_params(self, make, match):
+        with pytest.raises(ParameterError, match=match):
+            make()
+
+    def test_trees_share_one_feature_width(self):
+        with pytest.raises(ParameterError, match="n_features"):
+            trees.ForestModel([_leaf(1.0), _leaf(1.0, 3)],
+                              trees.ForestParams(n_trees=2), 0)
+        with pytest.raises(ParameterError, match="n_features"):
+            trees.GbcModel(0.0, [_leaf(0.0, 3), _leaf(0.0)],
+                           trees.GbcParams(n_stages=2))
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, float("nan")])
+    def test_initial_log_odds_is_a_real(self, value):
+        with pytest.raises(ParameterError, match="initial_log_odds"):
+            trees.GbcModel(value, [_leaf(0.0)], trees.GbcParams(n_stages=1))
+
+
+def _leaf_of(tree, x) -> int:
+    """The leaf node row ``x`` reaches in ``tree``."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
+
+
+class TestTreeBuilder:
+    """One ``_TreeBuilder`` per fit grows every tree of that fit."""
+
+    @staticmethod
+    def _tied_data():
+        # one decimal: many tied values, so the tie order of the buffer
+        # matters to SSE sums
+        X, y = blob_data(n=150, d=4, seed=11)
+        return np.round(X, 1), y
+
+    def test_used_gini_builder_grows_a_bootstrap_tree_as_a_fresh_one(self):
+        X, y = self._tied_data()
+        params = trees.ForestParams(max_depth=6)
+        used = trees._TreeBuilder(X, trees._GINI, params, 2)
+        used.grow(y, np.random.default_rng(1), True)
+        again, _ = used.grow(y, np.random.default_rng(2), True)
+        fresh, _ = trees._TreeBuilder(X, trees._GINI, params, 2).grow(
+            y, np.random.default_rng(2), True)
+        assert again.n_nodes > 1
+        assert again.to_json() == fresh.to_json()
+
+    def test_used_sse_builder_grows_the_next_residual_as_a_fresh_one(self):
+        X, _ = self._tied_data()
+        rng = np.random.default_rng(5)
+        first, second = rng.normal(size=(2, X.shape[0]))
+        params = trees.CartParams(max_depth=3)
+        used = trees._TreeBuilder(X, trees._SSE, params)
+        used.grow(first)
+        again, _ = used.grow(second)
+        fresh, _ = trees._TreeBuilder(X, trees._SSE, params).grow(second)
+        assert again.n_nodes > 1
+        assert again.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize("criterion, bootstrap", [
+        ("gini", False), ("gini", True), ("sse", False)])
+    def test_leaves_partition_the_rows_in_ascending_order(self, criterion,
+                                                          bootstrap):
+        """Each leaf lists the rows that reach it, in ascending order, and
+        the leaves together hold every row the tree was grown on once."""
+        X, y = self._tied_data()
+        n = X.shape[0]
+        target = y if criterion == "gini" else np.random.default_rng(3).normal(size=n)
+        builder = trees._TreeBuilder(X, criterion, trees.CartParams(max_depth=5))
+        tree, leaves = builder.grow(target, np.random.default_rng(4), bootstrap)
+        drawn = np.random.default_rng(4).integers(0, n, size=n)
+        grown = np.unique(drawn) if bootstrap else np.arange(n)
+        assert sorted(node for node, _ in leaves) == np.flatnonzero(
+            tree.feature == -1).tolist()
+        for node, rows in leaves:
+            assert (np.diff(rows) > 0).all()
+            assert all(_leaf_of(tree, X[i]) == node for i in rows)
+        assert np.array_equal(np.sort(np.concatenate([r for _, r in leaves])), grown)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["cart", "rf", "gbc"])
     def test_round_trip_preserves_predictions(self, kind, tmp_path):
