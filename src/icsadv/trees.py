@@ -41,7 +41,10 @@ of :mod:`icsadv.errors`, every count and depth in the params through
 ``errors.integer`` and every rate through ``errors.real``; ``load_model``
 turns any malformed document into ``ParseError``: a number that is not a
 JSON number (``errors.finite_floats``), or an ensemble whose tree count is
-not its params' ``n_trees`` or ``n_stages``.
+not its params' ``n_trees`` or ``n_stages`` or whose trees differ in
+feature count. ``ForestModel`` and ``GbcModel`` refuse such an ensemble,
+and a boosted model's ``initial_log_odds`` that ``errors.real`` refuses,
+with ``ParameterError``.
 """
 from __future__ import annotations
 

@@ -379,14 +379,15 @@ class TestTreeBuilder:
         assert again.to_json() == fresh.to_json()
 
     @pytest.mark.parametrize("criterion, bootstrap", [
-        ("gini", False), ("gini", True), ("sse", False)])
+        (trees._GINI, False), (trees._GINI, True), (trees._SSE, False)])
     def test_leaves_partition_the_rows_in_ascending_order(self, criterion,
                                                           bootstrap):
         """Each leaf lists the rows that reach it, in ascending order, and
         the leaves together hold every row the tree was grown on once."""
         X, y = self._tied_data()
         n = X.shape[0]
-        target = y if criterion == "gini" else np.random.default_rng(3).normal(size=n)
+        residual = np.random.default_rng(3).normal(size=n)
+        target = y if criterion == trees._GINI else residual
         builder = trees._TreeBuilder(X, criterion, trees.CartParams(max_depth=5))
         tree, leaves = builder.grow(target, np.random.default_rng(4), bootstrap)
         drawn = np.random.default_rng(4).integers(0, n, size=n)
