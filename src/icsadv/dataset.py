@@ -32,6 +32,7 @@ from .errors import (
     integer,
     parses,
     real,
+    text,
 )
 
 SENSOR = "sensor"
@@ -104,18 +105,11 @@ class Schema:
     @parses("schema")
     def from_json(cls, obj: dict) -> "Schema":
         feats = tuple(
-            Feature(_text(f["name"], "feature name"), _text(f["kind"], "feature kind"))
+            Feature(text(f["name"], "schema feature name"),
+                    text(f["kind"], "schema feature kind"))
             for f in obj["features"]
         )
-        return cls(feats, _text(obj["label"], "label"))
-
-
-def _text(value, what: str) -> str:
-    """``value`` when it is a JSON string; null, 7 and true are not read as
-    the names "None", "7" and "True"."""
-    if not isinstance(value, str):
-        raise ValueError("schema %s %r is not a JSON string" % (what, value))
-    return value
+        return cls(feats, text(obj["label"], "schema label"))
 
 
 def label_encode(token: str) -> int:
@@ -269,8 +263,11 @@ class NormalizationParams:
     @classmethod
     @parses("min-max parameters", "minmax-params")
     def from_json(cls, obj: dict) -> "NormalizationParams":
+        names = obj["feature_names"]
+        if not isinstance(names, list):
+            raise ValueError("feature_names %r is not a JSON list" % (names,))
         return cls(
-            tuple(obj["feature_names"]),
+            tuple(text(name, "feature name") for name in names),
             finite_floats(obj["mins"], "mins"),
             finite_floats(obj["maxs"], "maxs"),
         )

@@ -14,6 +14,8 @@ ValueError, so a caller that does not care about the type catches one thing.
 * settings: counts and seeds go through ``integer``, every real-valued
   setting through ``real``; neither truncates nor converts text, and
   ``real`` rejects NaN and infinity. Each is checked once, where it is set;
+* names: a document's names and kinds go through ``text``, which takes only
+  JSON strings;
 * keys: a document block with a fixed set of keys goes through
   ``known_keys``, so a misspelt key fails rather than being ignored.
 """
@@ -190,6 +192,15 @@ def real(value, name: str) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ParameterError("%s must be a finite number, got %r" % (name, value))
+
+
+def text(value, what: str) -> str:
+    """``value`` when it is a JSON string, for a builder decorated with
+    ``parses``; anything else raises ``ValueError`` naming ``what``: null, 7
+    and true are not read as the names "None", "7" and "True"."""
+    if not isinstance(value, str):
+        raise ValueError("%s %r is not a JSON string" % (what, value))
+    return value
 
 
 def known_keys(doc: dict, allowed, where: str) -> None:

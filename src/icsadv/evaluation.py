@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
-    ParameterError,
     class_labels,
     finite_floats,
+    integer,
     parses,
 )
 
@@ -39,8 +39,9 @@ class ConfusionMatrix:
     tn: int  # true Attack, predicted Attack
 
     def __post_init__(self):
-        if min(self.tp, self.fn, self.fp, self.tn) < 0:
-            raise ParameterError("confusion matrix counts must be >= 0")
+        # NaN, 1.5 and true are not counts
+        for f in fields(self):
+            integer(getattr(self, f.name), f.name, 0)
         if self.total == 0:
             raise EmptyInputError("confusion matrix has no observations")
 

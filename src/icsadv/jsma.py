@@ -112,8 +112,7 @@ def saliency_map(
     model: mlp.MlpModel, x, target: int, direction: str = INCREASE
 ) -> np.ndarray:
     """Per-feature saliency scores toward ``target``; always >= 0."""
-    if not 0 <= target < model.n_classes:
-        raise ParameterError("target class %d out of range" % target)
+    target = _check_target(model, target)
     if direction not in (INCREASE, SIGNED):
         raise ParameterError("unknown direction %r" % direction)
     return _saliency(mlp.jacobian(model, x)[None], target, direction)[0]
@@ -131,29 +130,48 @@ def _select(scores: np.ndarray, excluded: np.ndarray) -> np.ndarray:
 def select_feature(scores: np.ndarray, excluded) -> int | None:
     """Index of the largest strictly positive score outside ``excluded``.
 
-    Ties break toward the lowest index; None when nothing qualifies.
+    ``scores`` is one finite vector and ``excluded`` holds integer indices
+    into it. Ties break toward the lowest index; None when nothing
+    qualifies.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = finite_array(scores, 1)
     mask = np.zeros(scores.shape, dtype=bool)
-    mask[list(excluded)] = True
+    for i in excluded:
+        if integer(i, "excluded feature", 0) >= scores.shape[0]:
+            raise ParameterError("excluded feature %d out of range for %d scores"
+                                 % (i, scores.shape[0]))
+        mask[i] = True
     pick = int(_select(scores[None], mask[None])[0])
     return None if pick < 0 else pick
 
 
 def feature_budget(n_features: int, theta_max_features: float) -> int:
+    """The distinct-feature budget ceil(theta * n_features), for at least
+    one feature and theta in (0, 1]."""
+    n_features = integer(n_features, "n_features", 1)
+    if not 0.0 < real(theta_max_features, "theta_max_features") <= 1.0:
+        raise ParameterError("theta_max_features must be in (0, 1], got %r"
+                             % theta_max_features)
     return math.ceil(theta_max_features * n_features)
 
 
-def _check_rows(model: mlp.MlpModel, X, target: int, ndim: int) -> np.ndarray:
+def _check_target(model: mlp.MlpModel, target) -> int:
+    """``target`` as an int when it is a class index of ``model``."""
+    target = integer(target, "target", 0)
+    if target >= model.n_classes:
+        raise ParameterError("target class %d out of range" % target)
+    return target
+
+
+def _check_rows(model: mlp.MlpModel, X, target, ndim: int):
+    """The rows X, finite and in the unit box, and the checked target."""
     X = finite_array(X, ndim, model.n_inputs)
     if np.any(X < CLIP_MIN) or np.any(X > CLIP_MAX):
         raise ParameterError(
             "input lies outside [%g, %g]; normalize before attacking"
             % (CLIP_MIN, CLIP_MAX)
         )
-    if not 0 <= target < model.n_classes:
-        raise ParameterError("target class %d out of range" % target)
-    return X
+    return X, _check_target(model, target)
 
 
 def _attack(model: mlp.MlpModel, X: np.ndarray, target: int, config: JsmaConfig):
@@ -228,7 +246,7 @@ def jsma_attack(
     exhausted, or max_iterations steps were taken (all failure). The
     returned sample always stays inside the unit box.
     """
-    x = _check_rows(model, x, target, ndim=1)
+    x, target = _check_rows(model, x, target, ndim=1)
     X, iterations, perturbed, stop = _attack(model, x[None], target, config)
     return AdversarialResult(
         X[0], bool(stop[0] == _SUCCESS), int(iterations[0]),
@@ -275,7 +293,7 @@ def generate_set(
     if len({c.direction for c in configs}) != 1:
         raise ParameterError("generation needs at least one attack config, "
                              "all of one direction")
-    X = _check_rows(model, data.X, target, ndim=2)
+    X, target = _check_rows(model, data.X, target, ndim=2)
 
     # one attack loop per config, stacked on axis 1, so that selecting with a
     # (row, epsilon) mask yields the rows in (row, epsilon) order

@@ -34,6 +34,11 @@ Split-scan conventions shared by both criteria:
   threshold: the scan takes the first maximum over candidates laid out
   feature by feature, thresholds ascending.
 
+One private driver, ``_best_split``, lands these conventions once for both
+criteria: it cuts the candidates into runs, gathers each run's rows and
+sorted values, marks the valid cuts, keeps the first maximum and looks up
+its threshold. Each public scan supplies only its gain arithmetic.
+
 Gini gains depend only on class counts at boundaries between distinct
 values, so the order of tied rows within ``order`` does not change them.
 Those counts are integers, exact in float64, so a row of weight c scores
@@ -55,44 +60,39 @@ _CHUNK_CELLS = 1 << 13
 _CHUNK_WORDS = 1 << 16
 
 
-def _scan(order, feature_indices, columns):
-    """Gather the node's rows and sorted values for every candidate feature
-    and locate the valid cuts.
+def _best_split(order, feature_indices, columns, gain_of):
+    """The first maximum (feature, threshold, gain) over the node's valid
+    cuts, or (-1, 0.0, -1.0) when no cut scores above -1.0.
 
-    Returns (rows, valid, thr): the (k, m) rows in sorted order; the
-    (k, m - 1) mask of valid cuts (a cut at [c, i] falls between sorted
-    positions i and i + 1 of candidate c); and the thresholds of the valid
-    cuts in scan order (candidate by candidate, thresholds ascending).
+    Candidates are taken in runs of at most ``_CHUNK_CELLS`` sorted cells,
+    one feature per run when a single column is larger. For each run,
+    ``gain_of(rows, valid)`` gets the (k, m) rows in each candidate's
+    sorted order and the (k, m - 1) mask of valid cuts (a cut at [c, i]
+    falls between sorted positions i and i + 1 of candidate c), and returns
+    the gains of the valid cuts in scan order: candidate by candidate,
+    thresholds ascending. A later run wins only with a strictly greater
+    gain, so ties keep the first cut in scan order.
     """
-    rows = order[feature_indices]
-    sv = np.empty(rows.shape)
-    for c, j in enumerate(feature_indices):
-        columns[j].take(rows[c], out=sv[c])
-    hi = sv[:, 1:]
-    thr = (sv[:, :-1] + hi) * 0.5
-    # equal neighbours give thr == hi, so this also skips ties
-    valid = thr < hi
-    return rows, valid, thr[valid]
-
-
-def _first_max(gain, feature_indices, valid, thr):
-    """The first maximum of gain in scan order, if it beats the -1.0 floor."""
-    if gain.size == 0:
-        return -1, 0.0, -1.0
-    k = int(np.argmax(gain))
-    if not gain[k] > -1.0:
-        return -1, 0.0, -1.0
-    per_candidate = np.cumsum(np.count_nonzero(valid, axis=1))
-    c = int(np.searchsorted(per_candidate, k, side="right"))
-    return int(feature_indices[c]), float(thr[k]), float(gain[k])
-
-
-def _chunks(feature_indices, n):
-    """Candidate features in runs of at most ``_CHUNK_CELLS`` sorted cells,
-    one feature per run when a single column is larger."""
-    step = max(1, _CHUNK_CELLS // n)
+    best = (-1, 0.0, -1.0)
+    step = max(1, _CHUNK_CELLS // order.shape[1])
     for c in range(0, len(feature_indices), step):
-        yield feature_indices[c:c + step]
+        feats = feature_indices[c:c + step]
+        rows = order[feats]
+        sv = np.empty(rows.shape)
+        for i, j in enumerate(feats):
+            columns[j].take(rows[i], out=sv[i])
+        hi = sv[:, 1:]
+        thr = (sv[:, :-1] + hi) * 0.5
+        # equal neighbours give thr == hi, so this also skips ties
+        valid = thr < hi
+        gain = gain_of(rows, valid)
+        if gain.size == 0:
+            continue
+        k = int(np.argmax(gain))
+        if gain[k] > best[2]:
+            i, cut = divmod(int(np.flatnonzero(valid)[k]), valid.shape[1])
+            best = (int(feats[i]), float(thr[i, cut]), float(gain[k]))
+    return best
 
 
 def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
@@ -110,9 +110,7 @@ def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
     p1 = n1 / fn
     g_parent = 1.0 - p0 * p0 - p1 * p1
 
-    best = (-1, 0.0, -1.0)
-    for feats in _chunks(feature_indices, order.shape[1]):
-        rows, valid, thr = _scan(order, feats, columns)
+    def gain_of(rows, valid):
         sc = counts.take(rows)
         nl = np.cumsum(sc, axis=1)[:, :-1][valid].astype(np.float64)
         n1l = np.cumsum(sc * y.take(rows), axis=1)[:, :-1][valid].astype(np.float64)
@@ -126,11 +124,9 @@ def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
         p0r = n0r / nr
         p1r = n1r / nr
         gr = 1.0 - p0r * p0r - p1r * p1r
-        gain = g_parent - ((nl / fn) * gl + (nr / fn) * gr)
-        found = _first_max(gain, feats, valid, thr)
-        if found[2] > best[2]:
-            best = found
-    return best
+        return g_parent - ((nl / fn) * gl + (nr / fn) * gr)
+
+    return _best_split(order, feature_indices, columns, gain_of)
 
 
 def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
@@ -140,14 +136,11 @@ def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
     (sum of r, sum of r * r). gain is parent SSE minus the sum of child
     SSEs (absolute reduction, not sample-weighted variance).
     """
-    n = order.shape[1]
-    fn = float(n)
+    fn = float(order.shape[1])
     total_s, total_q = parent_sums
     sse_parent = total_q - total_s * total_s / fn
 
-    best = (-1, 0.0, -1.0)
-    for feats in _chunks(feature_indices, n):
-        rows, valid, thr = _scan(order, feats, columns)
+    def gain_of(rows, valid):
         sr = r.take(rows)
         # rows left of each valid cut
         nl = np.broadcast_to(np.arange(1.0, sr.shape[1]), valid.shape)[valid]
@@ -157,11 +150,9 @@ def sse_best_split(order, r, feature_indices, *, columns, parent_sums):
         sse_l = ql - sl * sl / nl
         sr_sum = total_s - sl
         sse_r = (total_q - ql) - sr_sum * sr_sum / nr
-        gain = sse_parent - (sse_l + sse_r)
-        found = _first_max(gain, feats, valid, thr)
-        if found[2] > best[2]:
-            best = found
-    return best
+        return sse_parent - (sse_l + sse_r)
+
+    return _best_split(order, feature_indices, columns, gain_of)
 
 
 def _leaf_bits(trees):

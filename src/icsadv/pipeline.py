@@ -43,7 +43,7 @@ from pathlib import Path
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
 from .errors import (IcsAdvError, ParameterError, ParseError, integer, known_keys,
-                     parses, real)
+                     parses, real, text)
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -224,7 +224,7 @@ def _generation_args(block: dict) -> list[jsma.JsmaConfig]:
     config = jsma.JsmaConfig(
         theta_max_features=block["theta_max_features"],
         max_iterations=block["max_iterations"],
-        direction=str(block["direction"]),
+        direction=text(block["direction"], "jsma direction"),
     )
     return jsma.variant_configs(
         config, block["epsilon_schedule"], block["variants_per_row"]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import ACTUATOR, SENSOR, Dataset, Feature, Schema
 from .errors import (KindMismatchError, ParameterError, integer, known_keys, parses,
-                     read_json, real)
+                     read_json, real, text)
 
 SENSOR_BIAS = "sensor-bias"
 ACTUATOR_FLIP = "actuator-flip"
@@ -124,8 +124,8 @@ class AttackSpec:
                 "attack window must be [start, end], got %r" % (window,)
             )
         return cls(
-            kind=str(obj["kind"]),
-            target_feature=str(obj["target_feature"]),
+            kind=text(obj["kind"], "attack kind"),
+            target_feature=text(obj["target_feature"], "attack target_feature"),
             delta=obj.get("delta", 0.0),
             window=(window[0], window[1]),
         )

@@ -8,6 +8,8 @@ tests pin down:
   rows with value <= threshold go left;
 * a split is accepted only when its impurity decrease is strictly greater
   than ``min_impurity_decrease`` (so the default 0.0 demands positive gain);
+* a node whose target takes one value over its rows is a leaf under either
+  criterion: its true gain is 0, which SSE's float sums can overstate;
 * gain ties break toward the lowest feature index, then lowest threshold;
 * classification leaves store the class-1 fraction and predict 1 when the
   fraction reaches 0.5; forest votes break ties toward class 0; the boosted
@@ -35,8 +37,9 @@ rows (``kernels.ensemble_apply``, QuickScorer); forest votes and boosted
 stages are then summed per row as a tree-by-tree loop would, so every
 prediction and score keeps its bits.
 
-Training and prediction (``predict_classes``, ``GbcModel.decision_scores``,
-``TreeModel.apply``) take their features and labels through the array rule
+Training and prediction (``predict_classes``, ``predict_class``, which
+takes one row, ``GbcModel.decision_scores``, ``TreeModel.apply``) take
+their features and labels through the array rule
 of :mod:`icsadv.errors`, every count and depth in the params through
 ``errors.integer`` and every rate through ``errors.real``; ``load_model``
 turns any malformed document into ``ParseError``: a number that is not a
@@ -225,7 +228,9 @@ class _TreeBuilder:
     rows in fit order. ``params`` gives the growth limits (``max_depth``,
     ``min_samples_split``, ``min_impurity_decrease``) and
     ``features_per_split`` the candidates drawn per split (None: every
-    feature, no draw).
+    feature, no draw). A node is searched only while it is shallower than
+    ``max_depth``, weighs at least ``min_samples_split`` and its target is
+    not constant; a leaf draws no candidates, so no forest stream moves.
 
     Each ``grow`` fills its own buffer, ``order``, in that layout over the
     m rows it fits, each once and each of positive weight, and ``counts``
@@ -266,12 +271,9 @@ class _TreeBuilder:
         its weight and ``total`` its weighted target sum."""
         order = self.order[:-1, start:end]
         if self.criterion == _GINI:
-            n1 = int(total)
-            if n1 == 0 or n1 == size:
-                return -1, 0.0, -1.0
             return kernels.gini_best_split(
-                order, self.target, self._candidate_features(),
-                columns=self.columns, counts=self.counts, parent_sums=(size, n1),
+                order, self.target, self._candidate_features(), columns=self.columns,
+                counts=self.counts, parent_sums=(size, int(total)),
             )
         # parent sums accumulate in fit order; the saved trees keep these bits
         sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
@@ -308,7 +310,10 @@ class _TreeBuilder:
         node = [-1, 0.0, -1, -1, float(total / size)]
         self.nodes.append(node)
         feat = -1
-        if depth < self.max_depth and size >= self.min_samples_split:
+        # a node whose target takes one value is a leaf: its true gain is 0
+        # under both criteria, and SSE's float sums can compute one above 0
+        if (depth < self.max_depth and size >= self.min_samples_split
+                and t.min() < t.max()):
             feat, thr, gain = self._best_split(start, end, t, size, total)
         if feat < 0 or not gain > self.min_impurity_decrease:
             self.leaves.append((index, rows))
@@ -497,7 +502,9 @@ def predict_classes(model, X) -> np.ndarray:
 
 
 def predict_class(model, x) -> int:
-    return int(predict_classes(model, x)[0])
+    """The 0/1 prediction for one row ``x``, a vector of the model's
+    features; a matrix, even of one row, raises ``ShapeError``."""
+    return int(predict_classes(model, finite_array(x, 1))[0])
 
 
 def save_model(model, path) -> None:

@@ -304,7 +304,7 @@ def test_criterion_7_provenance_invariant(criterion, bundled_run):
 # every byte of the full default run: a change that alters outputs by
 # design updates this pin and says why
 BUNDLED_MANIFEST_SHA256 = (
-    "858d0b34b4b6c94ec60e00e30fa77a55ffb722cd1ac1db4073315600cb4a2a5c"
+    "6ef01693a8377e1612bbd1f88dcae6564640237e436dc25a60da9605fa404064"
 )
 
 

@@ -278,6 +278,10 @@ PROBES = {
     "negative-learning-rate": ("pipeline", "--config", _set("gbc", "learning_rate", -1)),
     "scenario-path-list": ("pipeline", "--config", _pipeline_probe(
         lambda config: config.update(scenario=[]))),
+    # names are JSON strings: null is not the name "None"
+    "params-feature-names-null": ("preprocess", "--params", lambda docs: dict(
+        docs["params"], feature_names=[None] * len(docs["params"]["feature_names"]))),
+    "direction-null": ("pipeline", "--config", _set("jsma", "direction", None)),
     "params-matrix": ("preprocess", "--params", lambda docs: dict(
         docs["params"], mins=[[0.0, 0.0]] * 2, maxs=[[1.0, 1.0]] * 2)),
     # json writes and reads infinity as Infinity; it fits no int and no

@@ -275,6 +275,15 @@ class TestMinmax:
         with pytest.raises(ParseError, match=key):
             ds.NormalizationParams.from_json(doc)
 
+    @pytest.mark.parametrize("names", [[None, 5], ["F0", True], "ab", None,
+                                       {"F0": 1}])
+    def test_feature_names_are_a_list_of_strings(self, names):
+        """null, 5 and true are not read as names, nor "ab" as ("a", "b")."""
+        doc = ds.fit_minmax(small_dataset(seed=3)).to_json()
+        doc["feature_names"] = names
+        with pytest.raises(ParseError, match="feature"):
+            ds.NormalizationParams.from_json(doc)
+
     def test_params_json_round_trip(self):
         params = ds.fit_minmax(small_dataset(seed=3))
         again = ds.NormalizationParams.from_json(params.to_json())

@@ -36,6 +36,18 @@ class TestConfusion:
         with pytest.raises(ParameterError):
             ev.ConfusionMatrix(-1, 0, 0, 5)
 
+    @pytest.mark.parametrize("field", ["tp", "fn", "fp", "tn"])
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, 2.0, True, "3", None])
+    def test_counts_must_be_integers(self, field, bad):
+        counts = dict(tp=1, fn=1, fp=1, tn=1)
+        counts[field] = bad
+        with pytest.raises(ParameterError, match=field):
+            ev.ConfusionMatrix(**counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        cm = ev.ConfusionMatrix(np.int64(2), 0, 0, np.int32(1))
+        assert cm.total == 3
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(EmptyInputError):
             ev.ConfusionMatrix(0, 0, 0, 0)

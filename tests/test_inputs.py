@@ -239,6 +239,43 @@ for _setting, _call in REAL_SETTINGS.items():
         REJECTED[_name] = (lambda c=_call, v=_value: c(v), ParameterError)
         NAMED[_name] = _setting.split("-", 1)[1]
 
+# a JSMA target is a class index of the oracle, which has 2 classes
+BAD_TARGETS = {"0.5": 0.5, "'0'": "0", "True": True, "-1": -1, "2": 2}
+TARGETED = {
+    "saliency_map": lambda t: jsma.saliency_map(ORACLE, X[0], t),
+    "jsma_attack": lambda t: jsma.jsma_attack(ORACLE, X[0], t, ATTACK),
+    "generate_set": lambda t: jsma.generate_set(
+        ORACLE, ds.Dataset(SCHEMA, X, np.ones(len(X), dtype=np.int64)), [ATTACK], t),
+}
+for _entry, _call in TARGETED.items():
+    for _case, _value in BAD_TARGETS.items():
+        _name = "%s-target=%s" % (_entry, _case)
+        REJECTED[_name] = (lambda c=_call, v=_value: c(v), ParameterError)
+        NAMED[_name] = "target"
+
+# select_feature takes one finite score vector and indices into it;
+# feature_budget a feature count >= 1 and theta in (0, 1]
+SELECTIONS = {
+    "excluded=-1": ([1.0, 2.0, 3.0], [-1], ParameterError, "excluded feature"),
+    "excluded=5": ([1.0, 2.0], [5], ParameterError, "excluded feature"),
+    "excluded=1.5": ([1.0, 2.0], [1.5], ParameterError, "excluded feature"),
+    "excluded=True": ([1.0, 2.0], [True], ParameterError, "excluded feature"),
+    "2-d-scores": ([[1.0, 2.0]], [], ShapeError, None),
+    "nan-score": ([np.nan, 2.0], [], InputContractError, None),
+}
+for _case, (_scores, _excluded, _error, _named) in SELECTIONS.items():
+    _name = "select_feature-" + _case
+    REJECTED[_name] = (
+        lambda s=_scores, e=_excluded: jsma.select_feature(s, e), _error)
+    NAMED[_name] = _named
+BUDGETS = {"n_features=-5": (-5, 0.3), "n_features=2.5": (2.5, 0.3),
+           "n_features=True": (True, 0.3), "theta_max_features=nan": (10, np.nan),
+           "theta_max_features=0": (10, 0.0), "theta_max_features=1.5": (10, 1.5)}
+for _case, _args in BUDGETS.items():
+    _name = "feature_budget-" + _case
+    REJECTED[_name] = (lambda a=_args: jsma.feature_budget(*a), ParameterError)
+    NAMED[_name] = _case.split("=")[0]
+
 
 @pytest.mark.parametrize("name", list(REJECTED))
 def test_malformed_argument(name):

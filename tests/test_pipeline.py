@@ -186,7 +186,7 @@ LONG_LOG_SHA256 = {
     "cart": "fe0e55df47bc4209f3c38dad14d7c119546e9230794fed448c28e907109c0c90",
     "rf": "7d8107d7c31deebc1c1c233bdeb706031db7fbcbb508c2995f7802ac78fdcba6",
     "gbc": "708a92d7f6a67ba282ccdce21a9916049adf7eee4aa65925e6107100a7dfe187",
-    "gbc-scores": "2dbb47ff9638f12e9c70681f2c2902c8869b62480f055f54546992e49589fc76",
+    "gbc-scores": "b436f4f71b737b207c9a689f903a84970b2a138c8d66f0642c98f6a247b0c3f5",
 }
 
 
@@ -359,7 +359,7 @@ def test_seed_free_detectors_train_once(tmp_path, tiny_scenario, tiny_config,
 # SHA-256 of the tiny run's report and manifest (which lists every
 # artifact's digest) as the serial detector stage wrote them
 TINY_REPORT_SHA256 = "9c8ea544adea36145b19de4c8a90aa415c8eade23daba75a092ef94aa4511c45"
-TINY_MANIFEST_SHA256 = "c10664a6aa99de04ef7f79636fe9b426fea08f4f4fac3ca7850ec7228bb2e4f4"
+TINY_MANIFEST_SHA256 = "89981abd1950061da72eb7e3f5d80f37fadf3c53aceb5f6b4d14243e0344caa6"
 
 
 class TestDetectorWorkers:

@@ -172,6 +172,17 @@ class TestAttackSpecs:
         with pytest.raises(ParameterError, match="window"):
             ps.AttackSpec("sensor-bias", "LIT101", 0.0, (-1, 10))
 
+    @pytest.mark.parametrize("key, value", [
+        ("kind", 5), ("kind", None), ("target_feature", None),
+        ("target_feature", 101), ("target_feature", True)])
+    def test_names_must_be_strings(self, key, value):
+        """null and 5 are not read as the names "None" and "5"."""
+        doc = ps.AttackSpec("sensor-bias", "LIT101", 1.0, (5, 25)).to_json()
+        doc[key] = value
+        with pytest.raises(ParseError, match="attack %s %r is not a JSON string"
+                           % (key, value)):
+            ps.AttackSpec.from_json(doc)
+
     def test_json_round_trip(self):
         spec = ps.AttackSpec("actuator-flip", "P101", 0.0, (5, 25))
         assert ps.AttackSpec.from_json(spec.to_json()) == spec

@@ -399,6 +399,26 @@ class TestTreeBuilder:
             assert all(_leaf_of(tree, X[i]) == node for i in rows)
         assert np.array_equal(np.sort(np.concatenate([r for _, r in leaves])), grown)
 
+    @pytest.mark.parametrize("c", [0.8059316569954867, 0.1, 1 / 3])
+    def test_constant_sse_target_is_one_leaf(self, c):
+        """Float sums of a constant target can score a cut above 0; the
+        node is a leaf anyway, as its true gain is 0."""
+        X = np.random.default_rng(0).random((200, 3))
+        builder = trees._TreeBuilder(X, trees._SSE, trees.CartParams(max_depth=3))
+        tree, leaves = builder.grow(np.full(200, c))
+        assert tree.n_nodes == 1
+        assert [node for node, _ in leaves] == [0]
+
+    def test_separable_stages_split_once(self):
+        """On data one threshold separates, every stage's residuals are
+        constant on each side of it, so each stage is one split."""
+        X = np.random.default_rng(0).random((200, 3))
+        y = X[:, 0] > 0.5
+        m = trees.train_gbc(X, y, trees.GbcParams(n_stages=30, max_depth=3))
+        for stage in m.stages:
+            assert stage.feature.tolist() == [0, -1, -1]
+        assert sum(s.n_nodes for s in m.stages) == 90
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["cart", "rf", "gbc"])
@@ -651,6 +671,16 @@ class TestPredictionApi:
         X, y = blob_data(n=50, seed=12)
         m = trees.train_cart(X, y)
         assert trees.predict_class(m, X[0]) == trees.predict_classes(m, X[:1])[0]
+
+    @pytest.mark.parametrize("rows", [slice(0, 2), slice(0, 1), slice(0, 0)])
+    def test_single_row_convenience_takes_one_row(self, rows):
+        """A matrix is not one row, whatever its row count."""
+        X, y = blob_data(n=50, seed=12)
+        m = trees.train_cart(X, y)
+        with pytest.raises(ShapeError):
+            trees.predict_class(m, X[rows])
+        with pytest.raises(ShapeError):
+            trees.predict_class(m, X[0, :2])
 
 
 def _scorers():
