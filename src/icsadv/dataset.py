@@ -20,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    OPEN_FRACTION,
     EmptyInputError,
     InputContractError,
     LabelError,
     ParameterError,
     ParseError,
     SchemaMismatchError,
+    choice,
     class_labels,
     finite_array,
     finite_floats,
@@ -65,11 +67,7 @@ class Schema:
         for f in self.features:
             if not f.name:
                 raise ParameterError("empty feature name")
-            if f.kind not in _KINDS:
-                raise ParameterError(
-                    "feature %r has unknown kind %r (expected sensor/actuator)"
-                    % (f.name, f.kind)
-                )
+            choice(f.kind, "feature %r kind" % f.name, _KINDS)
         if self.label_column in names:
             raise ParameterError(
                 "label column %r collides with a feature name" % self.label_column
@@ -244,6 +242,9 @@ class NormalizationParams:
     maxs: np.ndarray
 
     def __post_init__(self):
+        for name in ("mins", "maxs"):
+            values = finite_array(getattr(self, name), 1, what=name)
+            object.__setattr__(self, name, values)
         if self.mins.shape != (len(self.feature_names),) or (
             self.mins.shape != self.maxs.shape
         ):
@@ -314,10 +315,7 @@ def merge(a: Dataset, b: Dataset) -> Dataset:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded shuffle split; |train| = floor(train_fraction * n_rows)."""
-    if not 0.0 < real(train_fraction, "train_fraction") < 1.0:
-        raise ParameterError(
-            "train_fraction must be in (0, 1), got %r" % train_fraction
-        )
+    train_fraction = real(train_fraction, "train_fraction", OPEN_FRACTION)
     rng = np.random.default_rng(integer(seed, "seed", 0))
     perm = rng.permutation(dataset.n_rows)
     n_train = math.floor(train_fraction * dataset.n_rows)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and one rule for each kind
 of input a user supplies. Every error raised on bad input derives from
 ValueError, so a caller that does not care about the type catches one thing.
+This module is the one place that states what a setting may be; every other
+module calls these rules and writes no comparison or message of its own.
 
 * JSON documents: each is built by a function decorated with ``parses``,
   and each input file is decoded by ``read_json``, so a malformed document
@@ -11,11 +13,19 @@ ValueError, so a caller that does not care about the type catches one thing.
   a training set through ``training_set``, which applies both, and a
   document's numbers through ``finite_floats``, which takes only JSON
   numbers (no text, no bools) and only finite ones;
-* settings: counts and seeds go through ``integer``, every real-valued
-  setting through ``real``; neither truncates nor converts text, and
-  ``real`` rejects NaN and infinity. Each is checked once, where it is set;
+* settings: counts, seeds and indices go through ``integer``, every
+  real-valued setting through ``real``; neither truncates nor converts
+  text, and ``real`` rejects NaN and infinity. Each is checked once, where
+  it is set;
+* ranges: ``integer`` takes a minimum and an optional inclusive maximum,
+  ``real`` one of ``POSITIVE``, ``NON_NEGATIVE``, ``FRACTION`` and
+  ``OPEN_FRACTION``; a value outside raises ``ParameterError`` naming the
+  setting, its range and the value;
+* choices: a setting with a fixed set of values (a direction, an attack
+  kind, a feature kind, a detector kind) goes through ``choice``;
 * names: a document's names and kinds go through ``text``, which takes only
-  JSON strings;
+  JSON strings, and its indices and counts through ``json_integers``,
+  which takes only JSON integers (no floats, no bools);
 * keys: a document block with a fixed set of keys goes through
   ``known_keys``, so a misspelt key fails rather than being ignored.
 """
@@ -123,20 +133,22 @@ def finite_floats(values, what: str) -> np.ndarray:
     return out
 
 
-def finite_array(values, ndim, width: int | None = None) -> np.ndarray:
+def finite_array(values, ndim, width: int | None = None,
+                 what: str = "features") -> np.ndarray:
     """``values`` as a float64 array (``np.asarray``: no copy if it is one)
     with ``ndim`` axes, or one of a tuple of counts, ``width`` entries on
-    its last axis when given, and only finite entries."""
+    its last axis when given, and only finite entries; errors name the
+    array as ``what``."""
     try:
         out = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputContractError("features must be numbers: %s" % exc) from None
+        raise InputContractError("%s must be numbers: %s" % (what, exc)) from None
     ndims = ndim if isinstance(ndim, tuple) else (ndim,)
     if out.ndim not in ndims or (width is not None and out.shape[-1] != width):
-        raise ShapeError("features have shape %r, expected ndim %s and width %s"
-                         % (out.shape, ndim, "any" if width is None else width))
+        raise ShapeError("%s have shape %r, expected ndim %s and width %s"
+                         % (what, out.shape, ndim, "any" if width is None else width))
     if not np.isfinite(out).all():
-        raise InputContractError("features contain NaN or infinite values")
+        raise InputContractError("%s contain NaN or infinite values" % what)
     return out
 
 
@@ -170,28 +182,51 @@ def training_set(X, y, width: int | None, n_classes: int):
     return X, class_labels(y, X.shape[0], n_classes)
 
 
-def integer(value, name: str, minimum: int) -> int:
-    """``value`` as an int when it is an integer (not a bool) >= ``minimum``;
-    anything else, 2.5, "7" or true included, raises ``ParameterError``
-    naming ``name``."""
+def integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int when it is an integer (not a bool) >= ``minimum``
+    and, when ``maximum`` is given, <= ``maximum``; anything else, 2.5, "7"
+    or true included, raises ``ParameterError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError("%s must be an integer, got %r" % (name, value))
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ParameterError("%s must be in [%d, %d], got %r"
+                             % (name, minimum, maximum, value))
     if value < minimum:
         raise ParameterError("%s must be >= %d, got %r" % (name, minimum, value))
     return int(value)
 
 
-def real(value, name: str) -> float:
-    """``value`` as a float when it is a finite real number (not a bool);
-    anything else, NaN, inf, true or "1.2" included, raises
-    ``ParameterError`` naming ``name``."""
+# the ranges ``real`` takes, each a (test, text) pair
+POSITIVE = (lambda v: v > 0.0, "> 0")
+NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+OPEN_FRACTION = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def real(value, name: str, within=None) -> float:
+    """``value`` as a float when it is a finite real number (not a bool)
+    inside ``within``, one of the ranges above, when given; anything else,
+    NaN, inf, true or "1.2" included, raises ``ParameterError`` naming
+    ``name``."""
     try:
         if (not isinstance(value, bool) and isinstance(value, numbers.Real)
                 and math.isfinite(value)):
-            return float(value)
+            value = float(value)
+            if within is None or within[0](value):
+                return value
+            raise ParameterError("%s must be %s, got %r" % (name, within[1], value))
     except OverflowError:  # an int beyond the float range
         pass
     raise ParameterError("%s must be a finite number, got %r" % (name, value))
+
+
+def choice(value, name: str, choices):
+    """``value`` when it is one of ``choices``; anything else raises
+    ``ParameterError`` naming ``name`` and every choice."""
+    if value not in choices:
+        raise ParameterError("%s must be one of %s, got %r"
+                             % (name, ", ".join(map(repr, choices)), value))
+    return value
 
 
 def text(value, what: str) -> str:
@@ -203,13 +238,25 @@ def text(value, what: str) -> str:
     return value
 
 
+def json_integers(values, what: str, minimum: int | None = None):
+    """``values``, a JSON list, when every entry is a JSON integer (not a
+    float, not a bool) >= ``minimum`` when given, for a builder decorated
+    with ``parses``; anything else raises ``ValueError`` naming ``what``:
+    0.7 and true are not read as the indices 0 and 1."""
+    floor = "" if minimum is None else " >= %d" % minimum
+    for v in values:
+        if type(v) is not int or (minimum is not None and v < minimum):
+            raise ValueError("%s holds %r, not a JSON integer%s" % (what, v, floor))
+    return values
+
+
 def known_keys(doc: dict, allowed, where: str) -> None:
     """Raise ``ParameterError`` naming ``where`` and every key of ``doc``
     outside ``allowed``."""
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ParameterError(
-            "unknown keys in %s: %s" % (where, ", ".join(sorted(unknown)))
+            "unknown %s keys: %s" % (where, ", ".join(sorted(unknown)))
         )
 
 

@@ -27,6 +27,7 @@ from .errors import (
     class_labels,
     finite_floats,
     integer,
+    json_integers,
     parses,
 )
 
@@ -165,19 +166,12 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]
 
 
-def _count(value) -> str:
-    """A matrix count of a report document, as text: a JSON integer >= 0,
-    so "oops", true, null and [1] are not printed as counts."""
-    if type(value) is not int or value < 0:
-        raise ValueError("matrix count %r is not an integer >= 0" % (value,))
-    return str(value)
-
-
 @parses("assessment report", "assessment")
 def render_text(report: dict) -> str:
     """Aligned text tables; metric values truncated to two decimals. Metric
     values must be finite JSON numbers (``finite_floats``) and matrix
-    counts JSON integers >= 0."""
+    counts JSON integers >= 0 (``json_integers``), so "oops", true, null
+    and [1] are not printed as counts."""
     rows = [["detector", "column", *_FIELDS]]
     mat_rows = [["detector", "run", "tp", "fn", "fp", "tn"]]
     for name, block in report["detectors"].items():
@@ -186,9 +180,9 @@ def render_text(report: dict) -> str:
             values = finite_floats([block[col][f] for f in _FIELDS], "metric value")
             rows.append([shown, col] + [_trunc2(v) for v in values])
         for i, m in enumerate(block["matrices"]):
-            mat_rows.append(
-                [shown, str(i)] + [_count(m[k]) for k in ("tp", "fn", "fp", "tn")]
-            )
+            counts = json_integers([m[k] for k in ("tp", "fn", "fp", "tn")],
+                                   "matrix count", 0)
+            mat_rows.append([shown, str(i)] + [str(c) for c in counts])
     lines = _table(rows) + [
         "",
         "confusion matrices (tp=normal kept, fn=normal flagged, "

@@ -21,9 +21,10 @@ Ties between equal scores go to the lowest feature index.
 All rows are attacked together, as in the batched JSMA of cleverhans and
 the Adversarial Robustness Toolbox. The rows under attack (the live set,
 at most MAX_LIVE_ROWS) form one (rows x d) matrix; each round walks them
-through the oracle once (``mlp.logits_and_jacobians``: logits for the
-success check and every row's logit Jacobian) and moves each row by at
-most one feature step. The saturated and perturbed feature sets are
+through the oracle once (``mlp._logits_and_jacobians``, the unchecked walk
+behind ``mlp.logits_and_jacobians``, since the rows were checked on entry:
+logits for the success check and every row's logit Jacobian) and moves
+each row by at most one feature step. The saturated and perturbed feature sets are
 boolean (rows x d) masks. A row leaves the live set when it succeeds, has
 no feature with positive saliency left, would need a new feature beyond
 its budget, or has taken max_iterations steps, and a row not yet attacked
@@ -45,13 +46,15 @@ import numpy as np
 
 from . import mlp
 from .dataset import Dataset
-from .errors import InputContractError, ParameterError, finite_array, integer, real
+from .errors import (FRACTION, InputContractError, ParameterError, choice,
+                     finite_array, integer, real)
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
 
 INCREASE = "increase"
 SIGNED = "signed"
+_DIRECTIONS = (INCREASE, SIGNED)
 
 # most rows walked together in one round: the round's temporaries take a
 # few kB per row, so the cap keeps them near 5 MB on large inputs
@@ -66,19 +69,10 @@ class JsmaConfig:
     direction: str = INCREASE
 
     def __post_init__(self):
-        if not 0.0 < real(self.epsilon, "epsilon") <= 1.0:
-            raise ParameterError("epsilon must be in (0, 1], got %r" % self.epsilon)
-        if not 0.0 < real(self.theta_max_features, "theta_max_features") <= 1.0:
-            raise ParameterError(
-                "theta_max_features must be in (0, 1], got %r"
-                % self.theta_max_features
-            )
+        real(self.epsilon, "epsilon", FRACTION)
+        real(self.theta_max_features, "theta_max_features", FRACTION)
         integer(self.max_iterations, "max_iterations", 1)
-        if self.direction not in (INCREASE, SIGNED):
-            raise ParameterError(
-                "direction must be %r or %r, got %r"
-                % (INCREASE, SIGNED, self.direction)
-            )
+        choice(self.direction, "direction", _DIRECTIONS)
 
 
 # why an attack stopped; the attack loop records the index into this tuple
@@ -113,8 +107,7 @@ def saliency_map(
 ) -> np.ndarray:
     """Per-feature saliency scores toward ``target``; always >= 0."""
     target = _check_target(model, target)
-    if direction not in (INCREASE, SIGNED):
-        raise ParameterError("unknown direction %r" % direction)
+    choice(direction, "direction", _DIRECTIONS)
     return _saliency(mlp.jacobian(model, x)[None], target, direction)[0]
 
 
@@ -137,10 +130,7 @@ def select_feature(scores: np.ndarray, excluded) -> int | None:
     scores = finite_array(scores, 1)
     mask = np.zeros(scores.shape, dtype=bool)
     for i in excluded:
-        if integer(i, "excluded feature", 0) >= scores.shape[0]:
-            raise ParameterError("excluded feature %d out of range for %d scores"
-                                 % (i, scores.shape[0]))
-        mask[i] = True
+        mask[integer(i, "excluded feature", 0, scores.shape[0] - 1)] = True
     pick = int(_select(scores[None], mask[None])[0])
     return None if pick < 0 else pick
 
@@ -149,18 +139,13 @@ def feature_budget(n_features: int, theta_max_features: float) -> int:
     """The distinct-feature budget ceil(theta * n_features), for at least
     one feature and theta in (0, 1]."""
     n_features = integer(n_features, "n_features", 1)
-    if not 0.0 < real(theta_max_features, "theta_max_features") <= 1.0:
-        raise ParameterError("theta_max_features must be in (0, 1], got %r"
-                             % theta_max_features)
+    theta_max_features = real(theta_max_features, "theta_max_features", FRACTION)
     return math.ceil(theta_max_features * n_features)
 
 
 def _check_target(model: mlp.MlpModel, target) -> int:
     """``target`` as an int when it is a class index of ``model``."""
-    target = integer(target, "target", 0)
-    if target >= model.n_classes:
-        raise ParameterError("target class %d out of range" % target)
-    return target
+    return integer(target, "target", 0, model.n_classes - 1)
 
 
 def _check_rows(model: mlp.MlpModel, X, target, ndim: int):

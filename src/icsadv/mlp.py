@@ -28,6 +28,7 @@ import json
 import numpy as np
 
 from .errors import (
+    NON_NEGATIVE,
     ParameterError,
     ShapeError,
     finite_array,
@@ -45,8 +46,10 @@ class MlpModel:
 
     def __init__(self, layer_sizes, weights, biases):
         self.layer_sizes = [integer(s, "layer size", 1) for s in layer_sizes]
-        self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.weights = [finite_array(W, 2, what="weights of layer %d" % k)
+                        for k, W in enumerate(weights)]
+        self.biases = [finite_array(b, 1, what="biases of layer %d" % k)
+                       for k, b in enumerate(biases)]
         if len(self.layer_sizes) < 2:
             raise ParameterError("need at least an input and an output layer")
         if len(self.weights) != len(self.layer_sizes) - 1 or len(self.biases) != len(
@@ -153,8 +156,8 @@ def jacobian(model: MlpModel, x) -> np.ndarray:
 
 def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None:
     """The ranges ``train`` accepts for its hyperparameters."""
-    if real(learning_rate, "learning_rate") < 0 or real(l2_penalty, "l2_penalty") < 0:
-        raise ParameterError("learning_rate and l2_penalty must be >= 0")
+    real(learning_rate, "learning_rate", NON_NEGATIVE)
+    real(l2_penalty, "l2_penalty", NON_NEGATIVE)
     integer(epochs, "epochs", 1)
     integer(batch_size, "batch_size", 1)
 

@@ -42,8 +42,8 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluation, jsma, mlp, plantsim, trees
-from .errors import (IcsAdvError, ParameterError, ParseError, integer, known_keys,
-                     parses, real, text)
+from .errors import (FRACTION, IcsAdvError, ParameterError, ParseError, choice,
+                     integer, known_keys, parses, real, text)
 
 # fixed offsets applied to the pipeline seed, one per randomized stage
 SPLIT_SEED_OFFSET = 101
@@ -75,11 +75,7 @@ def normalize_config(config: dict) -> dict:
     base = default_config()
     if config.get("format", "pipeline-config") != "pipeline-config":
         raise ParseError("not a pipeline-config document")
-    top_unknown = set(config) - set(base)
-    if top_unknown:
-        raise ParameterError(
-            "unknown config keys: %s" % ", ".join(sorted(top_unknown))
-        )
+    known_keys(config, base, "config")
     scenario = config.get("scenario")
     if scenario is not None and not isinstance(scenario, str):
         raise ParseError("config scenario must be a file path or null")
@@ -195,9 +191,7 @@ def _oracle_args(block: dict):
     hidden = [integer(h, "mlp hidden_layers", 1) for h in block["hidden_layers"]]
     if not hidden:
         raise ParameterError("mlp hidden_layers must not be empty")
-    fraction = real(block["train_fraction"], "mlp train_fraction")
-    if not 0.0 < fraction <= 1.0:
-        raise ParameterError("mlp train_fraction must be in (0, 1], got %r" % fraction)
+    fraction = real(block["train_fraction"], "mlp train_fraction", FRACTION)
     train_args = {key: block[key]
                   for key in ("learning_rate", "epochs", "batch_size", "l2_penalty")}
     mlp.check_training_params(**train_args)
@@ -246,9 +240,7 @@ def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
 @parses("detector block")
 def _detector_params(kind: str, block: dict):
     """The config block of detector ``kind`` as its params dataclass."""
-    if kind not in trees.KINDS:
-        raise ParameterError("unknown detector kind %r" % kind)
-    return trees.KINDS[kind](**block)
+    return trees.KINDS[choice(kind, "detector kind", trees.KINDS)](**block)
 
 
 def train_detector(kind: str, X, y, block: dict, seed: int = 0):

@@ -31,14 +31,19 @@ from importlib import resources
 import numpy as np
 
 from .dataset import ACTUATOR, SENSOR, Dataset, Feature, Schema
-from .errors import (KindMismatchError, ParameterError, integer, known_keys, parses,
-                     read_json, real, text)
+from .errors import (NON_NEGATIVE, POSITIVE, KindMismatchError, ParameterError,
+                     choice, integer, known_keys, parses, read_json, real, text)
 
 SENSOR_BIAS = "sensor-bias"
 ACTUATOR_FLIP = "actuator-flip"
 
 _PUMP_SLOT = 3
 _SLOTS_PER_TANK = 5
+
+# the range of each float field of PlantConfig but the levels and the
+# capacity, whose order is checked across fields
+_PLANT_RANGES = {"inflow_rate": POSITIVE, "outflow_rate": POSITIVE,
+                 "sensor_noise_std": NON_NEGATIVE, "dt": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -59,17 +64,12 @@ class PlantConfig:
         # every float field holds a float, so a scenario's 100 loads as 100.0
         for f in fields(self):
             if f.type == "float":
-                object.__setattr__(self, f.name, real(getattr(self, f.name), f.name))
+                value = real(getattr(self, f.name), f.name, _PLANT_RANGES.get(f.name))
+                object.__setattr__(self, f.name, value)
         if not 0.0 < self.level_low < self.level_high < self.tank_capacity:
             raise ParameterError(
                 "levels must satisfy 0 < level_low < level_high < tank_capacity"
             )
-        if self.inflow_rate <= 0 or self.outflow_rate <= 0:
-            raise ParameterError("flow rates must be positive")
-        if self.sensor_noise_std < 0:
-            raise ParameterError("sensor_noise_std must be >= 0")
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -92,11 +92,7 @@ class AttackSpec:
     window: tuple[int, int]
 
     def __post_init__(self):
-        if self.kind not in (SENSOR_BIAS, ACTUATOR_FLIP):
-            raise ParameterError(
-                "attack kind must be %r or %r, got %r"
-                % (SENSOR_BIAS, ACTUATOR_FLIP, self.kind)
-            )
+        choice(self.kind, "attack kind", (SENSOR_BIAS, ACTUATOR_FLIP))
         object.__setattr__(self, "delta", real(self.delta, "attack delta"))
         start, end = self.window
         integer(start, "attack window start", 0)

@@ -41,13 +41,16 @@ Training and prediction (``predict_classes``, ``predict_class``, which
 takes one row, ``GbcModel.decision_scores``, ``TreeModel.apply``) take
 their features and labels through the array rule
 of :mod:`icsadv.errors`, every count and depth in the params through
-``errors.integer`` and every rate through ``errors.real``; ``load_model``
-turns any malformed document into ``ParseError``: a number that is not a
-JSON number (``errors.finite_floats``), or an ensemble whose tree count is
-not its params' ``n_trees`` or ``n_stages`` or whose trees differ in
-feature count. ``ForestModel`` and ``GbcModel`` refuse such an ensemble,
-and a boosted model's ``initial_log_odds`` that ``errors.real`` refuses,
-with ``ParameterError``.
+``errors.integer`` and every rate through ``errors.real`` with its range;
+``load_model`` turns any malformed document into ``ParseError``: a number
+that is not a JSON number (``errors.finite_floats``), an index that is not
+a JSON integer (``errors.json_integers``), arrays that are not one tree
+(``_tree_fault``), or an ensemble whose tree count is not its params'
+``n_trees`` or ``n_stages`` or whose trees differ in feature count.
+``TreeModel`` refuses arrays that are not one tree, ``ForestModel`` and
+``GbcModel`` such an ensemble, and ``GbcModel`` an ``initial_log_odds``
+that ``errors.real`` refuses, with ``ParameterError``; every grown tree
+passes the same check.
 """
 from __future__ import annotations
 
@@ -59,12 +62,15 @@ import numpy as np
 
 from . import kernels
 from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
     DegenerateTargetError,
     ParameterError,
     ParseError,
     finite_array,
     finite_floats,
     integer,
+    json_integers,
     parses,
     read_json,
     real,
@@ -88,8 +94,7 @@ class CartParams:
     def __post_init__(self):
         integer(self.max_depth, "max_depth", 1)
         integer(self.min_samples_split, "min_samples_split", 2)
-        if real(self.min_impurity_decrease, "min_impurity_decrease") < 0:
-            raise ParameterError("min_impurity_decrease must be >= 0")
+        real(self.min_impurity_decrease, "min_impurity_decrease", NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ class GbcParams:
 
     def __post_init__(self):
         integer(self.n_stages, "n_stages", 1)
-        if real(self.learning_rate, "learning_rate") <= 0:
-            raise ParameterError("learning_rate must be positive")
+        real(self.learning_rate, "learning_rate", POSITIVE)
         integer(self.max_depth, "max_depth", 1)
 
 
@@ -129,25 +133,57 @@ class GbcParams:
 KINDS = {CART: CartParams, FOREST: ForestParams, GBC: GbcParams}
 
 
-def _node_indices(values, what: str):
-    """A tree document's ``what`` array, for ``TreeModel.from_json``: a
-    list of integers, bools excluded."""
-    bad = [v for v in values if type(v) is not int]
-    if bad:
-        raise ValueError("tree %s holds %r, not an integer index" % (what, bad[0]))
-    return values
+def _tree_fault(feature, threshold, left, right, value, n_features) -> str | None:
+    """Why the five arrays cannot be one binary tree rooted at node 0 on
+    ``n_features`` features, or None. They must be 1-D, non-empty and of
+    one length; the index arrays (feature, left, right) of an integer dtype
+    and the thresholds and values finite numbers; features lie in [-1,
+    n_features); an internal node i has children i < left < right <
+    n_nodes, a leaf has -1 for both; and every node but node 0 is the child
+    of exactly one internal node. So every node is reachable and traversal
+    ends at a leaf. Growth writes its nodes in pre-order, but any numbering
+    that passes, breadth-first too, is a tree. ``TreeModel`` raises the
+    message as ``ParameterError``, its loader as ``ParseError``."""
+    n = feature.size
+    arrays = (feature, threshold, left, right, value)
+    if {a.shape for a in arrays} != {(n,)} or n == 0:
+        return "tree arrays must be 1-D, non-empty, of one length"
+    if any(a.dtype.kind not in "iu" for a in (feature, left, right)):
+        return "tree feature and child indices must be integers"
+    if any(a.dtype.kind not in "iuf" or not np.isfinite(a).all()
+           for a in (threshold, value)):
+        return "tree thresholds and values must be finite numbers"
+    if feature.min() < -1 or feature.max() >= n_features:
+        return "tree feature index outside [-1, %d)" % n_features
+    inner = (np.arange(n) < left) & (left < right) & (right < n)
+    leaf = (left == -1) & (right == -1)
+    if not np.where(feature >= 0, inner, leaf).all():
+        return ("tree children must satisfy i < left < right < n_nodes at "
+                "internal nodes and be -1 at leaves")
+    split = feature >= 0
+    parents = np.bincount(np.concatenate((left[split], right[split])), minlength=n)
+    if (parents[1:] != 1).any():
+        return ("tree nodes other than node 0 must each be the child of exactly "
+                "one internal node")
+    return None
 
 
 class TreeModel:
-    """Flat binary tree; feature == -1 marks a leaf holding ``value``."""
+    """Flat binary tree; feature == -1 marks a leaf holding ``value``. The
+    arrays must pass ``_tree_fault``, else ``ParameterError``."""
 
     def __init__(self, feature, threshold, left, right, value, n_features):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
         self.n_features = integer(n_features, "n_features", 1)
+        arrays = [np.asarray(a) for a in (feature, threshold, left, right, value)]
+        fault = _tree_fault(*arrays, self.n_features)
+        if fault:
+            raise ParameterError(fault)
+        feature, threshold, left, right, value = arrays
+        self.feature = feature.astype(np.int64, copy=False)
+        self.threshold = threshold.astype(np.float64, copy=False)
+        self.left = left.astype(np.int64, copy=False)
+        self.right = right.astype(np.int64, copy=False)
+        self.value = value.astype(np.float64, copy=False)
 
     @property
     def n_nodes(self) -> int:
@@ -177,46 +213,20 @@ class TreeModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TreeModel":
-        """The tree in ``obj``, checked to be one binary tree rooted at
-        node 0: the five arrays are 1-D, non-empty and of one length;
-        thresholds and values are finite; features lie in [-1,
-        n_features); an internal node i has children i < left < right <
-        n_nodes, a leaf has -1 for both; and every node but node 0 is the
-        child of exactly one internal node. So every node is reachable and
-        traversal ends at a leaf. Growth writes its nodes in pre-order, but
-        any numbering that passes, breadth-first too, loads. Feature and
-        child indices must be JSON integers: 0.7 and true are not read as 0
-        and 1."""
-        tree = cls(
-            _node_indices(obj["feature"], "feature"),
-            finite_floats(obj["threshold"], "tree threshold"),
-            _node_indices(obj["left"], "left"),
-            _node_indices(obj["right"], "right"),
-            finite_floats(obj["value"], "tree value"),
-            obj["n_features"],
-        )
-        n = tree.n_nodes
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if {a.shape for a in arrays} != {(n,)} or n == 0:
-            raise ValueError("tree arrays must be 1-D, non-empty, of one length")
-        if tree.feature.min() < -1 or tree.feature.max() >= tree.n_features:
-            raise ValueError("tree feature index outside [-1, %d)" % tree.n_features)
-        left, right = tree.left, tree.right
-        inner = (np.arange(n) < left) & (left < right) & (right < n)
-        leaf = (left == -1) & (right == -1)
-        if not np.where(tree.feature >= 0, inner, leaf).all():
-            raise ValueError(
-                "tree children must satisfy i < left < right < n_nodes at "
-                "internal nodes and be -1 at leaves"
-            )
-        split = tree.feature >= 0
-        parents = np.bincount(np.concatenate((left[split], right[split])), minlength=n)
-        if (parents[1:] != 1).any():
-            raise ValueError(
-                "tree nodes other than node 0 must each be the child of exactly "
-                "one internal node"
-            )
-        return tree
+        """The tree in ``obj``: feature and child indices must be JSON
+        integers (0.7 and true are not read as 0 and 1), thresholds and
+        values finite JSON numbers, and the arrays must pass
+        ``_tree_fault``, whose message is raised as ``ValueError``."""
+        arrays = (np.asarray(json_integers(obj["feature"], "tree feature")),
+                  finite_floats(obj["threshold"], "tree threshold"),
+                  np.asarray(json_integers(obj["left"], "tree left")),
+                  np.asarray(json_integers(obj["right"], "tree right")),
+                  finite_floats(obj["value"], "tree value"))
+        n_features = integer(obj["n_features"], "n_features", 1)
+        fault = _tree_fault(*arrays, n_features)
+        if fault:
+            raise ValueError(fault)
+        return cls(*arrays, n_features)
 
 
 class _TreeBuilder:
@@ -378,10 +388,7 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> 
     k = params.features_per_split
     if k is None:
         k = math.ceil(math.sqrt(d))
-    if k > d:
-        raise ParameterError(
-            "features_per_split %d exceeds feature count %d" % (k, d)
-        )
+    integer(k, "features_per_split", 1, d)
     builder = _TreeBuilder(X, _GINI, params, k)
     rngs = (np.random.default_rng(ss)
             for ss in np.random.SeedSequence(seed).spawn(params.n_trees))
@@ -407,9 +414,8 @@ class GbcModel:
         X = _check_matrix(X, self.stages[0].n_features)
         if n_stages is None:
             n_stages = len(self.stages)
-        elif integer(n_stages, "n_stages", 0) > len(self.stages):
-            raise ParameterError("n_stages must be <= %d, got %r"
-                                 % (len(self.stages), n_stages))
+        else:
+            n_stages = integer(n_stages, "n_stages", 0, len(self.stages))
         return self._scores(X, self.stages[:n_stages])
 
     def _scores(self, X, stages) -> np.ndarray:

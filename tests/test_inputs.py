@@ -7,11 +7,17 @@ a time: a NaN, an infinity, a cell that is not a number, a 3-D array, one
 feature too few; and, where it takes labels, a label of 0.5, 1.7, 2 or NaN.
 Every entry point that seeds numpy from a caller's seed rejects -1, 2.5,
 True and "7"; every real-valued setting rejects NaN, inf, -inf, True and
-"1.2", naming the setting; a few other malformed arguments close the file.
+"1.2", naming the setting; a few other malformed arguments follow. Every
+ranged setting rejects a value just outside its range and takes its closed
+bounds, every setting with a fixed set of values rejects any other, and
+the array constructors (``TreeModel``, ``MlpModel``,
+``NormalizationParams``) reject what their documents may not hold, with
+the document loaders keeping ``ParseError`` for the same faults.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from icsadv import evaluation, jsma, mlp, pipeline, plantsim, trees
 from icsadv.errors import (
     InputContractError,
     ParameterError,
+    ParseError,
     ShapeError,
+    read_json,
 )
 
 D = 3
@@ -277,8 +285,215 @@ for _case, _args in BUDGETS.items():
     NAMED[_name] = _case.split("=")[0]
 
 
+# a stump on one feature, as the five arrays of a tree document, and each
+# fault as the arrays that replace the stump's
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+         "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 0.25, 0.75]}
+TREE_FAULTS = {
+    "cycle": {"feature": [0, 0], "threshold": [0.5, 0.5], "left": [1, 0],
+              "right": [1, 0], "value": [0.0, 0.0]},
+    "right-child-5": {"right": [5, -1, -1]},
+    "2-d-feature": {"feature": [[0, -1, -1]]},
+    "feature-0.7": {"feature": [0.7, -1, -1]},
+    "left-1.9": {"left": [1.9, -1, -1]},
+    "bool-feature": {"feature": [True, False, False]},
+    "nan-threshold": {"threshold": [np.nan, 0.0, 0.0]},
+    "inf-value": {"value": [0.0, np.inf, 0.75]},
+}
+# ORACLE's array and layer whose first entry each fault replaces
+MLP_FAULTS = {"nan-weight": ("weights", 0, np.nan), "inf-weight": ("weights", 1, np.inf),
+              "nan-bias": ("biases", 0, np.nan)}
+MINMAX_FAULTS = {"nan-min": ("mins", np.nan), "inf-max": ("maxs", np.inf)}
+
+
+def _tree_arrays(fault=None):
+    return {**STUMP, **TREE_FAULTS.get(fault, {})}
+
+
+def _mlp_arrays(fault=None):
+    arrays = {"weights": [W.copy() for W in ORACLE.weights],
+              "biases": [b.copy() for b in ORACLE.biases]}
+    if fault:
+        key, layer, bad = MLP_FAULTS[fault]
+        arrays[key][layer].flat[0] = bad
+    return {key: [a.tolist() for a in v] for key, v in arrays.items()}
+
+
+def _minmax_arrays(fault=None):
+    arrays = {"mins": [0.0] * D, "maxs": [1.0] * D}
+    if fault:
+        key, bad = MINMAX_FAULTS[fault]
+        arrays[key] = [bad] + arrays[key][1:]
+    return arrays
+
+
+for _fault in TREE_FAULTS:
+    REJECTED["TreeModel-" + _fault] = (
+        lambda f=_fault: trees.TreeModel(**_tree_arrays(f), n_features=1), ParameterError)
+for _fault in MLP_FAULTS:
+    REJECTED["MlpModel-" + _fault] = (
+        lambda f=_fault: mlp.MlpModel([D, 4, 2], **_mlp_arrays(f)), InputContractError)
+for _fault in MINMAX_FAULTS:
+    REJECTED["NormalizationParams-" + _fault] = (
+        lambda f=_fault: ds.NormalizationParams(
+            tuple(SCHEMA.feature_names),
+            *(np.array(a) for a in _minmax_arrays(f).values())),
+        InputContractError)
+
 @pytest.mark.parametrize("name", list(REJECTED))
 def test_malformed_argument(name):
     call, error = REJECTED[name]
     with pytest.raises(error, match=NAMED.get(name)):
         call()
+
+
+# the smallest float beyond each bound: just outside a range
+BELOW_ZERO = -5e-324
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+# "entry-setting": (call(value), values just outside the setting's range,
+# values on its closed bounds); GBC has 2 stages, ORACLE 2 classes
+RANGED = {
+    **{"PlantConfig-" + f: (lambda v, f=f: plantsim.PlantConfig(**{f: v}), [0.0], [])
+       for f in ("inflow_rate", "outflow_rate", "dt")},
+    "PlantConfig-sensor_noise_std": (
+        lambda v: plantsim.PlantConfig(sensor_noise_std=v), [BELOW_ZERO], [0.0]),
+    "PlantConfig-n_tanks": (lambda v: plantsim.PlantConfig(n_tanks=v), [0], [1]),
+    "PlantConfig-steps": (lambda v: plantsim.PlantConfig(steps=v), [0], [1]),
+    "CartParams-min_impurity_decrease": (
+        lambda v: trees.CartParams(min_impurity_decrease=v), [BELOW_ZERO], [0.0]),
+    "CartParams-max_depth": (lambda v: trees.CartParams(max_depth=v), [0], [1]),
+    "CartParams-min_samples_split": (
+        lambda v: trees.CartParams(min_samples_split=v), [1], [2]),
+    "ForestParams-min_impurity_decrease": (
+        lambda v: trees.ForestParams(min_impurity_decrease=v), [BELOW_ZERO], [0.0]),
+    "ForestParams-n_trees": (lambda v: trees.ForestParams(n_trees=v), [0], [1]),
+    "train_forest-features_per_split": (lambda v: trees.train_forest(
+        X, Y, trees.ForestParams(n_trees=1, features_per_split=v)), [0, D + 1], [D]),
+    "GbcParams-learning_rate": (lambda v: trees.GbcParams(learning_rate=v), [0.0], []),
+    "GbcParams-n_stages": (lambda v: trees.GbcParams(n_stages=v), [0], [1]),
+    "decision_scores-n_stages": (
+        lambda v: GBC.decision_scores(X, n_stages=v), [-1, 3], [0, 2]),
+    "JsmaConfig-epsilon": (
+        lambda v: jsma.JsmaConfig(epsilon=v), [0.0, ABOVE_ONE], [1.0]),
+    "JsmaConfig-theta_max_features": (
+        lambda v: jsma.JsmaConfig(theta_max_features=v), [0.0, ABOVE_ONE], [1.0]),
+    "JsmaConfig-max_iterations": (
+        lambda v: jsma.JsmaConfig(max_iterations=v), [0], [1]),
+    "feature_budget-theta_max_features": (
+        lambda v: jsma.feature_budget(10, v), [0.0, ABOVE_ONE], [1.0]),
+    "variant_configs-variants_per_row": (
+        lambda v: jsma.variant_configs(ATTACK, [0.1], v), [0], [1]),
+    "saliency_map-target": (lambda v: jsma.saliency_map(ORACLE, X[0], v), [-1, 2], [0, 1]),
+    "select_feature-excluded feature": (
+        lambda v: jsma.select_feature([1.0, 2.0, 3.0], [v]), [-1, 3], [0, 2]),
+    "mlp.train-learning_rate": (
+        lambda v: mlp.check_training_params(v, 1, 1, 0.0), [BELOW_ZERO], [0.0]),
+    "mlp.train-l2_penalty": (
+        lambda v: mlp.check_training_params(0.1, 1, 1, v), [BELOW_ZERO], [0.0]),
+    "mlp.train-epochs": (lambda v: mlp.check_training_params(0.1, v, 1, 0.0), [0], [1]),
+    "mlp.train-batch_size": (
+        lambda v: mlp.check_training_params(0.1, 1, v, 0.0), [0], [1]),
+    "dataset.split-train_fraction": (
+        lambda v: ds.split(ds.Dataset(SCHEMA, X, Y), v, 0), [0.0, 1.0], []),
+    "normalize_config-train_fraction": (
+        lambda v: pipeline.normalize_config({"mlp": {"train_fraction": v}}),
+        [0.0, ABOVE_ONE], [1.0]),
+    "normalize_config-n_runs": (
+        lambda v: pipeline.normalize_config({"n_runs": v}), [0], [1]),
+}
+OUTSIDE = [(s, v) for s, (_, out, _) in RANGED.items() for v in out]
+ON_BOUND = [(s, v) for s, (_, _, bounds) in RANGED.items() for v in bounds]
+
+
+@pytest.mark.parametrize("setting, value", OUTSIDE,
+                         ids=["%s=%r" % p for p in OUTSIDE])
+def test_value_outside_range(setting, value):
+    """The error names the setting and the value it got."""
+    with pytest.raises(ParameterError) as info:
+        RANGED[setting][0](value)
+    assert setting.split("-", 1)[1] in str(info.value)
+    assert str(info.value).endswith("got %r" % value)
+
+
+@pytest.mark.parametrize("setting, value", ON_BOUND,
+                         ids=["%s=%r" % p for p in ON_BOUND])
+def test_closed_bound_accepted(setting, value):
+    RANGED[setting][0](value)
+
+
+# "entry-setting": (call(value), its allowed values)
+SMALL_BLOCKS = {kind: dict(pipeline.default_config()[kind], **SMALL[kind])
+                for kind in SMALL}
+CHOICES = {
+    "JsmaConfig-direction": (lambda v: jsma.JsmaConfig(direction=v),
+                             (jsma.INCREASE, jsma.SIGNED)),
+    "saliency_map-direction": (lambda v: jsma.saliency_map(ORACLE, X[0], 0, v),
+                               (jsma.INCREASE, jsma.SIGNED)),
+    "AttackSpec-attack kind": (lambda v: plantsim.AttackSpec(v, "LIT101", 1.0, (0, 1)),
+                               (plantsim.SENSOR_BIAS, plantsim.ACTUATOR_FLIP)),
+    "Schema-'F0' kind": (lambda v: ds.Schema((ds.Feature("F0", v),)),
+                         (ds.SENSOR, ds.ACTUATOR)),
+    "train_detector-detector kind": (
+        lambda v: pipeline.train_detector(v, X, Y, SMALL_BLOCKS.get(v, {})),
+        tuple(trees.KINDS)),
+}
+
+
+@pytest.mark.parametrize("setting", list(CHOICES))
+def test_value_outside_choices(setting):
+    """Any other value raises an error naming the setting, the value and
+    every allowed value; each allowed value passes."""
+    call, allowed = CHOICES[setting]
+    with pytest.raises(ParameterError) as info:
+        call("sideways")
+    message = str(info.value)
+    assert setting.split("-", 1)[1] in message and "'sideways'" in message
+    assert all(repr(v) in message for v in allowed)
+    for v in allowed:
+        call(v)
+
+
+def test_stump_and_list_minmax_accepted():
+    """The unaltered stump builds and routes, and min-max parameters may be
+    lists."""
+    tree = trees.TreeModel(**STUMP, n_features=1)
+    assert tree.apply(np.array([[0.2], [0.9]])).tolist() == [0.25, 0.75]
+    params = ds.NormalizationParams(tuple(SCHEMA.feature_names), [0.0] * D, [2.0] * D)
+    assert ds.apply_minmax(ds.Dataset(SCHEMA, X, Y), params).X.max() <= 0.5
+
+
+def _document(kind, fault=None):
+    """The document of ``kind`` that holds ``fault``, or none."""
+    if kind == "detector":
+        return {"format": "detector", "version": 1, "kind": trees.CART,
+                "params": asdict(trees.CartParams()),
+                "tree": dict(_tree_arrays(fault), n_features=1)}
+    if kind == "mlp":
+        return {"format": "mlp", "version": 1, "layer_sizes": [D, 4, 2],
+                **_mlp_arrays(fault)}
+    return {"format": "minmax-params", "version": 1,
+            "feature_names": SCHEMA.feature_names, **_minmax_arrays(fault)}
+
+
+LOADERS = {"detector": trees.load_model, "mlp": mlp.load_model,
+           "minmax": lambda p: read_json(p, ds.NormalizationParams.from_json)}
+DOCUMENT_FAULTS = ([("detector", f) for f in TREE_FAULTS]
+                   + [("mlp", f) for f in MLP_FAULTS]
+                   + [("minmax", f) for f in MINMAX_FAULTS])
+
+
+@pytest.mark.parametrize("kind, fault", DOCUMENT_FAULTS + [(k, None) for k in LOADERS],
+                         ids=["%s-%s" % p for p in DOCUMENT_FAULTS]
+                         + ["%s-valid" % k for k in LOADERS])
+def test_document_fault_stays_a_parse_error(tmp_path, kind, fault):
+    """A document holding a constructor's fault fails to load with
+    ``ParseError``, as it did before the constructors checked it; without
+    the fault it loads."""
+    path = tmp_path / "doc.json"
+    # json writes NaN and Infinity, and reads them back
+    path.write_text(json.dumps(_document(kind, fault)))
+    if fault is None:
+        LOADERS[kind](path)
+    else:
+        with pytest.raises(ParseError):
+            LOADERS[kind](path)
