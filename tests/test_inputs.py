@@ -340,6 +340,7 @@ for _fault in MINMAX_FAULTS:
             *(np.array(a) for a in _minmax_arrays(f).values())),
         InputContractError)
 
+
 @pytest.mark.parametrize("name", list(REJECTED))
 def test_malformed_argument(name):
     call, error = REJECTED[name]
