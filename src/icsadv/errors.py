@@ -21,6 +21,8 @@ module calls these rules and writes no comparison or message of its own.
   ``real`` one of ``POSITIVE``, ``NON_NEGATIVE``, ``FRACTION`` and
   ``OPEN_FRACTION``; a value outside raises ``ParameterError`` naming the
   setting, its range and the value;
+* lists: a setting that is a list of values (an epsilon schedule, a list
+  of layer sizes) goes through ``listed`` before its entries are checked;
 * choices: a setting with a fixed set of values (a direction, an attack
   kind, a feature kind, a detector kind) goes through ``choice``;
 * names: a document's names and kinds go through ``text``, which takes only
@@ -218,6 +220,14 @@ def real(value, name: str, within=None) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ParameterError("%s must be a finite number, got %r" % (name, value))
+
+
+def listed(values, name: str):
+    """``values`` when it is a list or a tuple; anything else, a number, a
+    string or a dict included, raises ``ParameterError`` naming ``name``."""
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError("%s must be a list, got %r" % (name, values))
+    return values
 
 
 def choice(value, name: str, choices):

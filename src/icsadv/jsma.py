@@ -47,7 +47,7 @@ import numpy as np
 from . import mlp
 from .dataset import Dataset
 from .errors import (FRACTION, InputContractError, ParameterError, choice,
-                     finite_array, integer, real)
+                     finite_array, integer, listed, real)
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
@@ -244,7 +244,8 @@ def variant_configs(
 ) -> list[JsmaConfig]:
     """``config`` with each of the first ``variants_per_row`` epsilons of the
     schedule, which must have that many."""
-    schedule = [real(e, "epsilon_schedule entry") for e in epsilon_schedule]
+    schedule = [real(e, "epsilon_schedule entry")
+                for e in listed(epsilon_schedule, "epsilon_schedule")]
     integer(variants_per_row, "variants_per_row", 1)
     if len(schedule) < variants_per_row:
         raise ParameterError(

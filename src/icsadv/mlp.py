@@ -34,6 +34,7 @@ from .errors import (
     finite_array,
     finite_floats,
     integer,
+    listed,
     parses,
     read_json,
     real,
@@ -86,7 +87,7 @@ class MlpModel:
 def init(layer_sizes, seed: int) -> MlpModel:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases;
     ``MlpModel`` checks that there are at least two layers."""
-    sizes = [integer(s, "layer size", 1) for s in layer_sizes]
+    sizes = [integer(s, "layer size", 1) for s in listed(layer_sizes, "layer_sizes")]
     rng = np.random.default_rng(integer(seed, "seed", 0))
     weights = []
     biases = []

@@ -17,15 +17,19 @@ usable core, at most one per detector fit) and keeps it to the end. The
 workers inherit both normalized legs and the config. The pool's first job
 trains the oracle while the parent writes the stage 1-2 files; the parent
 then takes the oracle back, runs JSMA, and maps the detector fits over the
-same pool: every forest run, the boosted model and the single tree are
-independent fits, and each job gets the adversarial set with its arguments.
-Each job sends back only its result, and the parent writes the results in
-a fixed order, so the artifacts are the same bytes whatever the number of
-workers.
+same pool. Each (run, kind) has a fit key: (kind, the run's detector seed),
+or (kind,) for a kind whose fit reads no seed. The pool fits and scores
+each distinct key once, the seeded fits (the longest) first, and each job
+gets the adversarial set with its key. So a seed-free kind is fitted once
+and its model and matrix serve every run. Each job sends back only its
+result, and the parent writes each (run, kind)'s result, looked up by key,
+in run then report order, so the artifacts are the same bytes whatever the
+number of workers.
 
-The detector kinds, their config blocks and their report order are
-``trees.KINDS``; the jsma block becomes one attack config per epsilon
-variant, which ``jsma.generate_set`` takes as they are.
+The detector kinds, their config blocks, their report order and which of
+them read a seed are ``trees.KINDS``; this module names no kind. The jsma
+block becomes one attack config per epsilon variant, which
+``jsma.generate_set`` takes as they are.
 
 The run manifest records a SHA-256 per artifact plus which files fed
 detector training. The evaluation dataset's hash must never appear among
@@ -86,7 +90,7 @@ def normalize_config(config: dict) -> dict:
         "seed": integer(config.get("seed", base["seed"]), "seed", 0),
         "n_runs": integer(config.get("n_runs", base["n_runs"]), "n_runs", 1),
     }
-    for block in ("mlp", "jsma", "cart", "rf", "gbc"):
+    for block in ("mlp", "jsma", *trees.KINDS):
         out[block] = _merge_block(base[block], config.get(block), block)
     _oracle_args(out["mlp"])
     _generation_args(out["jsma"])
@@ -240,19 +244,15 @@ def generate_adversarial(oracle: mlp.MlpModel, data: ds.Dataset,
 @parses("detector block")
 def _detector_params(kind: str, block: dict):
     """The config block of detector ``kind`` as its params dataclass."""
-    return trees.KINDS[choice(kind, "detector kind", trees.KINDS)](**block)
+    return trees.KINDS[choice(kind, "detector kind", trees.KINDS)].params(**block)
 
 
 def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     """Stage 5: fit one detector of ``kind`` with the parameters of its config
-    block; only the forest uses ``seed``, but every kind checks it."""
+    block; only a seeded kind (``trees.KINDS``) reads ``seed``, but every
+    kind checks it."""
     params = _detector_params(kind, block)
-    seed = integer(seed, "seed", 0)
-    if kind == trees.CART:
-        return trees.train_cart(X, y, params)
-    if kind == trees.GBC:
-        return trees.train_gbc(X, y, params)
-    return trees.train_forest(X, y, params, seed=seed)
+    return trees.KINDS[kind].fit(X, y, params, integer(seed, "seed", 0))
 
 
 # what a forked worker inherits from the parent: (normalized normal leg,
@@ -294,13 +294,13 @@ def _oracle_job(seeds):
 
 
 def _fit_job(job):
-    """Fit the detector ``job = (kind, run seed, adversarial set)`` on the
+    """Fit the detector ``job = (fit key, adversarial set)`` names on the
     inherited normal leg plus the adversarial set, and score it on the
     attacked leg; returns (model, confusion matrix)."""
-    kind, run_seed, adversarial = job
+    (kind, *seed), adversarial = job
     normal_n, attacked_n, config = _WORKER_INPUTS
     merged = ds.merge(normal_n, adversarial)
-    model = train_detector(kind, merged.X, merged.y, config[kind], run_seed)
+    model = train_detector(kind, merged.X, merged.y, config[kind], *seed)
     preds = trees.predict_classes(model, attacked_n.X)
     return model, evaluation.confusion(preds, attacked_n.y)
 
@@ -348,14 +348,19 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     normal_n = ds.apply_minmax(normal, params)
     attacked_n = ds.apply_minmax(attacked, params)
 
-    # the forests, the longest fits, go first; cart and gbc take no seed, so
-    # one fit and one prediction serve every run
-    jobs = ([(trees.FOREST, s) for s in seeds["detector_runs"]]
-            + [(trees.GBC, 0), (trees.CART, 0)])
+    # a fit's key is (kind, the run's seed), or (kind,) for a kind whose fit
+    # reads no seed, so runs that would fit one model share its key; each
+    # distinct key is fitted and scored once, the seeded fits (the longest)
+    # first
+    fit_key = {(r, kind): (kind, s) if spec.seeded else (kind,)
+               for r, s in enumerate(seeds["detector_runs"])
+               for kind, spec in trees.KINDS.items()}
+    keys = sorted(dict.fromkeys(fit_key.values()),
+                  key=lambda key: not trees.KINDS[key[0]].seeded)
     # stage 3 trains in the pool while the parent writes the stage 1-2
     # files; leaving the block joins every job, so a failed write raises
     # after the oracle is done and before any later artifact exists
-    with _forked_pool(_worker_count(len(jobs)), normal_n, attacked_n, config) as pool:
+    with _forked_pool(_worker_count(len(keys)), normal_n, attacked_n, config) as pool:
         trained = pool.submit(_oracle_job, (seeds["split"], seeds["mlp_init"],
                                             seeds["mlp_train"]))
         emit("normal.csv", write_csv, normal)
@@ -375,16 +380,16 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
 
         # detectors train on normal + adversarial only, and are scored on
         # the full attacked trace
-        *forests, gbc, cart = pool.map(
-            _fit_job, [(kind, s, adversarial) for kind, s in jobs])
+        fits = dict(zip(keys, pool.map(_fit_job, [(key, adversarial)
+                                                   for key in keys])))
     matrices: dict[str, list[evaluation.ConfusionMatrix]] = {
         k: [] for k in trees.KINDS
     }
     (out / "models").mkdir(exist_ok=True)
-    for r, forest in enumerate(forests):
-        for kind, (model, matrix) in zip(trees.KINDS, (cart, forest, gbc)):
-            emit("models/%s_run%d.json" % (kind, r), write_model, model)
-            matrices[kind].append(matrix)
+    for (r, kind), key in fit_key.items():
+        model, matrix = fits[key]
+        emit("models/%s_run%d.json" % (kind, r), write_model, model)
+        matrices[kind].append(matrix)
 
     # stage 6: assessment report
     report = evaluation.build_report(matrices)

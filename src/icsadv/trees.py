@@ -22,8 +22,9 @@ feature, so no RNG draw touches it (the per-split feature draw is skipped
 when the subset covers every feature); a stage is a CART of the stage depth
 grown on SSE. Each split partitions the node's presorted slice stably in
 place, and the trees come out exactly as if every node had been sorted
-afresh. ``KINDS`` maps each detector kind to its params class, in report
-order.
+afresh. ``KINDS`` maps each detector kind, in report order, to its params
+class, its fit and whether that fit reads a seed: only the forest's does,
+so CART and boosting give one model whatever the seed.
 
 A bootstrap tree keeps each drawn row once and weighs it by its draw count,
 as in Breiman (2001, "Random Forests") and Louppe (2014, "Understanding
@@ -47,15 +48,19 @@ that is not a JSON number (``errors.finite_floats``), an index that is not
 a JSON integer (``errors.json_integers``), arrays that are not one tree
 (``_tree_fault``), or an ensemble whose tree count is not its params'
 ``n_trees`` or ``n_stages`` or whose trees differ in feature count.
-``TreeModel`` refuses arrays that are not one tree, ``ForestModel`` and
-``GbcModel`` such an ensemble, and ``GbcModel`` an ``initial_log_odds``
-that ``errors.real`` refuses, with ``ParameterError``; every grown tree
-passes the same check.
+With ``ParameterError``, ``TreeModel`` refuses arrays that are not one
+tree, a ragged list and a list holding a bool; ``CartModel`` a tree that
+is not a ``TreeModel``; ``ForestModel`` and ``GbcModel`` such an ensemble
+or a value that is not a list of ``TreeModel``s; each model the params of
+another kind; ``ForestModel`` a seed that ``errors.integer`` refuses; and
+``GbcModel`` an ``initial_log_odds`` that ``errors.real`` refuses. Every
+grown tree passes the same checks.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,8 +134,28 @@ class GbcParams:
         integer(self.max_depth, "max_depth", 1)
 
 
-# detector kind -> params class, in report order
-KINDS = {CART: CartParams, FOREST: ForestParams, GBC: GbcParams}
+@dataclass(frozen=True)
+class Kind:
+    """One detector kind: its params class, its fit ``fit(X, y, params,
+    seed)``, and whether that fit reads the seed. A fit that reads none
+    gives one model for every seed, so a caller fits it once per training
+    set."""
+    params: type
+    fit: Callable
+    seeded: bool
+
+
+# detector kind -> Kind, in report order; each fit calls its trainer through
+# this module, so a trainer replaced on the module is the one that runs
+KINDS = {
+    CART: Kind(CartParams, lambda X, y, params, seed: train_cart(X, y, params),
+               seeded=False),
+    FOREST: Kind(ForestParams,
+                 lambda X, y, params, seed: train_forest(X, y, params, seed),
+                 seeded=True),
+    GBC: Kind(GbcParams, lambda X, y, params, seed: train_gbc(X, y, params),
+              seeded=False),
+}
 
 
 def _tree_fault(feature, threshold, left, right, value, n_features) -> str | None:
@@ -168,13 +193,26 @@ def _tree_fault(feature, threshold, left, right, value, n_features) -> str | Non
     return None
 
 
+def _tree_array(values) -> np.ndarray:
+    """``values`` as an array for ``_tree_fault``. A list numpy cannot make
+    one array of (a ragged one) or a list holding a bool raises
+    ``ParameterError``: ``np.asarray`` reads true as 1 beside numbers."""
+    try:
+        out = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError("tree arrays must be arrays of numbers: %s" % exc) from None
+    if isinstance(values, (list, tuple)) and {bool, np.bool_} & set(map(type, values)):
+        raise ParameterError("tree arrays must hold numbers, not bools")
+    return out
+
+
 class TreeModel:
     """Flat binary tree; feature == -1 marks a leaf holding ``value``. The
     arrays must pass ``_tree_fault``, else ``ParameterError``."""
 
     def __init__(self, feature, threshold, left, right, value, n_features):
         self.n_features = integer(n_features, "n_features", 1)
-        arrays = [np.asarray(a) for a in (feature, threshold, left, right, value)]
+        arrays = [_tree_array(a) for a in (feature, threshold, left, right, value)]
         fault = _tree_fault(*arrays, self.n_features)
         if fault:
             raise ParameterError(fault)
@@ -354,12 +392,24 @@ class _TreeBuilder:
         return TreeModel(*zip(*self.nodes), self.n_features), self.leaves
 
 
+def _model_params(kind: str, params):
+    """``params`` when it is an instance of ``kind``'s params class, else
+    ``ParameterError``."""
+    cls = KINDS[kind].params
+    if not isinstance(params, cls):
+        raise ParameterError("%s params must be a %s, got %r"
+                             % (kind, cls.__name__, params))
+    return params
+
+
 class CartModel:
     kind = CART
 
     def __init__(self, tree: TreeModel, params: CartParams):
+        if not isinstance(tree, TreeModel):
+            raise ParameterError("cart tree must be a TreeModel, got %r" % (tree,))
         self.tree = tree
-        self.params = params
+        self.params = _model_params(CART, params)
 
 
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
@@ -372,12 +422,12 @@ class ForestModel:
     kind = FOREST
 
     def __init__(self, trees: list[TreeModel], params: ForestParams, seed: int):
-        fault = _ensemble_fault(trees, params.n_trees, "trees")
+        fault = _ensemble_fault(trees, _model_params(FOREST, params).n_trees, "trees")
         if fault:
             raise ParameterError(fault)
         self.trees = trees
         self.params = params
-        self.seed = seed
+        self.seed = integer(seed, "seed", 0)
 
 
 def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0) -> ForestModel:
@@ -401,7 +451,7 @@ class GbcModel:
 
     def __init__(self, initial_log_odds: float, stages: list[TreeModel],
                  params: GbcParams):
-        fault = _ensemble_fault(stages, params.n_stages, "stages")
+        fault = _ensemble_fault(stages, _model_params(GBC, params).n_stages, "stages")
         if fault:
             raise ParameterError(fault)
         self.initial_log_odds = real(initial_log_odds, "initial_log_odds")
@@ -539,14 +589,14 @@ def _model_from_json(doc: dict):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError("unknown detector kind %r" % kind)
-    params = KINDS[kind](**doc["params"])
+    params = KINDS[kind].params(**doc["params"])
     if kind == CART:
         return CartModel(TreeModel.from_json(doc["tree"]), params)
     if kind == FOREST:
         return ForestModel(
             _trees_from_json(doc["trees"], params.n_trees, "trees"),
             params,
-            integer(doc["seed"], "seed", 0),
+            doc["seed"],
         )
     return GbcModel(
         float(finite_floats(doc["initial_log_odds"], "initial_log_odds")),
@@ -557,9 +607,13 @@ def _model_from_json(doc: dict):
 
 def _ensemble_fault(ensemble, count: int, what: str) -> str | None:
     """Why ``ensemble`` cannot be a model's ``what`` (trees or stages) under
-    n_``what`` ``count``, or None: it must hold ``count`` trees, all on one
-    feature count. The constructors raise the message as
-    ``ParameterError``, the loader as ``ParseError``."""
+    n_``what`` ``count``, or None: it must be a list (or tuple) of
+    ``count`` ``TreeModel``s, all on one feature count. The constructors
+    raise the message as ``ParameterError``, the loader as
+    ``ParseError``."""
+    if (not isinstance(ensemble, (list, tuple))
+            or not all(isinstance(t, TreeModel) for t in ensemble)):
+        return "%s must be a list of TreeModel" % what
     if len(ensemble) != count:
         return "%d %s under n_%s %d" % (len(ensemble), what, what, count)
     if len({t.n_features for t in ensemble}) != 1:

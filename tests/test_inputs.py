@@ -12,7 +12,9 @@ ranged setting rejects a value just outside its range and takes its closed
 bounds, every setting with a fixed set of values rejects any other, and
 the array constructors (``TreeModel``, ``MlpModel``,
 ``NormalizationParams``) reject what their documents may not hold, with
-the document loaders keeping ``ParseError`` for the same faults.
+the document loaders keeping ``ParseError`` for the same faults; the
+detector model constructors reject trees, params and seeds that are not a
+model's, and a list setting rejects a value that is not a list.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ SCHEMA = ds.Schema(tuple(ds.Feature("F%d" % j, "sensor") for j in range(D)))
 ORACLE = mlp.init([D, 4, 2], 0)
 CART = trees.train_cart(X, Y, trees.CartParams(max_depth=3))
 GBC = trees.train_gbc(X, Y, trees.GbcParams(n_stages=2))
+FOREST = trees.train_forest(X, Y, trees.ForestParams(n_trees=2))
 ATTACK = jsma.JsmaConfig(max_iterations=3)
 
 
@@ -162,6 +165,7 @@ SEEDED = {
     "dataset.split": lambda s: ds.split(ds.Dataset(SCHEMA, X, Y), 0.5, s),
     "train_forest": lambda s: trees.train_forest(
         X, Y, trees.ForestParams(n_trees=2), seed=s),
+    "ForestModel": lambda s: trees.ForestModel(FOREST.trees, FOREST.params, s),
     "simulate_normal": lambda s: plantsim.simulate_normal(
         plantsim.PlantConfig(steps=50), s),
     "simulate_with_attacks": lambda s: plantsim.simulate_with_attacks(
@@ -211,6 +215,21 @@ REJECTED = {
         lambda: pipeline.train_detector("xgb", X, Y, {}), ParameterError),
     "model-kind-unknown": (lambda: trees.model_kind(object()), ParameterError),
 }
+# the model constructors take the parts a Python caller gives them, and a
+# list setting must be a list; each probe names the part or the setting
+MODEL_PARTS = {
+    "CartModel-tree-None": (lambda: trees.CartModel(None, CART.params), "tree"),
+    "CartModel-params-None": (lambda: trees.CartModel(CART.tree, None), "params"),
+    "ForestModel-trees-3": (lambda: trees.ForestModel(3, FOREST.params, 0), "trees"),
+    "ForestModel-trees-of-arrays": (lambda: trees.ForestModel(
+        [t.arrays() for t in FOREST.trees], FOREST.params, 0), "trees"),
+    "GbcModel-stages-None": (lambda: trees.GbcModel(0.0, None, GBC.params), "stages"),
+    "GbcModel-forest-params": (
+        lambda: trees.GbcModel(0.0, GBC.stages, FOREST.params), "params"),
+    "variant_configs-epsilon_schedule-0.1": (
+        lambda: jsma.variant_configs(ATTACK, 0.1, 1), "epsilon_schedule"),
+    "mlp.init-layer_sizes-5": (lambda: mlp.init(5, 0), "layer_sizes"),
+}
 
 
 PLANT_REALS = ("tank_capacity", "inflow_rate", "outflow_rate", "level_low",
@@ -239,6 +258,9 @@ BAD_REALS = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
              "True": True, "'1.2'": "1.2"}
 # the setting each probe below must name in its error
 NAMED = {"decision-scores-n-stages-true": "n_stages"}
+for _name, (_call, _named) in MODEL_PARTS.items():
+    REJECTED[_name] = (_call, ParameterError)
+    NAMED[_name] = _named
 REJECTED["decision-scores-n-stages-true"] = (
     lambda: GBC.decision_scores(X, n_stages=True), ParameterError)
 for _setting, _call in REAL_SETTINGS.items():
@@ -297,6 +319,10 @@ TREE_FAULTS = {
     "feature-0.7": {"feature": [0.7, -1, -1]},
     "left-1.9": {"left": [1.9, -1, -1]},
     "bool-feature": {"feature": [True, False, False]},
+    # numpy reads a bool beside integers as 1, and fails on a ragged list
+    "bool-left": {"left": [True, -1, -1]},
+    "bool-value": {"value": [0, True, 0.75]},
+    "ragged-threshold": {"threshold": [0.5, 0, [0]]},
     "nan-threshold": {"threshold": [np.nan, 0.0, 0.0]},
     "inf-value": {"value": [0.0, np.inf, 0.75]},
 }

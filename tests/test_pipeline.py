@@ -356,6 +356,37 @@ def test_seed_free_detectors_train_once(tmp_path, tiny_scenario, tiny_config,
         assert len(docs) == (n_runs if kind == "rf" else 1)
 
 
+def test_seeded_fits_reach_the_worker_first(tmp_path, tiny_scenario, tiny_config,
+                                            monkeypatch):
+    """One worker takes the fits in the order they were submitted: every
+    seeded fit, the longest, comes before any seed-free fit, and each fit
+    key, (kind, seed) or (kind,) for a kind that reads no seed, runs once."""
+    log = tmp_path / "calls.log"
+    trainers = {"train_cart": trees.CART, "train_forest": trees.FOREST,
+                "train_gbc": trees.GBC}
+    for name, kind in trainers.items():
+        real = getattr(trees, name)
+
+        def logged(*args, _real=real, _kind=kind, **kwargs):
+            # a trainer's arguments are X, y, params and, if it reads one, seed
+            seed = [*args[3:], *kwargs.values()]
+            with open(log, "a") as fh:
+                fh.write(" ".join([_kind, *map(str, seed)]) + "\n")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(trees, name, logged)
+    monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 1)
+    tiny_config["n_runs"] = 3
+    manifest = pl.run_pipeline(tiny_config, tmp_path / "out", scenario=tiny_scenario)
+    keys = [tuple(line.split()) for line in log.read_text().splitlines()]
+    seeded = [trees.KINDS[key[0]].seeded for key in keys]
+    assert seeded == sorted(seeded, reverse=True)
+    assert len(set(keys)) == len(keys)
+    assert sorted(keys) == sorted(
+        [(trees.FOREST, str(s)) for s in manifest["seeds"]["detector_runs"]]
+        + [(trees.CART,), (trees.GBC,)])
+
+
 # SHA-256 of the tiny run's report and manifest (which lists every
 # artifact's digest) as the serial detector stage wrote them
 TINY_REPORT_SHA256 = "9c8ea544adea36145b19de4c8a90aa415c8eade23daba75a092ef94aa4511c45"
