@@ -9,11 +9,21 @@ column. The schema JSON names every feature and its kind::
 
 Floats are written with ``repr`` so a save/load round trip is lossless and
 byte-identical across runs.
+
+``load_csv`` reads the header with the csv module and the body with
+numpy's C reader, which converts each cell with the routine ``float()``
+uses. A file the two might read differently (a quoted cell, a line over
+``csv.field_size_limit()``, a line with no feature cell) or that numpy
+refuses (``1_0``, a non-ASCII digit, any malformed cell, row or label) is
+read again from its start, line by line, by the csv module and
+``float()``: that reader accepts what they accept and names any fault's
+file, line and column.
 """
 from __future__ import annotations
 
 import array
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +41,9 @@ from .errors import (
     class_labels,
     finite_array,
     finite_floats,
+    instance,
     integer,
+    listed,
     parses,
     real,
     text,
@@ -59,6 +71,8 @@ class Schema:
     label_column: str = "Normal/Attack"
 
     def __post_init__(self):
+        for f in listed(self.features, "schema features"):
+            instance(f, "schema feature", Feature)
         if not self.features:
             raise ParameterError("schema needs at least one feature")
         names = [f.name for f in self.features]
@@ -139,7 +153,7 @@ class Dataset:
     """
 
     def __init__(self, schema: Schema, X: np.ndarray, y: np.ndarray):
-        self.schema = schema
+        self.schema = instance(schema, "schema", Schema)
         self.X = np.ascontiguousarray(finite_array(X, 2, schema.n_features))
         self.y = class_labels(y, self.X.shape[0])
 
@@ -153,23 +167,76 @@ class Dataset:
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Read a dataset CSV, validating the header against the schema."""
+    """Read a dataset CSV, validating the header against the schema.
+
+    The body is read by numpy (``_read_body``) or, for a file numpy may
+    read differently or refuses, line by line (``_read_rows``); a fault is
+    named by file, line and, for a cell, column.
+    """
     expected = schema.feature_names + [schema.label_column]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            cells, labels = _read_rows(reader, path, expected)
+            body = _read_body(fh, expected)
+            if body is None:
+                reader = csv.reader(fh)
+                cells, labels = _read_rows(reader, path, expected)
+                body = (np.frombuffer(cells, dtype=np.float64)
+                        .reshape(-1, len(expected) - 1), labels)
     except UnicodeDecodeError as exc:
         raise ParseError("%s: not UTF-8 text: %s" % (path, exc)) from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
-    X = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(expected) - 1)
+    X, labels = body
     try:
         return Dataset(schema, X, np.frombuffer(labels, dtype=np.uint8))
-    except InputContractError:  # float() parses "nan" and "inf"
+    except InputContractError:  # float() and numpy parse "nan" and "inf"
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ParseError("%s: line %d, column %r: %s is not a finite number"
                          % (path, row + 2, expected[col], X[row, col])) from None
+
+
+def _read_body(fh, expected):
+    """The feature matrix and encoded labels of the open file ``fh``, its
+    header equal to ``expected``, read by ``np.loadtxt``; or None, with
+    ``fh`` back at its start (unread if it cannot seek), when
+    ``_read_rows`` must read it.
+
+    That is so when the header differs, and on any line that numpy might
+    read differently from the csv module: one over
+    ``csv.field_size_limit()``, one holding a quote, one with no feature
+    cell (numpy skips an empty row). It is also so for any file numpy or
+    ``label_encode`` refuses: ``_read_rows`` then raises the fault with its
+    line, or reads what ``float()`` reads and numpy does not (``1_0``).
+    Each cell goes through ``PyOS_string_to_double`` either way, so both
+    readers give the same bits.
+    """
+    if not fh.seekable():
+        return None
+    n_features = len(expected) - 1
+    labels = bytearray()
+    limit = csv.field_size_limit()
+
+    def feature_cells(lines):
+        for line in lines:
+            cells, _, label = line.rpartition(",")
+            if not cells or len(line) > limit or '"' in line:
+                raise ValueError("line for the csv module")
+            labels.append(label_encode(label))
+            yield cells
+
+    try:
+        if next(csv.reader(fh), None) == expected:
+            first = next(fh, None)
+            if first is None:  # loadtxt warns on an empty body
+                return np.empty((0, n_features)), labels
+            X = np.loadtxt(feature_cells(itertools.chain([first], fh)),
+                           delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            if X.shape[1] == n_features:
+                return X, labels
+    except (ValueError, csv.Error):  # UnicodeDecodeError and LabelError too
+        pass
+    fh.seek(0)
+    return None
 
 
 def _read_rows(reader, path, expected):
@@ -304,7 +371,7 @@ def apply_minmax(dataset: Dataset, params: NormalizationParams) -> Dataset:
 
 def merge(a: Dataset, b: Dataset) -> Dataset:
     """Concatenate two datasets that share an identical schema."""
-    if a.schema != b.schema:
+    if instance(a, "a", Dataset).schema != instance(b, "b", Dataset).schema:
         raise SchemaMismatchError("cannot merge datasets with different schemas")
     return Dataset(
         a.schema,

@@ -23,6 +23,8 @@ module calls these rules and writes no comparison or message of its own.
   setting, its range and the value;
 * lists: a setting that is a list of values (an epsilon schedule, a list
   of layer sizes) goes through ``listed`` before its entries are checked;
+* objects: an argument that must be one of the package's objects (a
+  schema, a dataset, a model part, a config) goes through ``instance``;
 * choices: a setting with a fixed set of values (a direction, an attack
   kind, a feature kind, a detector kind) goes through ``choice``;
 * names: a document's names and kinds go through ``text``, which takes only
@@ -228,6 +230,14 @@ def listed(values, name: str):
     if not isinstance(values, (list, tuple)):
         raise ParameterError("%s must be a list, got %r" % (name, values))
     return values
+
+
+def instance(value, name: str, cls):
+    """``value`` when it is a ``cls``; anything else, None or a number
+    included, raises ``ParameterError`` naming ``name`` and the class."""
+    if not isinstance(value, cls):
+        raise ParameterError("%s must be a %s, got %r" % (name, cls.__name__, value))
+    return value
 
 
 def choice(value, name: str, choices):

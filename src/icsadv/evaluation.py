@@ -26,8 +26,10 @@ from .errors import (
     EmptyInputError,
     class_labels,
     finite_floats,
+    instance,
     integer,
     json_integers,
+    listed,
     parses,
 )
 
@@ -134,7 +136,8 @@ def aggregate(rows: list[MetricsRow]) -> dict[str, MetricsRow]:
 
 def detector_block(matrices: list[ConfusionMatrix]) -> dict:
     """Per-detector report fragment: runs, matrices, aggregate columns."""
-    rows = [metrics(cm) for cm in matrices]
+    rows = [metrics(instance(cm, "confusion matrix", ConfusionMatrix))
+            for cm in listed(matrices, "matrices")]
     agg = aggregate(rows)
     return {
         "runs": [r.to_json() for r in rows],
@@ -150,7 +153,8 @@ def build_report(detectors: dict[str, list[ConfusionMatrix]]) -> dict:
         "format": "assessment",
         "version": 1,
         "detectors": {
-            name: detector_block(mats) for name, mats in detectors.items()
+            name: detector_block(mats)
+            for name, mats in instance(detectors, "detectors", dict).items()
         },
     }
 

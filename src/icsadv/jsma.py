@@ -47,7 +47,7 @@ import numpy as np
 from . import mlp
 from .dataset import Dataset
 from .errors import (FRACTION, InputContractError, ParameterError, choice,
-                     finite_array, integer, listed, real)
+                     finite_array, instance, integer, listed, real)
 
 CLIP_MIN = 0.0
 CLIP_MAX = 1.0
@@ -270,13 +270,14 @@ def generate_set(
     runs the attack loop once over all rows; output order is (row index,
     config index), so repeated runs are byte-identical.
     """
-    if data.n_rows == 0:
+    if instance(data, "data", Dataset).n_rows == 0:
         raise InputContractError("generation needs at least one attack row")
     if not np.all(data.y == 1):
         raise InputContractError(
             "generation input must contain only attack rows (label 1)"
         )
-    if len({c.direction for c in configs}) != 1:
+    if len({instance(c, "attack config", JsmaConfig).direction
+            for c in listed(configs, "configs")}) != 1:
         raise ParameterError("generation needs at least one attack config, "
                              "all of one direction")
     X, target = _check_rows(model, data.X, target, ndim=2)

@@ -46,11 +46,12 @@ class MlpModel:
     """Weights/biases plus layer sizes; weights[k] has shape (out, in)."""
 
     def __init__(self, layer_sizes, weights, biases):
-        self.layer_sizes = [integer(s, "layer size", 1) for s in layer_sizes]
+        self.layer_sizes = [integer(s, "layer size", 1)
+                            for s in listed(layer_sizes, "layer_sizes")]
         self.weights = [finite_array(W, 2, what="weights of layer %d" % k)
-                        for k, W in enumerate(weights)]
+                        for k, W in enumerate(listed(weights, "weights"))]
         self.biases = [finite_array(b, 1, what="biases of layer %d" % k)
-                       for k, b in enumerate(biases)]
+                       for k, b in enumerate(listed(biases, "biases"))]
         if len(self.layer_sizes) < 2:
             raise ParameterError("need at least an input and an output layer")
         if len(self.weights) != len(self.layer_sizes) - 1 or len(self.biases) != len(

@@ -74,6 +74,7 @@ from .errors import (
     ParseError,
     finite_array,
     finite_floats,
+    instance,
     integer,
     json_integers,
     parses,
@@ -392,24 +393,12 @@ class _TreeBuilder:
         return TreeModel(*zip(*self.nodes), self.n_features), self.leaves
 
 
-def _model_params(kind: str, params):
-    """``params`` when it is an instance of ``kind``'s params class, else
-    ``ParameterError``."""
-    cls = KINDS[kind].params
-    if not isinstance(params, cls):
-        raise ParameterError("%s params must be a %s, got %r"
-                             % (kind, cls.__name__, params))
-    return params
-
-
 class CartModel:
     kind = CART
 
     def __init__(self, tree: TreeModel, params: CartParams):
-        if not isinstance(tree, TreeModel):
-            raise ParameterError("cart tree must be a TreeModel, got %r" % (tree,))
-        self.tree = tree
-        self.params = _model_params(CART, params)
+        self.tree = instance(tree, "cart tree", TreeModel)
+        self.params = instance(params, "cart params", CartParams)
 
 
 def train_cart(X, y, params: CartParams = CartParams()) -> CartModel:
@@ -422,11 +411,11 @@ class ForestModel:
     kind = FOREST
 
     def __init__(self, trees: list[TreeModel], params: ForestParams, seed: int):
-        fault = _ensemble_fault(trees, _model_params(FOREST, params).n_trees, "trees")
+        self.params = instance(params, "rf params", ForestParams)
+        fault = _ensemble_fault(trees, params.n_trees, "trees")
         if fault:
             raise ParameterError(fault)
         self.trees = trees
-        self.params = params
         self.seed = integer(seed, "seed", 0)
 
 
@@ -451,12 +440,12 @@ class GbcModel:
 
     def __init__(self, initial_log_odds: float, stages: list[TreeModel],
                  params: GbcParams):
-        fault = _ensemble_fault(stages, _model_params(GBC, params).n_stages, "stages")
+        self.params = instance(params, "gbc params", GbcParams)
+        fault = _ensemble_fault(stages, params.n_stages, "stages")
         if fault:
             raise ParameterError(fault)
         self.initial_log_odds = real(initial_log_odds, "initial_log_odds")
         self.stages = stages
-        self.params = params
 
     def decision_scores(self, X: np.ndarray, n_stages: int | None = None) -> np.ndarray:
         """Additive scores after the first ``n_stages`` stages (all by

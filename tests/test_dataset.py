@@ -1,6 +1,9 @@
 """Dataset layer: schema validation, CSV round trips, scaling, splits."""
 from __future__ import annotations
 
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +227,113 @@ class TestCsv:
         assert data.n_rows == 449_919
         assert int(data.y.sum()) == n_attack
         assert int((data.y == 0).sum()) == n_normal
+
+
+H1 = "LIT101,Normal/Attack\n"
+H2 = "LIT101,LIT201,Normal/Attack\n"
+ONE, TWO = ("LIT101",), ("LIT101", "LIT201")
+# name: (feature names, file text, outcome of the line-by-line reader alone):
+# the rows and labels it read, or the class and message (the file's path
+# as {path}) it raised
+READER_CORPUS = {
+    "blank-line": (ONE, H1 + "1.0,Normal\n\n2.0,Attack\n",
+                   (ParseError, "{path}: line 3 has 0 fields, expected 2")),
+    "whitespace-line": (ONE, H1 + "1.0,Normal\n  \t\n",
+                        (ParseError, "{path}: line 3 has 1 fields, expected 2")),
+    "whitespace-cell": (ONE, H1 + " ,Normal\n", (
+        ParseError, "{path}: line 2, column 'LIT101': cannot parse ' ' as a number")),
+    "label-only": (ONE, H1 + ",Normal\n", (
+        ParseError, "{path}: line 2, column 'LIT101': cannot parse '' as a number")),
+    "quoted-number": (ONE, H1 + '"1.5",Normal\n2.5,Attack\n', ([[1.5], [2.5]], [0, 1])),
+    "quoted-header-comma": (("LIT,101",), '"LIT,101",Normal/Attack\n0.5,Normal\n',
+                            ([[0.5]], [0])),
+    "underscore-digits": (ONE, H1 + "1_0,Normal\n", ([[10.0]], [0])),
+    "arabic-indic-digit": (ONE, H1 + "\u0663,Attack\n", ([[3.0]], [1])),
+    "hash-cell": (ONE, H1 + "1.0,Normal\n#0.5,Normal\n", (
+        ParseError, "{path}: line 3, column 'LIT101': cannot parse '#0.5' as a number")),
+    "lone-cr-endings": (TWO, H2.replace("\n", "\r") + "1.0,-0.0,Normal\r2.5,3e-320,Attack\r",
+                        ([[1.0, -0.0], [2.5, 3e-320]], [0, 1])),
+    "no-final-line-end": (TWO, H2 + "1.0,2.0,Normal\n0.1,-7.25,Attack",
+                          ([[1.0, 2.0], [0.1, -7.25]], [0, 1])),
+    "header-only": (TWO, H2, (np.empty((0, 2)), [])),
+    "over-limit-finite": (ONE, H1 + "0." + "0" * 200_000 + "1,Normal\n", (
+        ParseError, "{path}: line 2: field larger than field limit (131072)")),
+    "too-many-fields": (ONE, H1 + "1.0,Normal\n1.0,2.0,Normal\n",
+                        (ParseError, "{path}: line 3 has 3 fields, expected 2")),
+    "too-few-fields": (TWO, H2 + "1.0,2.0,Normal\n1.0,Normal\n",
+                       (ParseError, "{path}: line 3 has 2 fields, expected 3")),
+    "bad-label": (TWO, H2 + "1.0,2.0,Normal\n1.0,2.0,Anomaly\n", (
+        LabelError,
+        "{path}: line 3: unknown label token 'Anomaly' (expected Normal or Attack)")),
+    "nan-cell": (TWO, H2 + "1.0,2.0,Normal\n1.0,nan,Attack\n", (
+        ParseError, "{path}: line 3, column 'LIT201': nan is not a finite number")),
+    "inf-cell": (TWO, H2 + "1.0,2.0,Normal\n-inf,2.0,Attack\n", (
+        ParseError, "{path}: line 3, column 'LIT101': -inf is not a finite number")),
+    "nan-then-bad-label": (ONE, H1 + "nan,Normal\n1.0,Anomaly\n", (
+        LabelError,
+        "{path}: line 3: unknown label token 'Anomaly' (expected Normal or Attack)")),
+    "spaced-cells-and-label": (TWO, H2 + " 1.5 ,\t-2e3, attack \r\n",
+                               ([[1.5, -2000.0]], [1])),
+    "nul-in-cell": (ONE, H1 + "1.0\x00,Normal\n", (
+        ParseError,
+        "{path}: line 2, column 'LIT101': cannot parse '1.0\\x00' as a number")),
+}
+
+
+class TestReaders:
+    """``load_csv`` reads a body with numpy and falls back to the
+    line-by-line reader; either way a file gives what that reader alone
+    gave."""
+
+    @pytest.mark.parametrize("name", list(READER_CORPUS))
+    def test_same_bits_or_same_error(self, tmp_path, name):
+        names, text, (expected, labels) = READER_CORPUS[name]
+        schema = ds.Schema(tuple(ds.Feature(n, ds.SENSOR) for n in names))
+        p = tmp_path / "a.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        if isinstance(expected, type):
+            with pytest.raises(expected) as info:
+                ds.load_csv(p, schema)
+            assert type(info.value) is expected
+            assert str(info.value) == labels.format(path=p)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on an empty body
+            data = ds.load_csv(p, schema)
+        expected = np.asarray(expected, dtype=np.float64)
+        assert data.X.shape == expected.shape
+        assert np.array_equal(data.X.view(np.uint64), expected.view(np.uint64))
+        assert data.y.tolist() == labels
+
+    def test_a_pipe_is_read_once(self):
+        """A file that cannot seek goes to the line-by-line reader alone,
+        which reads what numpy refuses."""
+        r, w = os.pipe()
+        os.write(w, b'LIT101,Normal/Attack\n"1_0",Normal\n')
+        os.close(w)
+        try:
+            data = ds.load_csv("/dev/fd/%d" % r, small_schema(1))
+        finally:
+            os.close(r)
+        assert data.X.tolist() == [[10.0]]
+
+    def test_saved_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        """Every file save_csv writes is read by numpy, bit for bit: a
+        subnormal, a 17-digit integer, -0.0 and non-terminating fractions,
+        under a quoted column name."""
+        def refuse(*args):
+            raise AssertionError("line-by-line reader called")
+
+        monkeypatch.setattr(ds, "_read_rows", refuse)
+        schema = ds.Schema((ds.Feature("LIT,101", ds.SENSOR), ds.Feature("P101", ds.ACTUATOR)))
+        X = np.array([[5e-324, 1e16], [-0.0, 0.1], [1 / 3, -2 / 3]])
+        data = ds.Dataset(schema, X, [0, 1, 1])
+        p = tmp_path / "a.csv"
+        ds.save_csv(data, p)
+        again = ds.load_csv(p, schema)
+        assert np.array_equal(again.X.view(np.uint64), X.view(np.uint64))
+        assert again.y.tolist() == [0, 1, 1]
 
 
 class TestMinmax:

@@ -215,8 +215,9 @@ REJECTED = {
         lambda: pipeline.train_detector("xgb", X, Y, {}), ParameterError),
     "model-kind-unknown": (lambda: trees.model_kind(object()), ParameterError),
 }
-# the model constructors take the parts a Python caller gives them, and a
-# list setting must be a list; each probe names the part or the setting
+# the model and dataset constructors and the generation and report entry
+# points take the objects a Python caller gives them, and a list setting
+# must be a list; each probe names the part, the argument or the setting
 MODEL_PARTS = {
     "CartModel-tree-None": (lambda: trees.CartModel(None, CART.params), "tree"),
     "CartModel-params-None": (lambda: trees.CartModel(CART.tree, None), "params"),
@@ -229,6 +230,24 @@ MODEL_PARTS = {
     "variant_configs-epsilon_schedule-0.1": (
         lambda: jsma.variant_configs(ATTACK, 0.1, 1), "epsilon_schedule"),
     "mlp.init-layer_sizes-5": (lambda: mlp.init(5, 0), "layer_sizes"),
+    "Schema-features-5": (lambda: ds.Schema(5), "schema features"),
+    "Schema-feature-5": (lambda: ds.Schema((5,)), "schema feature"),
+    "Dataset-schema-None": (lambda: ds.Dataset(None, X, Y), "schema"),
+    "merge-5-6": (lambda: ds.merge(5, 6), "a must be a Dataset"),
+    "merge-dataset-6": (lambda: ds.merge(ds.Dataset(SCHEMA, X, Y), 6),
+                        "b must be a Dataset"),
+    "MlpModel-layer_sizes-5": (lambda: mlp.MlpModel(5, [], []), "layer_sizes"),
+    "MlpModel-weights-5": (lambda: mlp.MlpModel([D, 2], 5, [np.zeros(2)]), "weights"),
+    "MlpModel-biases-5": (lambda: mlp.MlpModel([D, 2], [np.zeros((2, D))], 5), "biases"),
+    "generate_set-configs-5": (lambda: jsma.generate_set(
+        ORACLE, ds.Dataset(SCHEMA, X, ONES), 5), "configs"),
+    "generate_set-config-5": (lambda: jsma.generate_set(
+        ORACLE, ds.Dataset(SCHEMA, X, ONES), [5]), "attack config"),
+    "generate_set-data-None": (lambda: jsma.generate_set(ORACLE, None, [ATTACK]), "data"),
+    "build_report-detectors-5": (lambda: evaluation.build_report(5), "detectors"),
+    "build_report-matrices-5": (lambda: evaluation.build_report({"cart": 5}), "matrices"),
+    "build_report-matrix-5": (lambda: evaluation.build_report({"cart": [5]}),
+                              "confusion matrix"),
 }
 
 
