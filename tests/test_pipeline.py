@@ -536,6 +536,114 @@ def _assert_logs_whole(out, scenario):
     assert not list(out.glob("*.tmp"))
 
 
+def _pinned_dataset(n_rows):
+    """Both labels, a subnormal, a 17-digit integer, -0.0 and
+    non-terminating fractions, under a column name holding a comma."""
+    schema = ds.Schema((ds.Feature("LIT,101", ds.SENSOR), ds.Feature("FIT101", ds.SENSOR),
+                        ds.Feature("P101", ds.ACTUATOR)))
+    X = np.random.default_rng(23).normal(0.0, 100.0, (n_rows, 3))
+    special = [5e-324, 1e16, -0.0, 1 / 3, -2 / 3]
+    X.flat[:min(len(special), X.size)] = special[:X.size]
+    return ds.Dataset(schema, X, (np.arange(n_rows) % 3 == 0).astype(np.int64))
+
+
+# SHA-256 of what the row-at-a-time save_csv wrote for _pinned_dataset(n)
+WRITER_SHA256 = {
+    0: "d9ee570d51eacc85d6fcfda34bf0f805cfcb6f1762a573051d95081cc9bba8aa",
+    8: "89eb46a04712cb2e72626b528fffea6c6f347273f2591da83a002fa34995e67d",
+    47: "c17823f10635a76b7916fdc28e6f3ba47c705923b20d35ff9c357852e16cd5ef",
+}
+# and what `icsadv preprocess` wrote for _pinned_dataset(47)
+PREPROCESSED_SHA256 = "e904958f24854932399a43b48de6f63d302b14a4477b685d3b06abfdb21489a5"
+
+
+class TestCsvWriter:
+    """A body of two blocks or more is formatted in forked workers; the
+    bytes do not depend on it."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Ten-row blocks for _pinned_dataset; returns the list of the
+        worker counts write_csv forked."""
+        monkeypatch.setattr(ds, "BLOCK_CELLS", 30)
+        calls = []
+        real_pool = pl._forked_pool
+
+        def counted(*args):
+            calls.append(args[0])
+            return real_pool(*args)
+
+        monkeypatch.setattr(pl, "_forked_pool", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", sorted(WRITER_SHA256))
+    def test_same_bytes_whatever_the_workers(self, tmp_path, monkeypatch, forks,
+                                             workers, n_rows):
+        """47 rows are five blocks, the last one partial; 8 rows are one
+        block and 0 rows the header alone, which never fork."""
+        monkeypatch.setattr(pl, "_worker_count",
+                            lambda n_jobs: min(workers, n_jobs))
+        data = _pinned_dataset(n_rows)
+        pl.write_csv(data, tmp_path / "forked.csv")
+        ds.save_csv(data, tmp_path / "saved.csv")
+        written = (tmp_path / "forked.csv").read_bytes()
+        assert written == (tmp_path / "saved.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == WRITER_SHA256[n_rows]
+        assert forks == ([workers] if workers > 1 and n_rows == 47 else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "saved.csv"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_preprocess_writes_the_same_bytes(self, tmp_path, monkeypatch, forks,
+                                              workers):
+        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: workers)
+        data = _pinned_dataset(47)
+        ds.save_csv(data, tmp_path / "in.csv")
+        (tmp_path / "schema.json").write_text(json.dumps(data.schema.to_json()))
+        assert cli.main(["preprocess", "--input", str(tmp_path / "in.csv"),
+                         "--schema", str(tmp_path / "schema.json"),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+        assert pl.sha256_file(tmp_path / "out.csv") == PREPROCESSED_SHA256
+        assert forks == ([workers] if workers > 1 else [])
+
+    def test_a_failed_block_leaves_no_file_and_no_worker(self, tmp_path,
+                                                         monkeypatch, forks):
+        real_format = ds.format_block
+
+        def fails_late(data, start):
+            if start >= 30:
+                raise ParameterError("block at row %d failed" % start)
+            return real_format(data, start)
+
+        # the workers are forked after this, so they inherit the patch
+        monkeypatch.setattr(ds, "format_block", fails_late)
+        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ParameterError) as info:
+            pl.write_csv(_pinned_dataset(47), path)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == "block at row 30 failed"
+        assert forks == [2]
+        assert not path.exists()
+        assert not path.with_name("out.csv.tmp").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_run_writes_its_logs_in_process(self, tmp_path, tiny_scenario,
+                                              tiny_config, monkeypatch, forks):
+        """The run's pool holds the cores while the parent writes, so
+        even with 100-cell blocks its 1,200-row logs fork no writer."""
+        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(ds, "BLOCK_CELLS", 100)
+        pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
+        assert forks == [2]
+        schema = ds.Schema.from_json(json.loads((tmp_path / "schema.json").read_text()))
+        for name in LOGS:
+            assert len(ds.block_starts(ds.load_csv(tmp_path / name, schema))) > 10
+        assert pl.sha256_file(tmp_path / "run_manifest.json") == TINY_MANIFEST_SHA256
+        assert multiprocessing.active_children() == []
+
+
 class TestRunPool:
     """Stages 3-5 run on one pool of workers forked after stage 2."""
 
@@ -580,7 +688,7 @@ def test_importing_the_package_loads_no_process_pool():
     """``multiprocessing`` and ``concurrent.futures`` cost about 40 ms to
     import, and only a pipeline run uses them, so the modules import them
     lazily."""
-    code = ("import sys, icsadv.pipeline, icsadv.cli; "
+    code = ("import sys, icsadv.dataset, icsadv.pipeline, icsadv.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
