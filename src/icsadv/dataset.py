@@ -9,9 +9,7 @@ column. The schema JSON names every feature and its kind::
 
 Floats are written with ``repr`` so a save/load round trip is lossless and
 byte-identical across runs. ``save_csv`` formats the body in blocks of
-``BLOCK_CELLS`` cells, each by one ``%`` call (``format_block``);
-``pipeline.write_csv`` formats the blocks of a large write outside a run
-in forked workers, to the same bytes.
+``BLOCK_CELLS`` cells, each by one ``%`` call (``format_block``).
 
 ``load_csv`` reads the header with the csv module and the body with
 numpy's C reader, which converts each cell with the routine ``float()``
@@ -21,6 +19,13 @@ refuses (``1_0``, a non-ASCII digit, any malformed cell, row or label) is
 read again from its start, line by line, by the csv module and
 ``float()``: that reader accepts what they accept and names any fault's
 file, line and column.
+
+A large body is split across forked workers (``forking``), one per usable
+core, to the same bytes or the same matrix: the writer's in blocks of
+rows, the reader's in spans of about ``READ_BLOCK`` bytes cut at line
+ends. A body of one block or span, a file that cannot seek, and any read
+or write while a pool of the package is open (a pipeline run's own) stay
+in the process.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import forking
 from .errors import (
     OPEN_FRACTION,
     EmptyInputError,
@@ -62,8 +68,12 @@ ATTACK_TOKEN = "Attack"
 _TOKENS = np.array([NORMAL_TOKEN, ATTACK_TOKEN], dtype=object)
 
 # cells in one CSV body block: the unit ``save_csv`` formats and writes at
-# once, and ``pipeline.write_csv`` hands to a forked worker
+# once, and hands to a forked worker
 BLOCK_CELLS = 32768
+
+# bytes in one read block: ``load_csv`` cuts a body at the first line end
+# past each, and a forked worker parses each span
+READ_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,14 +153,6 @@ def label_encode(token: str) -> int:
     raise LabelError("unknown label token %r (expected Normal or Attack)" % token)
 
 
-def label_decode(value: int) -> str:
-    if value == 0:
-        return NORMAL_TOKEN
-    if value == 1:
-        return ATTACK_TOKEN
-    raise LabelError("label values must be 0 or 1, got %r" % value)
-
-
 class Dataset:
     """Feature matrix + encoded labels bound to a schema.
 
@@ -185,7 +187,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     expected = schema.feature_names + [schema.label_column]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            body = _read_body(fh, expected)
+            body = _read_body(fh, path, expected)
             if body is None:
                 reader = csv.reader(fh)
                 cells, labels = _read_rows(reader, path, expected)
@@ -204,24 +206,113 @@ def load_csv(path, schema: Schema) -> Dataset:
                          % (path, row + 2, expected[col], X[row, col])) from None
 
 
-def _read_body(fh, expected):
-    """The feature matrix and encoded labels of the open file ``fh``, its
-    header equal to ``expected``, read by ``np.loadtxt``; or None, with
-    ``fh`` back at its start (unread if it cannot seek), when
-    ``_read_rows`` must read it.
+def _read_body(fh, path, expected):
+    """The feature matrix and encoded labels of the open file ``fh`` at
+    ``path``, its header equal to ``expected``, read by ``np.loadtxt``
+    (``_read_span``); or None, with ``fh`` back at its start (unread if it
+    cannot seek), when ``_read_rows`` must read it: when the header
+    differs, or when any span of the body is refused.
 
-    That is so when the header differs, and on any line that numpy might
-    read differently from the csv module: one over
-    ``csv.field_size_limit()``, one holding a quote, one with no feature
-    cell (numpy skips an empty row). It is also so for any file numpy or
-    ``label_encode`` refuses: ``_read_rows`` then raises the fault with its
-    line, or reads what ``float()`` reads and numpy does not (``1_0``).
-    Each cell goes through ``PyOS_string_to_double`` either way, so both
-    readers give the same bits.
+    A body of two read blocks or more is cut into spans (``_spans``) that
+    forked workers read, one per usable core, unless a pool of the package
+    is open; the parent joins their blocks in order. Otherwise the body is
+    one span, read in process.
     """
     if not fh.seekable():
         return None
-    n_features = len(expected) - 1
+    start = _body_start(fh, expected)
+    if start is not None:
+        n_features = len(expected) - 1
+        spans = _spans(path, start)
+        n_workers = forking.usable_workers(len(spans))
+        if n_workers < 2:
+            body = _read_span(path, n_features, (start, None))
+        else:
+            body = _read_forked(path, n_features, spans, n_workers)
+        if body is not None:
+            return body
+    fh.seek(0)
+    return None
+
+
+def _body_start(fh, expected):
+    """The byte offset of the body of the text file ``fh``, read from its
+    start; None unless its header, read by the csv module, is
+    ``expected``."""
+    consumed = []
+
+    def next_line():
+        consumed.append(fh.readline())
+        return consumed[-1]
+
+    try:
+        if next(csv.reader(iter(next_line, "")), None) != expected:
+            return None
+    except (ValueError, csv.Error):  # UnicodeDecodeError too
+        return None
+    # under newline="" the header's lines are its characters as they stand
+    return len("".join(consumed).encode("utf-8"))
+
+
+def _spans(path, start):
+    """The (start, stop) byte spans of the body that starts at byte
+    ``start`` of the file at ``path``, cut at the first line end (``\\n``)
+    at least ``READ_BLOCK`` bytes past the previous cut; the last stop is
+    None, the file's end.
+
+    Under ``newline=""`` the byte after a ``\\n`` always starts a line, and
+    no byte of a multi-byte UTF-8 character is ``\\n``.
+    """
+    cuts = [start]
+    with open(path, "rb") as raw:
+        size = raw.seek(0, io.SEEK_END)
+        while cuts[-1] + READ_BLOCK < size:
+            raw.seek(cuts[-1] + READ_BLOCK - 1)
+            # a block at a time, so that a line longer than one is not
+            # held whole
+            while raw.readline(READ_BLOCK)[-1:] not in (b"\n", b""):
+                pass
+            if raw.tell() >= size:
+                break
+            cuts.append(raw.tell())
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _read_forked(path, n_features, spans, n_workers):
+    """``_read_span`` over ``spans`` in ``n_workers`` forked workers, the
+    blocks joined in order; None if any span is refused."""
+    cells, labels = array.array("d"), bytearray()
+    with forking.forked_pool(n_workers, path, n_features) as pool:
+        # the parent holds at most two blocks per worker
+        for block in forking.in_order(pool, _read_job, spans, 2 * n_workers):
+            if block is None:
+                return None
+            cells.frombytes(block[0].tobytes())
+            labels += block[1]
+    return np.frombuffer(cells, dtype=np.float64).reshape(-1, n_features), labels
+
+
+def _read_job(span):
+    """``_read_span`` of the inherited path and width over ``span``."""
+    path, n_features = forking.WORKER_INPUTS
+    return _read_span(path, n_features, span)
+
+
+def _read_span(path, n_features, span):
+    """The feature matrix and encoded labels of the body lines in bytes
+    ``span = (start, stop)`` of the file at ``path`` (to its end when
+    ``stop`` is None), read by ``np.loadtxt``; or None when the file must
+    go to ``_read_rows``.
+
+    That is so on any line numpy might read differently from the csv
+    module: one over ``csv.field_size_limit()``, one holding a quote, one
+    with no feature cell (numpy skips an empty row). It is also so for any
+    span numpy or ``label_encode`` refuses: ``_read_rows`` then raises the
+    fault with its line, or reads what ``float()`` reads and numpy does
+    not (``1_0``). Each cell goes through ``PyOS_string_to_double`` either
+    way, so both readers give the same bits.
+    """
+    start, stop = span
     labels = bytearray()
     limit = csv.field_size_limit()
 
@@ -233,19 +324,19 @@ def _read_body(fh, expected):
             labels.append(label_encode(label))
             yield cells
 
-    try:
-        if next(csv.reader(fh), None) == expected:
-            first = next(fh, None)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        body = fh if stop is None else io.BytesIO(fh.read(stop - start))
+        lines = io.TextIOWrapper(body, encoding="utf-8", newline="")
+        try:
+            first = next(lines, None)
             if first is None:  # loadtxt warns on an empty body
                 return np.empty((0, n_features)), labels
-            X = np.loadtxt(feature_cells(itertools.chain([first], fh)),
+            X = np.loadtxt(feature_cells(itertools.chain([first], lines)),
                            delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-            if X.shape[1] == n_features:
-                return X, labels
-    except (ValueError, csv.Error):  # UnicodeDecodeError and LabelError too
-        pass
-    fh.seek(0)
-    return None
+        except ValueError:  # UnicodeDecodeError and LabelError too
+            return None
+    return (X, labels) if X.shape[1] == n_features else None
 
 
 def _read_rows(reader, path, expected):
@@ -292,25 +383,38 @@ def _read_rows(reader, path, expected):
     return cells, labels
 
 
-def save_csv(dataset: Dataset, path, body=None) -> None:
+def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the canonical CSV format (repr floats, tokens).
 
     Only the header goes through ``csv.writer``, which quotes a column name
     holding a comma, quote or line break; a row of repr floats and a label
     token holds none of them. The body is written block by block
-    (``format_block``); ``body``, when given, yields those blocks' bytes in
-    order instead, as ``pipeline.write_csv`` does when forked workers format
-    them.
+    (``format_block``). A body of two blocks or more is formatted by forked
+    workers, one per usable core, unless a pool of the package is open:
+    its workers hold the cores then, as a run's do while the parent writes
+    its logs.
     """
     header = io.StringIO(newline="")
     csv.writer(header).writerow(dataset.schema.feature_names
                                 + [dataset.schema.label_column])
-    if body is None:
-        body = (format_block(dataset, start) for start in block_starts(dataset))
+    starts = block_starts(dataset)
+    n_workers = forking.usable_workers(len(starts))
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        for block in body:
-            fh.write(block)
+        if n_workers < 2:
+            for start in starts:
+                fh.write(format_block(dataset, start))
+            return
+        with forking.forked_pool(n_workers, dataset) as pool:
+            # the parent holds at most two blocks per worker
+            for block in forking.in_order(pool, _format_job, starts, 2 * n_workers):
+                fh.write(block)
+
+
+def _format_job(start):
+    """The bytes of the inherited dataset's body block at row ``start``."""
+    data, = forking.WORKER_INPUTS
+    return format_block(data, start)
 
 
 def _block_rows(n_features: int) -> int:

@@ -26,12 +26,11 @@ result, and the parent writes each (run, kind)'s result, looked up by key,
 in run then report order, so the artifacts are the same bytes whatever the
 number of workers.
 
-``write_csv`` outside a run forks its own pool of formatters when the body
-spans two blocks or more (``ds.block_starts``) and more than one core is
-usable: the workers inherit the dataset and return each block as bytes,
-which the parent writes in order, at most two blocks per worker in flight.
-A run's own CSV writes stay in the parent, since its pool's workers hold
-the cores and the oracle they train is on the run's critical path.
+The pool comes from ``forking``, which ``dataset`` shares: outside a run a
+large CSV read or write forks its own workers (``ds.load_csv``,
+``ds.save_csv``). A run's own CSV writes stay in the parent, since its
+pool's workers hold the cores and the oracle they train is on the run's
+critical path.
 
 The detector kinds, their config blocks, their report order and which of
 them read a seed are ``trees.KINDS``; this module names no kind. The jsma
@@ -45,8 +44,6 @@ stores the outcome under ``provenance``.
 """
 from __future__ import annotations
 
-import collections
-import contextlib
 import hashlib
 import json
 import os
@@ -54,7 +51,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import dataset as ds
-from . import evaluation, jsma, mlp, plantsim, trees
+from . import evaluation, forking, jsma, mlp, plantsim, trees
 from .errors import (FRACTION, IcsAdvError, ParameterError, ParseError, choice,
                      integer, known_keys, parses, real, text)
 
@@ -133,19 +130,8 @@ def write_json(obj: dict, path: Path) -> None:
 
 
 def write_csv(data: ds.Dataset, path: Path) -> None:
-    """Save ``data`` as a dataset CSV. A body of two blocks or more
-    (``ds.block_starts``) is formatted by a pool of forked workers, one per
-    usable core, unless a pool of this module is open: its workers hold the
-    cores then, as a run's do while the parent writes its logs."""
-    starts = ds.block_starts(data)
-    n_workers = 1 if _POOL_OPEN else _worker_count(len(starts))
-    if n_workers < 2:
-        _replace_into(ds.save_csv, data, path)
-        return
-    with _forked_pool(n_workers, data) as pool:
-        # the parent holds at most two blocks per worker
-        body = _in_order(pool, _format_job, starts, 2 * n_workers)
-        _replace_into(lambda d, tmp: ds.save_csv(d, tmp, body), data, path)
+    """Save ``data`` as a dataset CSV (``ds.save_csv``)."""
+    _replace_into(ds.save_csv, data, path)
 
 
 def write_text(text: str, path: Path) -> None:
@@ -276,72 +262,10 @@ def train_detector(kind: str, X, y, block: dict, seed: int = 0):
     return trees.KINDS[kind].fit(X, y, params, integer(seed, "seed", 0))
 
 
-# what a forked worker inherits: (normalized normal leg, normalized attacked
-# leg, config) in a run's pool, (dataset,) in a writer's
-_WORKER_INPUTS = None
-
-# True while a pool of this module is open: its workers hold the usable
-# cores then, so write_csv formats in the parent
-_POOL_OPEN = False
-
-
-def _init_worker(*inputs):
-    global _WORKER_INPUTS
-    _WORKER_INPUTS = inputs
-
-
-@contextlib.contextmanager
-def _forked_pool(n_workers: int, *inputs):
-    """A ``ProcessPoolExecutor`` of ``n_workers`` forked processes that
-    inherit ``inputs`` as ``_WORKER_INPUTS``; ``_POOL_OPEN`` is True until
-    the block exits, which shuts the pool down and joins every worker.
-
-    Only the jobs and the results are pickled. A job's exception is
-    re-raised in the parent with its class and message; a worker that dies
-    raises ``BrokenProcessPool``.
-    """
-    global _POOL_OPEN
-    # imported here, not at the top: they add about 40 ms to every import
-    # of the package, and only forked work needs them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    outer = _POOL_OPEN
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=inputs,
-    ) as pool:
-        _POOL_OPEN = True
-        try:
-            yield pool
-        finally:
-            _POOL_OPEN = outer
-
-
-def _in_order(pool, fn, jobs, window: int):
-    """Yield ``fn(job)`` for each of ``jobs``, run in ``pool``, in job
-    order, with at most ``window`` jobs submitted and not yet yielded."""
-    pending = collections.deque()
-    for job in jobs:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, job))
-    while pending:
-        yield pending.popleft().result()
-
-
-def _format_job(start):
-    """The bytes of the inherited dataset's body block at row ``start``."""
-    data, = _WORKER_INPUTS
-    return ds.format_block(data, start)
-
-
 def _oracle_job(seeds):
     """Stage 3 on the inherited attacked leg; ``seeds`` = (split, init,
     train). Returns (model, loss history)."""
-    _normal_n, attacked_n, config = _WORKER_INPUTS
+    _normal_n, attacked_n, config = forking.WORKER_INPUTS
     return train_oracle(attacked_n, config["mlp"], *seeds)
 
 
@@ -350,15 +274,11 @@ def _fit_job(job):
     inherited normal leg plus the adversarial set, and score it on the
     attacked leg; returns (model, confusion matrix)."""
     (kind, *seed), adversarial = job
-    normal_n, attacked_n, config = _WORKER_INPUTS
+    normal_n, attacked_n, config = forking.WORKER_INPUTS
     merged = ds.merge(normal_n, adversarial)
     model = train_detector(kind, merged.X, merged.y, config[kind], *seed)
     preds = trees.predict_classes(model, attacked_n.X)
     return model, evaluation.confusion(preds, attacked_n.y)
-
-
-def _worker_count(n_jobs: int) -> int:
-    return min(len(os.sched_getaffinity(0)), n_jobs)
 
 
 def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
@@ -412,7 +332,8 @@ def run_pipeline(config: dict, out_dir, scenario: dict | None = None) -> dict:
     # stage 3 trains in the pool while the parent writes the stage 1-2
     # files; leaving the block joins every job, so a failed write raises
     # after the oracle is done and before any later artifact exists
-    with _forked_pool(_worker_count(len(keys)), normal_n, attacked_n, config) as pool:
+    with forking.forked_pool(forking.worker_count(len(keys)), normal_n, attacked_n,
+                             config) as pool:
         trained = pool.submit(_oracle_job, (seeds["split"], seeds["mlp_init"],
                                             seeds["mlp_train"]))
         emit("normal.csv", write_csv, normal)

@@ -1,11 +1,12 @@
-"""Shared fixtures: a desk-size scenario and a reduced pipeline config."""
+"""Shared fixtures: a desk-size scenario, a reduced pipeline config, and a
+count of the worker pools forked."""
 from __future__ import annotations
 
 import copy
 
 import pytest
 
-from icsadv import pipeline
+from icsadv import forking, pipeline
 
 
 @pytest.fixture
@@ -17,6 +18,21 @@ def announce(capsys):
             print(line)
 
     return _announce
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker counts of the pools ``forking.forked_pool`` opens from
+    here on."""
+    calls = []
+    real_pool = forking.forked_pool
+
+    def counted(*args):
+        calls.append(args[0])
+        return real_pool(*args)
+
+    monkeypatch.setattr(forking, "forked_pool", counted)
+    return calls
 
 
 TINY_SCENARIO = {

@@ -1,7 +1,9 @@
 """Dataset layer: schema validation, CSV round trips, scaling, splits."""
 from __future__ import annotations
 
+import multiprocessing
 import os
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icsadv import dataset as ds
+from icsadv import forking
 from icsadv.errors import (
     EmptyInputError,
     InputContractError,
@@ -89,17 +92,11 @@ class TestLabels:
         with pytest.raises(LabelError, match="anomaly"):
             ds.label_encode("anomaly")
 
-    def test_decode(self):
-        assert ds.label_decode(0) == "Normal"
-        assert ds.label_decode(1) == "Attack"
-        with pytest.raises(LabelError):
-            ds.label_decode(2)
-
     @given(st.sampled_from(["normal", "attack"]), st.data())
     def test_encode_decode_round_trip_any_casing(self, word, data):
         mask = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
         token = "".join(c.upper() if up else c for c, up in zip(word, mask))
-        assert ds.label_decode(ds.label_encode(token)).lower() == word
+        assert ds._TOKENS[ds.label_encode(token)].lower() == word
 
 
 class TestDatasetObject:
@@ -280,6 +277,26 @@ READER_CORPUS = {
 }
 
 
+def _assert_reads_as(path, names, expected, labels):
+    """``load_csv`` of ``path`` gives the rows and labels ``expected`` and
+    ``labels``, bit for bit, or raises the class ``expected`` with the
+    message ``labels``."""
+    schema = ds.Schema(tuple(ds.Feature(n, ds.SENSOR) for n in names))
+    if isinstance(expected, type):
+        with pytest.raises(expected) as info:
+            ds.load_csv(path, schema)
+        assert type(info.value) is expected
+        assert str(info.value) == labels.format(path=path)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on an empty body
+        data = ds.load_csv(path, schema)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert data.X.shape == expected.shape
+    assert np.array_equal(data.X.view(np.uint64), expected.view(np.uint64))
+    assert data.y.tolist() == labels
+
+
 class TestReaders:
     """``load_csv`` reads a body with numpy and falls back to the
     line-by-line reader; either way a file gives what that reader alone
@@ -288,23 +305,26 @@ class TestReaders:
     @pytest.mark.parametrize("name", list(READER_CORPUS))
     def test_same_bits_or_same_error(self, tmp_path, name):
         names, text, (expected, labels) = READER_CORPUS[name]
-        schema = ds.Schema(tuple(ds.Feature(n, ds.SENSOR) for n in names))
         p = tmp_path / "a.csv"
         with open(p, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        if isinstance(expected, type):
-            with pytest.raises(expected) as info:
-                ds.load_csv(p, schema)
-            assert type(info.value) is expected
-            assert str(info.value) == labels.format(path=p)
-            return
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns on an empty body
-            data = ds.load_csv(p, schema)
-        expected = np.asarray(expected, dtype=np.float64)
-        assert data.X.shape == expected.shape
-        assert np.array_equal(data.X.view(np.uint64), expected.view(np.uint64))
-        assert data.y.tolist() == labels
+        _assert_reads_as(p, names, expected, labels)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(READER_CORPUS))
+    def test_same_bits_or_same_error_in_spans(self, tmp_path, monkeypatch, forks,
+                                             name, workers):
+        """The corpus cut into spans of a few dozen bytes, read by one,
+        two or three forked workers."""
+        monkeypatch.setattr(ds, "READ_BLOCK", 24)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: min(workers, n_jobs))
+        names, text, (expected, labels) = READER_CORPUS[name]
+        p = tmp_path / "a.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        _assert_reads_as(p, names, expected, labels)
+        assert set(forks) <= {workers}
+        assert multiprocessing.active_children() == []
 
     def test_a_pipe_is_read_once(self):
         """A file that cannot seek goes to the line-by-line reader alone,
@@ -334,6 +354,126 @@ class TestReaders:
         again = ds.load_csv(p, schema)
         assert np.array_equal(again.X.view(np.uint64), X.view(np.uint64))
         assert again.y.tolist() == [0, 1, 1]
+
+
+# rows of a multi-span file: a subnormal, a 17-digit integer, -0.0 and
+# non-terminating fractions, under mixed-case labels; over 8 kB, so that
+# reading the header decodes none of the last line
+SPAN_ROWS = [(5e-324, 1e16, "normal"), (-0.0, 1 / 3, "ATTACK"),
+             (-2 / 3, 0.1, "Normal"), (1e16, -0.0, "aTTack")] * 100
+# what the last line of that file holds in turn, and the line-by-line
+# reader's outcome for it
+LAST_LINES = {
+    "clean": (b"0.25,0.5,attack\r\n", None),
+    "bad-label": (b"0.25,0.5,Anomaly\r\n", (
+        LabelError,
+        "{path}: line 402: unknown label token 'Anomaly' (expected Normal or Attack)")),
+    "nan": (b"0.25,nan,Normal\r\n", (
+        ParseError, "{path}: line 402, column 'LIT201': nan is not a finite number")),
+    "underscore-digits": (b"1_0,0.5,Normal\r\n", None),
+    "blank-line": (b"\r\n0.25,0.5,Normal\r\n", (
+        ParseError, "{path}: line 402 has 0 fields, expected 3")),
+    "over-limit": (b"0." + b"0" * 200_000 + b"1,0.5,Normal\r\n", (
+        ParseError, "{path}: line 402: field larger than field limit (131072)")),
+    "non-utf8": (b"0.25,0.5,Norm\xffal\r\n", (
+        ParseError, "{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                    "in position 2249: invalid start byte")),
+}
+
+
+class TestForkedReader:
+    """A body of two read blocks or more is read in spans by forked
+    workers, to the bits or the error of one read in process."""
+
+    @pytest.fixture
+    def spans_of(self, monkeypatch):
+        """512-byte read blocks and two workers; returns the file maker."""
+        monkeypatch.setattr(ds, "READ_BLOCK", 512)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: min(2, n_jobs))
+
+        def write(path, last):
+            body = b"".join(b"%r,%r,%s\r\n" % row for row in
+                            [(x, y, label.encode()) for x, y, label in SPAN_ROWS])
+            path.write_bytes(H2.encode() + body + last)
+            return len(H2) + len(body)
+
+        return write
+
+    @pytest.mark.parametrize("name", list(LAST_LINES))
+    def test_last_span_gives_the_line_reader_outcome(self, tmp_path, monkeypatch,
+                                                      forks, spans_of, name):
+        last, outcome = LAST_LINES[name]
+        p = tmp_path / "a.csv"
+        at = spans_of(p, last)
+        assert ds._spans(p, len(H2))[-1][0] <= at  # the last line's span
+        schema = small_schema(2)
+        if outcome is None:
+            forked = ds.load_csv(p, schema)
+        else:
+            with pytest.raises(outcome[0]) as info:
+                ds.load_csv(p, schema)
+            assert type(info.value) is outcome[0]
+            assert str(info.value) == outcome[1].format(path=p)
+        assert forks == [2]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(ds, "_read_span", lambda *args: None)
+        if outcome is None:
+            alone = ds.load_csv(p, schema)
+            assert np.array_equal(forked.X.view(np.uint64), alone.X.view(np.uint64))
+            assert forked.y.tolist() == alone.y.tolist()
+            assert forked.n_rows == len(SPAN_ROWS) + 1
+        else:
+            with pytest.raises(outcome[0], match="^%s$" % re.escape(str(info.value))):
+                ds.load_csv(p, schema)
+
+    def test_pinned_values_in_spans(self, tmp_path, forks, spans_of):
+        p = tmp_path / "a.csv"
+        spans_of(p, b"")
+        data = ds.load_csv(p, small_schema(2))
+        assert len(ds._spans(p, len(H2))) > 10
+        X = np.array([row[:2] for row in SPAN_ROWS])
+        assert np.array_equal(data.X.view(np.uint64), X.view(np.uint64))
+        assert data.y.tolist() == [0, 1, 0, 1] * 100
+        assert forks == [2]
+
+    def test_a_worker_error_is_raised_in_the_parent(self, tmp_path, monkeypatch,
+                                                   forks, spans_of):
+        """An exception other than a refusal leaves the workers' spans as it
+        is, with its class and message, and no worker behind."""
+        def fails(token):
+            raise RuntimeError("no label for %r" % token)
+
+        # the workers are forked after this, so they inherit the patch
+        monkeypatch.setattr(ds, "label_encode", fails)
+        p = tmp_path / "a.csv"
+        spans_of(p, b"")
+        with pytest.raises(RuntimeError) as info:
+            ds.load_csv(p, small_schema(2))
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "no label for 'normal\\r\\n'"
+        assert forks == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_a_read_inside_a_pool_stays_in_process(self, tmp_path, forks, spans_of):
+        p = tmp_path / "a.csv"
+        spans_of(p, b"")
+        with forking.forked_pool(1):
+            data = ds.load_csv(p, small_schema(2))
+        assert forks == [1]  # the open pool alone
+        assert data.n_rows == len(SPAN_ROWS)
+        assert multiprocessing.active_children() == []
+
+    def test_a_pipe_is_read_in_process(self, forks, spans_of):
+        r, w = os.pipe()
+        body = "".join("%r,%r,%s\n" % row for row in SPAN_ROWS)
+        os.write(w, (H2 + body).encode())
+        os.close(w)
+        try:
+            data = ds.load_csv("/dev/fd/%d" % r, small_schema(2))
+        finally:
+            os.close(r)
+        assert data.n_rows == len(SPAN_ROWS)
+        assert forks == []
 
 
 class TestMinmax:

@@ -19,7 +19,7 @@ import pytest
 
 from icsadv import cli
 from icsadv import dataset as ds
-from icsadv import evaluation, jsma, mlp
+from icsadv import evaluation, forking, jsma, mlp
 from icsadv import pipeline as pl
 from icsadv import plantsim
 from icsadv import trees
@@ -375,7 +375,7 @@ def test_seeded_fits_reach_the_worker_first(tmp_path, tiny_scenario, tiny_config
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(trees, name, logged)
-    monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 1)
+    monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 1)
     tiny_config["n_runs"] = 3
     manifest = pl.run_pipeline(tiny_config, tmp_path / "out", scenario=tiny_scenario)
     keys = [tuple(line.split()) for line in log.read_text().splitlines()]
@@ -398,7 +398,7 @@ class TestDetectorWorkers:
                                                  monkeypatch):
         outs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(pl, "_worker_count", lambda n_jobs, w=workers: w)
+            monkeypatch.setattr(forking, "worker_count", lambda n_jobs, w=workers: w)
             out = outs[workers] = tmp_path / ("w%d" % workers)
             scenario, cfg = tiny_inputs()
             pl.run_pipeline(cfg, out, scenario=scenario)
@@ -449,7 +449,7 @@ class TestDetectorWorkers:
         def hung(signum, frame):
             raise TimeoutError("the detector stage hung after a worker died")
 
-        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 2)
         monkeypatch.setattr(trees, "train_cart", die)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
@@ -562,19 +562,11 @@ class TestCsvWriter:
     bytes do not depend on it."""
 
     @pytest.fixture
-    def forks(self, monkeypatch):
+    def forks(self, monkeypatch, forks):
         """Ten-row blocks for _pinned_dataset; returns the list of the
         worker counts write_csv forked."""
         monkeypatch.setattr(ds, "BLOCK_CELLS", 30)
-        calls = []
-        real_pool = pl._forked_pool
-
-        def counted(*args):
-            calls.append(args[0])
-            return real_pool(*args)
-
-        monkeypatch.setattr(pl, "_forked_pool", counted)
-        return calls
+        return forks
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_rows", sorted(WRITER_SHA256))
@@ -582,24 +574,26 @@ class TestCsvWriter:
                                              workers, n_rows):
         """47 rows are five blocks, the last one partial; 8 rows are one
         block and 0 rows the header alone, which never fork."""
-        monkeypatch.setattr(pl, "_worker_count",
+        monkeypatch.setattr(forking, "worker_count",
                             lambda n_jobs: min(workers, n_jobs))
         data = _pinned_dataset(n_rows)
         pl.write_csv(data, tmp_path / "forked.csv")
+        assert forks == ([workers] if workers > 1 and n_rows == 47 else [])
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 1)
         ds.save_csv(data, tmp_path / "saved.csv")
         written = (tmp_path / "forked.csv").read_bytes()
         assert written == (tmp_path / "saved.csv").read_bytes()
         assert hashlib.sha256(written).hexdigest() == WRITER_SHA256[n_rows]
-        assert forks == ([workers] if workers > 1 and n_rows == 47 else [])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["forked.csv", "saved.csv"]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_preprocess_writes_the_same_bytes(self, tmp_path, monkeypatch, forks,
                                               workers):
-        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: workers)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: workers)
         data = _pinned_dataset(47)
         ds.save_csv(data, tmp_path / "in.csv")
+        forks.clear()
         (tmp_path / "schema.json").write_text(json.dumps(data.schema.to_json()))
         assert cli.main(["preprocess", "--input", str(tmp_path / "in.csv"),
                          "--schema", str(tmp_path / "schema.json"),
@@ -618,7 +612,7 @@ class TestCsvWriter:
 
         # the workers are forked after this, so they inherit the patch
         monkeypatch.setattr(ds, "format_block", fails_late)
-        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 2)
         path = tmp_path / "out.csv"
         with pytest.raises(ParameterError) as info:
             pl.write_csv(_pinned_dataset(47), path)
@@ -633,7 +627,7 @@ class TestCsvWriter:
                                               tiny_config, monkeypatch, forks):
         """The run's pool holds the cores while the parent writes, so
         even with 100-cell blocks its 1,200-row logs fork no writer."""
-        monkeypatch.setattr(pl, "_worker_count", lambda n_jobs: 2)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 2)
         monkeypatch.setattr(ds, "BLOCK_CELLS", 100)
         pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
         assert forks == [2]
@@ -647,18 +641,9 @@ class TestCsvWriter:
 class TestRunPool:
     """Stages 3-5 run on one pool of workers forked after stage 2."""
 
-    def test_one_pool_per_run(self, tmp_path, tiny_scenario, tiny_config,
-                              monkeypatch):
-        calls = []
-        real_pool = pl._forked_pool
-
-        def counted(*args):
-            calls.append(args[0])
-            return real_pool(*args)
-
-        monkeypatch.setattr(pl, "_forked_pool", counted)
+    def test_one_pool_per_run(self, tmp_path, tiny_scenario, tiny_config, forks):
         pl.run_pipeline(tiny_config, tmp_path, scenario=tiny_scenario)
-        assert len(calls) == 1
+        assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
     def test_oracle_trained_in_a_worker_matches_in_process(self, tiny_scenario,
@@ -674,7 +659,7 @@ class TestRunPool:
         seeds = (config["seed"] + pl.SPLIT_SEED_OFFSET,
                  config["seed"] + pl.MLP_INIT_SEED_OFFSET,
                  config["seed"] + pl.MLP_TRAIN_SEED_OFFSET)
-        with pl._forked_pool(1, normal_n, attacked_n, config) as pool:
+        with forking.forked_pool(1, normal_n, attacked_n, config) as pool:
             job = pool.submit(pl._oracle_job, seeds)
             forked, forked_history = job.result(timeout=120)
         local, local_history = pl.train_oracle(attacked_n, config["mlp"], *seeds)
@@ -686,9 +671,9 @@ class TestRunPool:
 
 def test_importing_the_package_loads_no_process_pool():
     """``multiprocessing`` and ``concurrent.futures`` cost about 40 ms to
-    import, and only a pipeline run uses them, so the modules import them
+    import, and only forked work uses them, so the modules import them
     lazily."""
-    code = ("import sys, icsadv.dataset, icsadv.pipeline, icsadv.cli; "
+    code = ("import sys, icsadv.forking, icsadv.dataset, icsadv.pipeline, icsadv.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
