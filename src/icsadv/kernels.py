@@ -37,7 +37,11 @@ Split-scan conventions shared by both criteria:
 One private driver, ``_best_split``, lands these conventions once for both
 criteria: it cuts the candidates into runs, gathers each run's rows and
 sorted values, marks the valid cuts, keeps the first maximum and looks up
-its threshold. Each public scan supplies only its gain arithmetic.
+its threshold. Each public scan supplies only its gain arithmetic. The
+Gini scan packs each row's weight and class-1 weight into one 64-bit word
+(``pack_counts``), so one gather and one prefix sum per run give both left
+sums, and it computes the gains in place, each element through the same
+float operations, in the same order, as the plain formula.
 
 Gini gains depend only on class counts at boundaries between distinct
 values, so the order of tied rows within ``order`` does not change them.
@@ -95,13 +99,35 @@ def _best_split(order, feature_indices, columns, gain_of):
     return best
 
 
+# the low half of a packed count: the weight
+_WEIGHT_BITS = 0xFFFFFFFF
+
+
+def pack_counts(counts, y):
+    """Each row's weight in the low 32 bits and its class-1 weight in the
+    high ones, as uint64: one prefix sum of a node's packed rows gives both
+    of its Gini sums. A node weighs at most n, the rows of its fit (a
+    bootstrap sample draws n), and n is far below 2^32, so a sum over a
+    node's rows never carries out of the low half, and unsigned, the high
+    half holds any class-1 weight below 2^32 too."""
+    return (counts + ((counts * y) << 32)).view(np.uint64)
+
+
+def node_sums(packed, rows):
+    """A node's (weight, class-1 weight) as ints, from one sum of its
+    ``rows``' packed counts."""
+    both = int(packed.take(rows).sum())
+    return both & _WEIGHT_BITS, both >> 32
+
+
 def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
     """Best (feature, threshold, gain) under Gini impurity for one node.
 
     y: int64 labels in {0, 1} indexed by row; counts: int64 row weights
-    indexed by row; parent_sums: the node's (weight, class-1 weight) as
-    ints. Returns feature -1 (gain -1.0) when no candidate split exists.
-    gain is parent impurity minus the weighted child impurity.
+    indexed by row, below 2^32 in sum over the node (see ``pack_counts``);
+    parent_sums: the node's (weight, class-1 weight) as ints. Returns
+    feature -1 (gain -1.0) when no candidate split exists. gain is parent
+    impurity minus the weighted child impurity.
     """
     n, n1 = parent_sums
     n0 = n - n1
@@ -109,22 +135,37 @@ def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
     p0 = n0 / fn
     p1 = n1 / fn
     g_parent = 1.0 - p0 * p0 - p1 * p1
+    packed = pack_counts(counts, y)
 
     def gain_of(rows, valid):
-        sc = counts.take(rows)
-        nl = np.cumsum(sc, axis=1)[:, :-1][valid].astype(np.float64)
-        n1l = np.cumsum(sc * y.take(rows), axis=1)[:, :-1][valid].astype(np.float64)
-        n0l = nl - n1l
+        left = np.cumsum(packed.take(rows), axis=1)[:, :-1][valid]
+        nl = np.bitwise_and(left, _WEIGHT_BITS, out=np.empty(left.shape),
+                            casting="unsafe")
+        n1l = np.right_shift(left, 32, out=np.empty(left.shape), casting="unsafe")
+        # the arithmetic of (1 - p0 * p0) - p1 * p1 per child, then
+        # g_parent - ((nl / fn) * gl + (nr / fn) * gr), in place
+        gl = nl - n1l
         nr = fn - nl
         n1r = float(n1) - n1l
-        n0r = nr - n1r
-        p0l = n0l / nl
-        p1l = n1l / nl
-        gl = 1.0 - p0l * p0l - p1l * p1l
-        p0r = n0r / nr
-        p1r = n1r / nr
-        gr = 1.0 - p0r * p0r - p1r * p1r
-        return g_parent - ((nl / fn) * gl + (nr / fn) * gr)
+        gr = nr - n1r
+        gl /= nl
+        gl *= gl
+        np.subtract(1.0, gl, out=gl)
+        n1l /= nl
+        n1l *= n1l
+        gl -= n1l
+        gr /= nr
+        gr *= gr
+        np.subtract(1.0, gr, out=gr)
+        n1r /= nr
+        n1r *= n1r
+        gr -= n1r
+        nl /= fn
+        nl *= gl
+        nr /= fn
+        nr *= gr
+        nl += nr
+        return np.subtract(g_parent, nl, out=nl)
 
     return _best_split(order, feature_indices, columns, gain_of)
 

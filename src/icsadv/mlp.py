@@ -2,9 +2,17 @@
 
 This is the gradient oracle for adversarial generation, so exactness and
 replayability come first. Training speed matters too: the oracle is the
-longest serial stage of a pipeline run, so ``train`` updates its arrays in
-place, with the same floating-point operations in the same order as the
-plain loop (``tests/test_mlp.py`` keeps that loop as its reference):
+longest serial stage of a pipeline run, so ``train`` keeps every weight
+matrix, then every bias vector, in one flat float64 buffer with a view per
+layer, and the gradients in a twin buffer. Each batch's forward pass, ReLU
+masks and deltas go into buffers kept per batch size, its softmax into an
+epoch-sized probability buffer (one gather per epoch picks each row's
+true-class probability), and the backward pass writes every layer's
+gradient into its view. Once the pass is done, one l2 step over the weight
+part and one ``grads *= learning_rate; params -= grads`` update every layer,
+so each ``delta @ W`` reads W before its update. Every element sees the
+same floating-point operations in the same order as the plain loop that
+``tests/test_mlp.py`` keeps as its reference:
 
 * Glorot-uniform init, zero biases, seeded (identical seed, identical net);
 * hidden ReLU with subgradient 0 at the kink, linear output layer;
@@ -164,6 +172,20 @@ def check_training_params(learning_rate, epochs, batch_size, l2_penalty) -> None
     integer(batch_size, "batch_size", 1)
 
 
+def _layer_views(flat: np.ndarray, sizes) -> tuple[list, list]:
+    """Per-layer (weights, biases) views into ``flat``, which holds every
+    layer's weight matrix, row-major, then every layer's bias vector."""
+    weights, biases = [], []
+    w = 0
+    b = sum(fan_in * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[w:w + fan_out * fan_in].reshape(fan_out, fan_in))
+        biases.append(flat[b:b + fan_out])
+        w += fan_out * fan_in
+        b += fan_out
+    return weights, biases
+
+
 def train(
     model: MlpModel,
     X,
@@ -183,45 +205,80 @@ def train(
     X, y = training_set(X, y, model.n_inputs, model.n_classes)
     check_training_params(learning_rate, epochs, batch_size, l2_penalty)
 
-    m = model.copy()
-    n = X.shape[0]
+    sizes = model.layer_sizes
+    n_layers = len(sizes) - 1
+    params = np.concatenate([W.ravel() for W in model.weights] + model.biases)
+    grads = np.empty_like(params)
+    weights, biases = _layer_views(params, sizes)
+    grad_W, grad_b = _layer_views(grads, sizes)
+    # the weight matrices are the front of each buffer
+    n_weights = sum(W.size for W in weights)
+    param_weights, grad_weights = params[:n_weights], grads[:n_weights]
+    l2_term = np.empty(n_weights)
+    n, n_classes = X.shape[0], model.n_classes
     rng = np.random.default_rng(integer(seed, "seed", 0))
+    one_hot = np.eye(n_classes)[y]
+    # every row's softmax of the epoch, in epoch order
+    probs = np.empty((n, n_classes))
+    every_row = np.arange(n)
+    p_true = np.empty(n)
+    # per batch size: each hidden layer's output and ReLU mask, the delta
+    # of each layer, and a column for the softmax's row max and row sum
+    buffers = {}
     history = []
     for _ in range(epochs):
         perm = rng.permutation(n)
-        X_epoch, y_epoch = X[perm], y[perm]
+        X_epoch, y_epoch = X.take(perm, axis=0), y.take(perm)
+        hot_epoch = one_hot.take(perm, axis=0)
+        for lo in range(0, n, batch_size):
+            hi = lo + batch_size
+            xb = X_epoch[lo:hi]
+            nb = xb.shape[0]
+            if nb not in buffers:
+                buffers[nb] = ([np.empty((nb, s)) for s in sizes[1:-1]],
+                               [np.empty((nb, s), dtype=bool) for s in sizes[1:-1]],
+                               [np.empty((nb, s)) for s in sizes[1:]],
+                               np.empty((nb, 1)))
+            hidden, masks, deltas, row = buffers[nb]
+            acts = [xb] + hidden
+            for k in range(n_layers - 1):
+                Z = hidden[k]
+                np.matmul(acts[k], weights[k].T, out=Z)
+                Z += biases[k]
+                np.maximum(Z, 0.0, out=Z)
+                np.greater(Z, 0.0, out=masks[k])
+            # the logits, then their softmax, in place
+            p = probs[lo:hi]
+            np.matmul(acts[-1], weights[-1].T, out=p)
+            p += biases[-1]
+            p -= np.maximum.reduce(p, axis=1, keepdims=True, out=row)
+            np.exp(p, out=p)
+            p /= np.add.reduce(p, axis=1, keepdims=True, out=row)
+            delta = np.subtract(p, hot_epoch[lo:hi], out=deltas[-1])
+            delta /= nb
+            for k in range(n_layers - 1, -1, -1):
+                np.matmul(delta.T, acts[k], out=grad_W[k])
+                delta.sum(axis=0, out=grad_b[k])
+                if k > 0:
+                    # reads W_k before its update below
+                    delta = np.matmul(delta, weights[k], out=deltas[k - 1])
+                    delta *= masks[k - 1]
+            # the l2 term stays at penalty 0: 0 * inf is NaN
+            grad_weights += np.multiply(l2_penalty, param_weights, out=l2_term)
+            grads *= learning_rate
+            params -= grads
         # each row's true-class probability, stored by original row so the
         # epoch's loss sums in a fixed order; batch order then cannot
         # perturb the value
-        p_true = np.empty(n)
-        for lo in range(0, n, batch_size):
-            hi = lo + batch_size
-            yb = y_epoch[lo:hi]
-            nb = yb.shape[0]
-            true_class = (np.arange(nb), yb)
-
-            acts, delta = _walk(m, X_epoch[lo:hi])
-            # softmax of the logits, then the output delta, in place
-            delta -= delta.max(axis=1, keepdims=True)
-            np.exp(delta, out=delta)
-            delta /= delta.sum(axis=1, keepdims=True)
-            p_true[perm[lo:hi]] = delta[true_class]
-            delta[true_class] -= 1.0
-            delta /= nb
-            for k in range(len(m.weights) - 1, -1, -1):
-                W = m.weights[k]
-                # the l2 term stays at penalty 0: 0 * inf is NaN
-                grad_W = delta.T @ acts[k]
-                grad_W += l2_penalty * W
-                grad_b = delta.sum(axis=0)
-                if k > 0:
-                    delta = delta @ W
-                    delta *= acts[k] > 0.0
-                W -= learning_rate * grad_W
-                m.biases[k] -= learning_rate * grad_b
+        p_true[perm] = probs[every_row, y_epoch]
         losses = -np.log(np.maximum(p_true, 1e-300))
         history.append(float(losses.sum()) / n)
-    return m, history
+    # copied out of the buffers into a model of the input's shapes; the
+    # MlpModel constructor would refuse a diverged fit's non-finite weights
+    trained = model.copy()
+    for dst, src in zip(trained.weights + trained.biases, weights + biases):
+        dst[...] = src
+    return trained, history
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -282,9 +282,11 @@ class _TreeBuilder:
     not constant; a leaf draws no candidates, so no forest stream moves.
 
     Each ``grow`` fills its own buffer, ``order``, in that layout over the
-    m rows it fits, each once and each of positive weight, and ``counts``
+    m rows it fits, each once and each of positive weight, ``counts``
     with every row's integer weight (its draw count in a bootstrap sample,
-    else 1). Every node owns the slice [start, end); a split partitions
+    else 1), and for Gini ``packed``, those weights packed with the labels
+    (``kernels.pack_counts``), so a node takes its weight and class-1
+    weight from one sum. Every node owns the slice [start, end); a split partitions
     that slice stably so the left child takes its front and the right child
     its back. A stable partition keeps the tie order a fresh stable sort of
     the child's rows would give, so split scans see exactly what per-node
@@ -313,16 +315,18 @@ class _TreeBuilder:
         if k is None or k >= self.n_features:
             return self.all_features
         chosen = self.rng.choice(self.n_features, size=k, replace=False)
-        return np.sort(chosen).astype(np.int64)
+        chosen.sort()
+        return chosen
 
     def _best_split(self, start, end, t, size, total):
-        """The node's best split; ``t`` is its target in fit order, ``size``
-        its weight and ``total`` its weighted target sum."""
+        """The node's best split; ``size`` is its weight and ``total`` its
+        weighted target sum, and ``t`` its SSE target in fit order (None
+        under Gini, whose scan reads the target by row)."""
         order = self.order[:-1, start:end]
         if self.criterion == _GINI:
             return kernels.gini_best_split(
                 order, self.target, self._candidate_features(), columns=self.columns,
-                counts=self.counts, parent_sums=(size, int(total)),
+                counts=self.counts, parent_sums=(size, total),
             )
         # parent sums accumulate in fit order; the saved trees keep these bits
         sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
@@ -352,17 +356,21 @@ class _TreeBuilder:
         feature, left and right -1; nodes are numbered in pre-order."""
         index = len(self.nodes)
         rows = self.order[-1, start:end]
-        t = self.target.take(rows)
-        weights = self.counts.take(rows)
-        size = int(weights.sum())
-        total = (weights * t).sum()
+        if self.criterion == _GINI:
+            size, total = kernels.node_sums(self.packed, rows)
+            varies = 0 < total < size
+            t = None
+        else:
+            # SSE trees weigh every row 1
+            t = self.target.take(rows)
+            size, total = end - start, t.sum()
+            varies = t.min() < t.max()
         node = [-1, 0.0, -1, -1, float(total / size)]
         self.nodes.append(node)
         feat = -1
         # a node whose target takes one value is a leaf: its true gain is 0
         # under both criteria, and SSE's float sums can compute one above 0
-        if (depth < self.max_depth and size >= self.min_samples_split
-                and t.min() < t.max()):
+        if depth < self.max_depth and size >= self.min_samples_split and varies:
             feat, thr, gain = self._best_split(start, end, t, size, total)
         if feat < 0 or not gain > self.min_impurity_decrease:
             self.leaves.append((index, rows))
@@ -388,6 +396,8 @@ class _TreeBuilder:
         else:
             self.counts, self.order = self.ones, presorted.copy()
         self.target, self.rng = target, rng
+        if self.criterion == _GINI:
+            self.packed = kernels.pack_counts(self.counts, target)
         self.nodes, self.leaves = [], []
         self._build(0, self.order.shape[1], 0)
         return TreeModel(*zip(*self.nodes), self.n_features), self.leaves

@@ -178,12 +178,14 @@ def node_slice(X, idx):
     return P[counts[P] > 0].reshape(X.shape[1], -1), counts
 
 
-def direct_gini_split(X, y, feature_indices):
+def direct_gini_split(X, y, feature_indices, weights=None):
     """Every candidate midpoint scored straight from masks, with the
-    kernel's float formula, so the result must match bit for bit."""
-    n = X.shape[0]
+    kernel's float formula, so the result must match bit for bit; with
+    integer ``weights`` per row, every count is a sum of weights."""
+    w = np.ones(X.shape[0], dtype=np.int64) if weights is None else weights
+    n = int(w.sum())
     fn = float(n)
-    n1 = int(y.sum())
+    n1 = int(w[y == 1].sum())
     p0, p1 = (n - n1) / fn, n1 / fn
     g_parent = 1.0 - p0 * p0 - p1 * p1
     best = (-1, 0.0, -1.0)
@@ -194,8 +196,8 @@ def direct_gini_split(X, y, feature_indices):
             if not thr < b:
                 continue
             mask = X[:, f] <= thr
-            nl = float(mask.sum())
-            n1l = float(y[mask].sum())
+            nl = float(w[mask].sum())
+            n1l = float(w[mask & (y == 1)].sum())
             nr = fn - nl
             n1r = float(n1) - n1l
             p0l, p1l = (nl - n1l) / nl, n1l / nl
@@ -257,6 +259,26 @@ class TestPresortedNodes:
         efeat, _, egain = exhaustive_gini_split(X[idx], y[idx], feats)
         assert (got[0] < 0) == (efeat < 0)
         assert got[2] == pytest.approx(egain, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 15),
+           d=st.integers(1, 4), levels=st.integers(1, 8))
+    def test_gini_packs_heavy_weights_exactly(self, seed, n, d, levels):
+        """Row weights up to 2^28 over at most 15 rows: a node weighs up to
+        just under 2^32, so the packed left sums fill the low 32 bits and
+        class-1 sums past 2^31 the high ones, and every cut must still
+        score bit for bit as its weight sums do."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.random((n, d)) * levels) / levels
+        y = rng.integers(0, 2, n).astype(np.int64)
+        counts = rng.integers(2**27, 2**28 + 1, n)
+        assert counts.sum() < 2**32
+        feats = np.arange(d, dtype=np.int64)
+        got = K.gini_best_split(
+            presorted(X), y, feats, columns=np.ascontiguousarray(X.T),
+            counts=counts, parent_sums=(int(counts.sum()), int(counts[y == 1].sum())),
+        )
+        assert got == direct_gini_split(X, y, feats, counts)
 
     @settings(max_examples=150, deadline=None)
     @given(node_cases)

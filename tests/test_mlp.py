@@ -295,7 +295,10 @@ class TestTrainMatchesReference:
         ([2, 16, 2], 200, dict(batch_size=32, l2_penalty=0.01)),
         ([2, 12, 8, 6, 2], 150, dict(batch_size=16)),  # three hidden layers
         ([2, 8, 2], 100, dict(batch_size=32, learning_rate=0.0)),
-    ], ids=["short-last-batch", "batch-over-n", "l2", "three-hidden", "lr-0"])
+        ([2, 2], 120, dict(batch_size=32)),  # no hidden layer
+        ([2, 12, 8, 6, 2], 150, dict(batch_size=16, l2_penalty=0.01)),
+    ], ids=["short-last-batch", "batch-over-n", "l2", "three-hidden", "lr-0",
+            "no-hidden", "three-hidden-l2"])
     def test_bit_identical(self, sizes, n, kwargs):
         X, y = blob_data(n=n + n % 2, seed=3)
         X, y = X[:n], y[:n]
