@@ -20,16 +20,18 @@ read again from its start, line by line, by the csv module and
 ``float()``: that reader accepts what they accept and names any fault's
 file, line and column.
 
-A large body is split across forked workers (``forking``), one per usable
-core, to the same bytes or the same matrix: the writer's in blocks of
-rows, the reader's in spans of about ``READ_BLOCK`` bytes cut at line
-ends. A body of one block or span, a file that cannot seek, and any read
-or write while a pool of the package is open (a pipeline run's own) stay
-in the process.
+Both directions map one function over the body in order with
+``forking.ordered``: the writer ``format_block`` over blocks of rows, the
+reader ``_read_span`` over spans of about ``READ_BLOCK`` bytes cut at line
+ends. A body of two blocks or spans or more goes to forked workers, one
+per usable core, to the same bytes or the same matrix; a body of one, and
+any read or write while a pool of the package is open (a pipeline run's
+own), stay in the process. A file that cannot seek is read line by line.
 """
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
 import io
 import itertools
@@ -72,7 +74,7 @@ _TOKENS = np.array([NORMAL_TOKEN, ATTACK_TOKEN], dtype=object)
 BLOCK_CELLS = 32768
 
 # bytes in one read block: ``load_csv`` cuts a body at the first line end
-# past each, and a forked worker parses each span
+# past each, and ``_read_span`` parses each span
 READ_BLOCK = 1 << 20
 
 
@@ -209,28 +211,27 @@ def load_csv(path, schema: Schema) -> Dataset:
 def _read_body(fh, path, expected):
     """The feature matrix and encoded labels of the open file ``fh`` at
     ``path``, its header equal to ``expected``, read by ``np.loadtxt``
-    (``_read_span``); or None, with ``fh`` back at its start (unread if it
-    cannot seek), when ``_read_rows`` must read it: when the header
-    differs, or when any span of the body is refused.
-
-    A body of two read blocks or more is cut into spans (``_spans``) that
-    forked workers read, one per usable core, unless a pool of the package
-    is open; the parent joins their blocks in order. Otherwise the body is
-    one span, read in process.
+    span by span (``_spans``, ``_read_span``) and joined in order; or
+    None, with ``fh`` back at its start (unread if it cannot seek), when
+    ``_read_rows`` must read it: when the header differs, or when any span
+    of the body is refused.
     """
     if not fh.seekable():
         return None
     start = _body_start(fh, expected)
     if start is not None:
         n_features = len(expected) - 1
-        spans = _spans(path, start)
-        n_workers = forking.usable_workers(len(spans))
-        if n_workers < 2:
-            body = _read_span(path, n_features, (start, None))
-        else:
-            body = _read_forked(path, n_features, spans, n_workers)
-        if body is not None:
-            return body
+        cells, labels = array.array("d"), bytearray()
+        blocks = forking.ordered(_read_span, _spans(path, start), path, n_features)
+        with contextlib.closing(blocks):
+            for block in blocks:
+                if block is None:
+                    break
+                cells.frombytes(block[0].tobytes())
+                labels += block[1]
+            else:
+                X = np.frombuffer(cells, dtype=np.float64).reshape(-1, n_features)
+                return X, labels
     fh.seek(0)
     return None
 
@@ -276,26 +277,6 @@ def _spans(path, start):
                 break
             cuts.append(raw.tell())
     return list(zip(cuts, cuts[1:] + [None]))
-
-
-def _read_forked(path, n_features, spans, n_workers):
-    """``_read_span`` over ``spans`` in ``n_workers`` forked workers, the
-    blocks joined in order; None if any span is refused."""
-    cells, labels = array.array("d"), bytearray()
-    with forking.forked_pool(n_workers, path, n_features) as pool:
-        # the parent holds at most two blocks per worker
-        for block in forking.in_order(pool, _read_job, spans, 2 * n_workers):
-            if block is None:
-                return None
-            cells.frombytes(block[0].tobytes())
-            labels += block[1]
-    return np.frombuffer(cells, dtype=np.float64).reshape(-1, n_features), labels
-
-
-def _read_job(span):
-    """``_read_span`` of the inherited path and width over ``span``."""
-    path, n_features = forking.WORKER_INPUTS
-    return _read_span(path, n_features, span)
 
 
 def _read_span(path, n_features, span):
@@ -389,32 +370,20 @@ def save_csv(dataset: Dataset, path) -> None:
     Only the header goes through ``csv.writer``, which quotes a column name
     holding a comma, quote or line break; a row of repr floats and a label
     token holds none of them. The body is written block by block
-    (``format_block``). A body of two blocks or more is formatted by forked
-    workers, one per usable core, unless a pool of the package is open:
-    its workers hold the cores then, as a run's do while the parent writes
-    its logs.
+    (``format_block``, through ``forking.ordered``), so a body of two
+    blocks or more is formatted by forked workers unless a pool of the
+    package is open: its workers hold the cores then, as a run's do while
+    the parent writes its logs.
     """
     header = io.StringIO(newline="")
     csv.writer(header).writerow(dataset.schema.feature_names
                                 + [dataset.schema.label_column])
-    starts = block_starts(dataset)
-    n_workers = forking.usable_workers(len(starts))
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        if n_workers < 2:
-            for start in starts:
-                fh.write(format_block(dataset, start))
-            return
-        with forking.forked_pool(n_workers, dataset) as pool:
-            # the parent holds at most two blocks per worker
-            for block in forking.in_order(pool, _format_job, starts, 2 * n_workers):
+        blocks = forking.ordered(format_block, block_starts(dataset), dataset)
+        with contextlib.closing(blocks):
+            for block in blocks:
                 fh.write(block)
-
-
-def _format_job(start):
-    """The bytes of the inherited dataset's body block at row ``start``."""
-    data, = forking.WORKER_INPUTS
-    return format_block(data, start)
 
 
 def _block_rows(n_features: int) -> int:

@@ -2,10 +2,12 @@
 and by the dataset CSV reader and writer (``dataset``).
 
 A worker inherits the parent's memory at the fork, so only jobs and results
-are pickled. One pool at a time: while a pool of this module is open its
-workers hold the usable cores, and ``usable_workers`` keeps any other work
-in the process that asks. A worker forked from an open pool inherits that
-flag too, so a worker never forks a pool of its own.
+are pickled. A run opens its own pool (``forked_pool``); the CSV reader and
+writer map their jobs through ``ordered``, which forks a pool only when it
+has two jobs or more and two usable cores or more. One pool at a time:
+while a pool of this module is open its workers hold the usable cores, and
+``ordered`` runs its jobs in the process. A worker forked from an open pool
+inherits that flag too, so a worker never forks a pool of its own.
 """
 from __future__ import annotations
 
@@ -13,9 +15,7 @@ import collections
 import contextlib
 import os
 
-# what a forked worker inherits: (normalized normal leg, normalized attacked
-# leg, config) in a run's pool, (dataset,) in a CSV writer's, (path, number
-# of features) in a CSV reader's
+# the ``inputs`` of the open pool, inherited by each of its workers
 WORKER_INPUTS = None
 
 # True while a pool of this module is open
@@ -56,24 +56,39 @@ def forked_pool(n_workers: int, *inputs):
             POOL_OPEN = outer
 
 
-def in_order(pool, fn, jobs, window: int):
-    """Yield ``fn(job)`` for each of ``jobs``, run in ``pool``, in job
-    order, with at most ``window`` jobs submitted and not yet yielded."""
-    pending = collections.deque()
-    for job in jobs:
-        if len(pending) == window:
+def ordered(fn, jobs, *inputs):
+    """Yield ``fn(*inputs, job)`` for each of the sized ``jobs``, in job
+    order.
+
+    The jobs run in the process while a pool of this module is open, and
+    when there are fewer than two jobs or usable workers. Otherwise they
+    run in a ``forked_pool`` whose workers inherit ``fn`` and ``inputs``,
+    with at most two jobs per worker submitted and not yet yielded, so the
+    parent holds a bounded share of the results. A caller that may stop
+    early, or raise between results, closes the generator (a ``with`` of
+    ``contextlib.closing``): that shuts the pool down before it goes on.
+    """
+    n_workers = 1 if POOL_OPEN or len(jobs) < 2 else worker_count(len(jobs))
+    if n_workers < 2:
+        for job in jobs:
+            yield fn(*inputs, job)
+        return
+    with forked_pool(n_workers, fn, *inputs) as pool:
+        pending = collections.deque()
+        for job in jobs:
+            if len(pending) == 2 * n_workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_call, job))
+        while pending:
             yield pending.popleft().result()
-        pending.append(pool.submit(fn, job))
-    while pending:
-        yield pending.popleft().result()
+
+
+def _call(job):
+    """The inherited ``fn(*inputs, job)`` of ``ordered``."""
+    fn, *inputs = WORKER_INPUTS
+    return fn(*inputs, job)
 
 
 def worker_count(n_jobs: int) -> int:
     """One worker per usable core, at most one per job."""
     return min(len(os.sched_getaffinity(0)), n_jobs)
-
-
-def usable_workers(n_jobs: int) -> int:
-    """``worker_count(n_jobs)``; 1 for a single job, and while a pool of
-    this module is open."""
-    return 1 if POOL_OPEN or n_jobs < 2 else worker_count(n_jobs)

@@ -12,16 +12,18 @@ Their three positional arguments are
   target) in ascending order of ``X[:, j]``. This is the layout of
   ``np.argsort(X.T, axis=1, kind="mergesort")`` for a node holding every
   row;
-* the target indexed by row: 0/1 labels for Gini, float residuals for SSE;
+* the target indexed by row: for Gini, each row's integer weight and
+  class-1 weight packed into one word (``pack_counts``), which the builder
+  packs once per tree; float residuals for SSE;
 * ``feature_indices``: candidate columns in ascending order;
 
 and the keywords are ``columns``, ``X.T`` as a C-contiguous (d, n) array,
 so each feature's values are one contiguous row to gather from, and
 ``parent_sums``, the node's totals the builder has already summed: its
 (weight, class-1 weight) for Gini, its (sum of r, sum of r * r) for SSE.
-The Gini scan also takes ``counts``, an integer weight per row: a bootstrap
-tree keeps each drawn row once and weighs it by its draw count (Breiman
-2001; Louppe 2014, ch. 5), every other tree weighs each row 1.
+A Gini row's weight is its draw count in a bootstrap tree, which keeps
+each drawn row once (Breiman 2001; Louppe 2014, ch. 5); every other tree
+weighs each row 1.
 
 Split-scan conventions shared by both criteria:
 
@@ -38,8 +40,8 @@ One private driver, ``_best_split``, lands these conventions once for both
 criteria: it cuts the candidates into runs, gathers each run's rows and
 sorted values, marks the valid cuts, keeps the first maximum and looks up
 its threshold. Each public scan supplies only its gain arithmetic. The
-Gini scan packs each row's weight and class-1 weight into one 64-bit word
-(``pack_counts``), so one gather and one prefix sum per run give both left
+Gini scan reads each row's weight and class-1 weight from one packed
+64-bit word, so one gather and one prefix sum per run give both left
 sums, and it computes the gains in place, each element through the same
 float operations, in the same order, as the plain formula.
 
@@ -120,11 +122,11 @@ def node_sums(packed, rows):
     return both & _WEIGHT_BITS, both >> 32
 
 
-def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
+def gini_best_split(order, packed, feature_indices, *, columns, parent_sums):
     """Best (feature, threshold, gain) under Gini impurity for one node.
 
-    y: int64 labels in {0, 1} indexed by row; counts: int64 row weights
-    indexed by row, below 2^32 in sum over the node (see ``pack_counts``);
+    packed: ``pack_counts(counts, y)`` indexed by row, of int64 labels y in
+    {0, 1} and int64 row weights below 2^32 in sum over the node;
     parent_sums: the node's (weight, class-1 weight) as ints. Returns
     feature -1 (gain -1.0) when no candidate split exists. gain is parent
     impurity minus the weighted child impurity.
@@ -135,7 +137,6 @@ def gini_best_split(order, y, feature_indices, *, columns, counts, parent_sums):
     p0 = n0 / fn
     p1 = n1 / fn
     g_parent = 1.0 - p0 * p0 - p1 * p1
-    packed = pack_counts(counts, y)
 
     def gain_of(rows, valid):
         left = np.cumsum(packed.take(rows), axis=1)[:, :-1][valid]

@@ -26,11 +26,11 @@ result, and the parent writes each (run, kind)'s result, looked up by key,
 in run then report order, so the artifacts are the same bytes whatever the
 number of workers.
 
-The pool comes from ``forking``, which ``dataset`` shares: outside a run a
-large CSV read or write forks its own workers (``ds.load_csv``,
-``ds.save_csv``). A run's own CSV writes stay in the parent, since its
-pool's workers hold the cores and the oracle they train is on the run's
-critical path.
+The pool comes from ``forking``, whose ordered map (``forking.ordered``)
+the CSV reader and writer share: outside a run a large CSV read or write
+forks workers of its own. While a run's pool is open that map runs in the
+parent, so a run's own CSV writes stay there: its pool's workers hold the
+cores, and the oracle they train is on the run's critical path.
 
 The detector kinds, their config blocks, their report order and which of
 them read a seed are ``trees.KINDS``; this module names no kind. The jsma

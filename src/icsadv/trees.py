@@ -282,11 +282,11 @@ class _TreeBuilder:
     not constant; a leaf draws no candidates, so no forest stream moves.
 
     Each ``grow`` fills its own buffer, ``order``, in that layout over the
-    m rows it fits, each once and each of positive weight, ``counts``
-    with every row's integer weight (its draw count in a bootstrap sample,
-    else 1), and for Gini ``packed``, those weights packed with the labels
-    (``kernels.pack_counts``), so a node takes its weight and class-1
-    weight from one sum. Every node owns the slice [start, end); a split partitions
+    m rows it fits, each once and each of positive weight, and for Gini
+    ``packed``, every row's integer weight (its draw count in a bootstrap
+    sample, else 1) packed with its label (``kernels.pack_counts``), so a
+    node takes its weight and class-1 weight from one sum and each split
+    scan reads the same array. Every node owns the slice [start, end); a split partitions
     that slice stably so the left child takes its front and the right child
     its back. A stable partition keeps the tie order a fresh stable sort of
     the child's rows would give, so split scans see exactly what per-node
@@ -321,12 +321,12 @@ class _TreeBuilder:
     def _best_split(self, start, end, t, size, total):
         """The node's best split; ``size`` is its weight and ``total`` its
         weighted target sum, and ``t`` its SSE target in fit order (None
-        under Gini, whose scan reads the target by row)."""
+        under Gini, whose scan reads the packed counts by row)."""
         order = self.order[:-1, start:end]
         if self.criterion == _GINI:
             return kernels.gini_best_split(
-                order, self.target, self._candidate_features(), columns=self.columns,
-                counts=self.counts, parent_sums=(size, total),
+                order, self.packed, self._candidate_features(), columns=self.columns,
+                parent_sums=(size, total),
             )
         # parent sums accumulate in fit order; the saved trees keep these bits
         sums = (float(np.cumsum(t)[-1]), float(np.cumsum(t * t)[-1]))
@@ -389,15 +389,15 @@ class _TreeBuilder:
         presorted = self.presorted
         if bootstrap:
             n = presorted.shape[1]
-            self.counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             # the drawn rows, each once, keep every presort row sorted
-            drawn = (self.counts > 0).take(presorted)
+            drawn = (counts > 0).take(presorted)
             self.order = presorted[drawn].reshape(presorted.shape[0], -1)
         else:
-            self.counts, self.order = self.ones, presorted.copy()
+            counts, self.order = self.ones, presorted.copy()
         self.target, self.rng = target, rng
         if self.criterion == _GINI:
-            self.packed = kernels.pack_counts(self.counts, target)
+            self.packed = kernels.pack_counts(counts, target)
         self.nodes, self.leaves = [], []
         self._build(0, self.order.shape[1], 0)
         return TreeModel(*zip(*self.nodes), self.n_features), self.leaves

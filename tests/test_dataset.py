@@ -4,7 +4,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,7 +463,10 @@ class TestForkedReader:
         with forking.forked_pool(1):
             data = ds.load_csv(p, small_schema(2))
         assert forks == [1]  # the open pool alone
-        assert data.n_rows == len(SPAN_ROWS)
+        assert len(ds._spans(p, len(H2))) > 10
+        X = np.array([row[:2] for row in SPAN_ROWS])
+        assert np.array_equal(data.X.view(np.uint64), X.view(np.uint64))
+        assert data.y.tolist() == [0, 1, 0, 1] * 100
         assert multiprocessing.active_children() == []
 
     def test_a_pipe_is_read_in_process(self, forks, spans_of):
@@ -474,6 +480,27 @@ class TestForkedReader:
             os.close(r)
         assert data.n_rows == len(SPAN_ROWS)
         assert forks == []
+
+
+def test_a_small_round_trip_loads_no_process_pool(tmp_path):
+    """A body of one block and one span is written and read in the process,
+    so neither direction imports ``multiprocessing``."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from icsadv import dataset as ds",
+        "schema = ds.Schema((ds.Feature('LIT101', ds.SENSOR),))",
+        "data = ds.Dataset(schema, np.arange(10.0).reshape(10, 1), [0, 1] * 5)",
+        "ds.save_csv(data, sys.argv[1])",
+        "again = ds.load_csv(sys.argv[1], schema)",
+        "assert again.X.tolist() == data.X.tolist() and again.y.tolist() == [0, 1] * 5",
+        "print('multiprocessing' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(ds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.csv")],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=60)
+    assert done.stdout == "False\n"
 
 
 class TestMinmax:

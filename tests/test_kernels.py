@@ -18,9 +18,8 @@ def presorted(X):
 def gini_split(X, y, feats):
     X = np.asarray(X, dtype=np.float64)
     return K.gini_best_split(
-        presorted(X), y, feats, columns=np.ascontiguousarray(X.T),
-        counts=np.ones(X.shape[0], dtype=np.int64),
-        parent_sums=(X.shape[0], int(y.sum())),
+        presorted(X), K.pack_counts(np.ones(X.shape[0], dtype=np.int64), y), feats,
+        columns=np.ascontiguousarray(X.T), parent_sums=(X.shape[0], int(y.sum())),
     )
 
 
@@ -252,7 +251,7 @@ class TestPresortedNodes:
         y = rng.integers(0, 2, X.shape[0]).astype(np.int64)
         order, counts = node_slice(X, idx)
         got = K.gini_best_split(
-            order, y, feats, columns=np.ascontiguousarray(X.T), counts=counts,
+            order, K.pack_counts(counts, y), feats, columns=np.ascontiguousarray(X.T),
             parent_sums=(len(idx), int(y[idx].sum())),
         )
         assert got == direct_gini_split(X[idx], y[idx], feats)
@@ -275,8 +274,9 @@ class TestPresortedNodes:
         assert counts.sum() < 2**32
         feats = np.arange(d, dtype=np.int64)
         got = K.gini_best_split(
-            presorted(X), y, feats, columns=np.ascontiguousarray(X.T),
-            counts=counts, parent_sums=(int(counts.sum()), int(counts[y == 1].sum())),
+            presorted(X), K.pack_counts(counts, y), feats,
+            columns=np.ascontiguousarray(X.T),
+            parent_sums=(int(counts.sum()), int(counts[y == 1].sum())),
         )
         assert got == direct_gini_split(X, y, feats, counts)
 

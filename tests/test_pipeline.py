@@ -623,6 +623,39 @@ class TestCsvWriter:
         assert not path.with_name("out.csv.tmp").exists()
         assert multiprocessing.active_children() == []
 
+    def test_a_failed_write_in_the_parent_leaves_no_pool(self, tmp_path,
+                                                        monkeypatch, forks):
+        """An error raised in the parent between two blocks of a forked
+        write shuts the pool down before it leaves ``save_csv``."""
+        real_open = open
+
+        class FailsOnThirdBlock:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # the header, then three blocks
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(ds, "open", lambda *args: FailsOnThirdBlock(real_open(*args)),
+                            raising=False)
+        monkeypatch.setattr(forking, "worker_count", lambda n_jobs: 2)
+        with pytest.raises(OSError) as info:
+            ds.save_csv(_pinned_dataset(47), tmp_path / "out.csv")
+        assert type(info.value) is OSError
+        assert str(info.value) == "[Errno 28] No space left on device"
+        assert forks == [2]
+        assert forking.POOL_OPEN is False
+        assert multiprocessing.active_children() == []
+
     def test_a_run_writes_its_logs_in_process(self, tmp_path, tiny_scenario,
                                               tiny_config, monkeypatch, forks):
         """The run's pool holds the cores while the parent writes, so
