@@ -11,14 +11,17 @@ Floats are written with ``repr`` so a save/load round trip is lossless and
 byte-identical across runs. ``save_csv`` formats the body in blocks of
 ``BLOCK_CELLS`` cells, each by one ``%`` call (``format_block``).
 
-``load_csv`` reads the header with the csv module and the body with
-numpy's C reader, which converts each cell with the routine ``float()``
-uses. A file the two might read differently (a quoted cell, a line over
-``csv.field_size_limit()``, a line with no feature cell) or that numpy
-refuses (``1_0``, a non-ASCII digit, any malformed cell, row or label) is
-read again from its start, line by line, by the csv module and
-``float()``: that reader accepts what they accept and names any fault's
-file, line and column.
+``load_csv`` has one fast path, for the format ``save_csv`` writes: the
+header bytes it writes (``_header``), CRLF or LF line ends, and rows of
+numbers and a label token. numpy's C reader parses each span of such a
+body in one call, converting each cell with the routine ``float()`` uses.
+Any other file (a header quoted otherwise or led by a byte order mark, a
+quoted cell, a bare CR, a NUL, a blank line, a line over
+``csv.field_size_limit()``) and any file numpy or ``label_encode`` refuses (``1_0``, a non-ASCII digit, any
+malformed cell, row or label) is read from its start, line by line, by
+the csv module and ``float()``: that reader accepts what they accept and
+names any fault's file, line and column. Either way a file gives the same
+bits or the same error.
 
 Both directions map one function over the body in order with
 ``forking.ordered``: the writer ``format_block`` over blocks of rows, the
@@ -34,7 +37,6 @@ import array
 import contextlib
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +78,10 @@ BLOCK_CELLS = 32768
 # bytes in one read block: ``load_csv`` cuts a body at the first line end
 # past each, and ``_read_span`` parses each span
 READ_BLOCK = 1 << 20
+
+# characters of ``_read_span``'s label cell: a label of this many or more
+# may have been cut, and goes to the line-by-line reader
+_LABEL_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,10 @@ class Dataset:
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a dataset CSV, validating the header against the schema.
 
-    The body is read by numpy (``_read_body``) or, for a file numpy may
-    read differently or refuses, line by line (``_read_rows``); a fault is
-    named by file, line and, for a cell, column.
+    A file in the format ``save_csv`` writes is read by numpy
+    (``_read_body``); any other, and any numpy refuses, line by line
+    (``_read_rows``), to the same bits or the same error. A fault is named
+    by file, line and, for a cell, column.
     """
     expected = schema.feature_names + [schema.label_column]
     try:
@@ -210,49 +217,35 @@ def load_csv(path, schema: Schema) -> Dataset:
 
 def _read_body(fh, path, expected):
     """The feature matrix and encoded labels of the open file ``fh`` at
-    ``path``, its header equal to ``expected``, read by ``np.loadtxt``
-    span by span (``_spans``, ``_read_span``) and joined in order; or
-    None, with ``fh`` back at its start (unread if it cannot seek), when
-    ``_read_rows`` must read it: when the header differs, or when any span
-    of the body is refused.
+    ``path``, read span by span (``_spans``, ``_read_span``) and joined in
+    order; or None, with ``fh`` unread, when ``_read_rows`` must read it.
+
+    Only the format ``save_csv`` writes takes this path. The file starts
+    with the header bytes ``save_csv`` writes for the columns ``expected``
+    (``_header``), their line end CRLF or LF, and no column name is over
+    ``csv.field_size_limit()``, which the csv module refuses. The file can
+    seek, so that ``_read_rows`` reads it again from its start. No span is
+    refused. Any other file, a quoted header or a UTF-8 byte order mark
+    among them, goes to ``_read_rows``.
     """
-    if not fh.seekable():
+    if not fh.seekable() or max(map(len, expected)) > csv.field_size_limit():
         return None
-    start = _body_start(fh, expected)
-    if start is not None:
-        n_features = len(expected) - 1
-        cells, labels = array.array("d"), bytearray()
-        blocks = forking.ordered(_read_span, _spans(path, start), path, n_features)
-        with contextlib.closing(blocks):
-            for block in blocks:
-                if block is None:
-                    break
-                cells.frombytes(block[0].tobytes())
-                labels += block[1]
-            else:
-                X = np.frombuffer(cells, dtype=np.float64).reshape(-1, n_features)
-                return X, labels
-    fh.seek(0)
-    return None
-
-
-def _body_start(fh, expected):
-    """The byte offset of the body of the text file ``fh``, read from its
-    start; None unless its header, read by the csv module, is
-    ``expected``."""
-    consumed = []
-
-    def next_line():
-        consumed.append(fh.readline())
-        return consumed[-1]
-
-    try:
-        if next(csv.reader(iter(next_line, "")), None) != expected:
-            return None
-    except (ValueError, csv.Error):  # UnicodeDecodeError too
+    header = _header(expected)
+    with open(path, "rb") as raw:
+        first = raw.read(len(header))
+    if first != header and not first.startswith(header[:-2] + b"\n"):
         return None
-    # under newline="" the header's lines are its characters as they stand
-    return len("".join(consumed).encode("utf-8"))
+    n_features = len(expected) - 1
+    cells, labels = array.array("d"), bytearray()
+    spans = _spans(path, len(header) - (first != header))  # LF: one byte less
+    blocks = forking.ordered(_read_span, spans, path, n_features)
+    with contextlib.closing(blocks):
+        for block in blocks:
+            if block is None:
+                return None
+            cells.frombytes(block[0].view(np.uint8))  # one copy
+            labels += block[1]
+    return np.frombuffer(cells, dtype=np.float64).reshape(-1, n_features), labels
 
 
 def _spans(path, start):
@@ -261,8 +254,8 @@ def _spans(path, start):
     at least ``READ_BLOCK`` bytes past the previous cut; the last stop is
     None, the file's end.
 
-    Under ``newline=""`` the byte after a ``\\n`` always starts a line, and
-    no byte of a multi-byte UTF-8 character is ``\\n``.
+    The byte after a ``\\n`` always starts a line, and no byte of a
+    multi-byte UTF-8 character is ``\\n``.
     """
     cuts = [start]
     with open(path, "rb") as raw:
@@ -280,44 +273,48 @@ def _spans(path, start):
 
 
 def _read_span(path, n_features, span):
-    """The feature matrix and encoded labels of the body lines in bytes
-    ``span = (start, stop)`` of the file at ``path`` (to its end when
-    ``stop`` is None), read by ``np.loadtxt``; or None when the file must
-    go to ``_read_rows``.
+    """The feature matrix (C-contiguous) and encoded labels of the body
+    lines in bytes ``span = (start, stop)`` of the file at ``path`` (to its
+    end when ``stop`` is None), read by one ``np.loadtxt`` call; or None
+    when the file must go to ``_read_rows``.
 
-    That is so on any line numpy might read differently from the csv
-    module: one over ``csv.field_size_limit()``, one holding a quote, one
-    with no feature cell (numpy skips an empty row). It is also so for any
-    span numpy or ``label_encode`` refuses: ``_read_rows`` then raises the
-    fault with its line, or reads what ``float()`` reads and numpy does
-    not (``1_0``). Each cell goes through ``PyOS_string_to_double`` either
-    way, so both readers give the same bits.
+    numpy splits the span at CRLF and LF into rows, at commas into
+    ``n_features`` cells and a label, and keeps each label as it stands
+    (at most ``_LABEL_WIDTH - 1`` characters). Each distinct label goes
+    through ``label_encode``. A span that numpy might read differently from
+    the csv module is refused: one holding a quote, a NUL (numpy drops a
+    label's trailing NULs) or a bare CR, or a line over
+    ``csv.field_size_limit()`` bytes, or a label of ``_LABEL_WIDTH``
+    characters or more (numpy cuts it), or fewer rows than lines (numpy
+    skips an empty line). So is any span that is not UTF-8 or that numpy
+    or ``label_encode`` refuses: ``_read_rows`` then raises the fault with
+    its line, or reads what ``float()`` reads and numpy does not (``1_0``).
+    Each cell goes through ``PyOS_string_to_double`` either way, so both
+    readers give the same bits.
     """
     start, stop = span
-    labels = bytearray()
-    limit = csv.field_size_limit()
-
-    def feature_cells(lines):
-        for line in lines:
-            cells, _, label = line.rpartition(",")
-            if not cells or len(line) > limit or '"' in line:
-                raise ValueError("line for the csv module")
-            labels.append(label_encode(label))
-            yield cells
-
     with open(path, "rb") as fh:
         fh.seek(start)
-        body = fh if stop is None else io.BytesIO(fh.read(stop - start))
-        lines = io.TextIOWrapper(body, encoding="utf-8", newline="")
-        try:
-            first = next(lines, None)
-            if first is None:  # loadtxt warns on an empty body
-                return np.empty((0, n_features)), labels
-            X = np.loadtxt(feature_cells(itertools.chain([first], lines)),
-                           delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:  # UnicodeDecodeError and LabelError too
+        data = fh.read(-1 if stop is None else stop - start)
+    lines = data.split(b"\n")
+    if (b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    if not data.strip(b"\r\n"):  # loadtxt warns on a span of no rows
+        return None if data else (np.empty((0, n_features)), b"")
+    dtype = [("cells", np.float64, n_features), ("label", "U%d" % _LABEL_WIDTH)]
+    try:
+        rows = np.loadtxt(io.StringIO(data.decode("utf-8")), dtype=dtype,
+                          delimiter=",", comments=None, ndmin=1)
+        tokens, codes = np.unique(rows["label"], return_inverse=True)
+        tokens = tokens.tolist()  # plain str
+        if (len(rows) < len(lines) - (lines[-1] == b"")
+                or max(map(len, tokens)) >= _LABEL_WIDTH):
             return None
-    return (X, labels) if X.shape[1] == n_features else None
+        encoded = np.array([label_encode(t) for t in tokens], dtype=np.uint8)
+    except ValueError:  # UnicodeDecodeError and LabelError too
+        return None
+    return np.ascontiguousarray(rows["cells"]), encoded[codes].tobytes()
 
 
 def _read_rows(reader, path, expected):
@@ -375,15 +372,22 @@ def save_csv(dataset: Dataset, path) -> None:
     package is open: its workers hold the cores then, as a run's do while
     the parent writes its logs.
     """
-    header = io.StringIO(newline="")
-    csv.writer(header).writerow(dataset.schema.feature_names
-                                + [dataset.schema.label_column])
     with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
+        fh.write(_header(dataset.schema.feature_names
+                         + [dataset.schema.label_column]))
         blocks = forking.ordered(format_block, block_starts(dataset), dataset)
         with contextlib.closing(blocks):
             for block in blocks:
                 fh.write(block)
+
+
+def _header(names) -> bytes:
+    """The header line ``save_csv`` writes for the columns ``names``: one
+    ``csv.writer`` row, which quotes a name holding a comma, quote or line
+    break, ending in CRLF."""
+    line = io.StringIO(newline="")
+    csv.writer(line).writerow(names)
+    return line.getvalue().encode("utf-8")
 
 
 def _block_rows(n_features: int) -> int:

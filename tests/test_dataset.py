@@ -173,6 +173,15 @@ class TestCsv:
         with pytest.raises(ParseError, match="a.csv: line %d: field larger" % line):
             ds.load_csv(p, small_schema(1))
 
+    def test_saved_name_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        """A column name over the csv module's field limit is saved, and
+        loading it is a ParseError naming line 1, as for any header."""
+        schema = ds.Schema((ds.Feature("LIT" + "1" * 131_070, ds.SENSOR),))
+        p = tmp_path / "a.csv"
+        ds.save_csv(ds.Dataset(schema, [[0.5]], [0]), p)
+        with pytest.raises(ParseError, match="a.csv: line 1: field larger"):
+            ds.load_csv(p, schema)
+
     def test_bad_cell_names_line_and_column(self, tmp_path):
         """A cell that is not a number, and one that float() parses but is
         not finite, each name the file, line and column."""
@@ -253,6 +262,8 @@ READER_CORPUS = {
         ParseError, "{path}: line 3, column 'LIT101': cannot parse '#0.5' as a number")),
     "lone-cr-endings": (TWO, H2.replace("\n", "\r") + "1.0,-0.0,Normal\r2.5,3e-320,Attack\r",
                         ([[1.0, -0.0], [2.5, 3e-320]], [0, 1])),
+    "lone-cr-blank-line": (ONE, H1 + "1.0,Normal\r\r2.0,Attack\n",
+                           (ParseError, "{path}: line 3 has 0 fields, expected 2")),
     "no-final-line-end": (TWO, H2 + "1.0,2.0,Normal\n0.1,-7.25,Attack",
                           ([[1.0, 2.0], [0.1, -7.25]], [0, 1])),
     "header-only": (TWO, H2, (np.empty((0, 2)), [])),
@@ -277,6 +288,16 @@ READER_CORPUS = {
     "nul-in-cell": (ONE, H1 + "1.0\x00,Normal\n", (
         ParseError,
         "{path}: line 2, column 'LIT101': cannot parse '1.0\\x00' as a number")),
+    "nul-after-label": (ONE, H1 + "1.0,Normal\x00\n", (
+        LabelError,
+        "{path}: line 2: unknown label token 'Normal\\x00' (expected Normal or Attack)")),
+    "needless-header-quotes": (ONE, '"LIT101","Normal/Attack"\r\n1.0,Normal\r\n',
+                               ([[1.0]], [0])),
+    "bom-header": (ONE, "\ufeff" + H1 + "1.0,Normal\n", (
+        SchemaMismatchError, "{path}: header ['\\ufeffLIT101', 'Normal/Attack'] "
+                             "does not match schema columns ['LIT101', 'Normal/Attack']")),
+    "lone-cr-header": (TWO, H2.replace("\n", "\r") + "1.0,-0.0,Normal\n2.5,3e-320,Attack\n",
+                       ([[1.0, -0.0], [2.5, 3e-320]], [0, 1])),
 }
 
 
@@ -344,19 +365,24 @@ class TestReaders:
     def test_saved_files_take_the_fast_path(self, tmp_path, monkeypatch):
         """Every file save_csv writes is read by numpy, bit for bit: a
         subnormal, a 17-digit integer, -0.0 and non-terminating fractions,
-        under a quoted column name."""
+        under column names that must be quoted; so is its copy with LF line
+        ends."""
         def refuse(*args):
             raise AssertionError("line-by-line reader called")
 
         monkeypatch.setattr(ds, "_read_rows", refuse)
-        schema = ds.Schema((ds.Feature("LIT,101", ds.SENSOR), ds.Feature("P101", ds.ACTUATOR)))
-        X = np.array([[5e-324, 1e16], [-0.0, 0.1], [1 / 3, -2 / 3]])
+        schema = ds.Schema((ds.Feature("LIT,101", ds.SENSOR), ds.Feature('P"101', ds.ACTUATOR),
+                            ds.Feature("MV\n101", ds.ACTUATOR)))
+        X = np.array([[5e-324, 1e16, 1.0], [-0.0, 0.1, 0.0], [1 / 3, -2 / 3, 1.0]])
         data = ds.Dataset(schema, X, [0, 1, 1])
-        p = tmp_path / "a.csv"
+        p, lf = tmp_path / "a.csv", tmp_path / "lf.csv"
         ds.save_csv(data, p)
-        again = ds.load_csv(p, schema)
-        assert np.array_equal(again.X.view(np.uint64), X.view(np.uint64))
-        assert again.y.tolist() == [0, 1, 1]
+        lf.write_bytes(p.read_bytes().replace(b"\r\n", b"\n"))
+        assert lf.read_bytes().startswith(b'"LIT,101","P""101","MV\n101",Normal/Attack\n')
+        for path in (p, lf):
+            again = ds.load_csv(path, schema)
+            assert np.array_equal(again.X.view(np.uint64), X.view(np.uint64))
+            assert again.y.tolist() == [0, 1, 1]
 
 
 # rows of a multi-span file: a subnormal, a 17-digit integer, -0.0 and
@@ -374,6 +400,11 @@ LAST_LINES = {
     "nan": (b"0.25,nan,Normal\r\n", (
         ParseError, "{path}: line 402, column 'LIT201': nan is not a finite number")),
     "underscore-digits": (b"1_0,0.5,Normal\r\n", None),
+    "no-final-line-end": (b"0.25,0.5,attack", None),
+    "wide-label": (b"0.25,0.5,Normal" + b" " * 8 + b"x\r\n", (
+        LabelError,
+        "{path}: line 402: unknown label token 'Normal        x' "
+        "(expected Normal or Attack)")),
     "blank-line": (b"\r\n0.25,0.5,Normal\r\n", (
         ParseError, "{path}: line 402 has 0 fields, expected 3")),
     "over-limit": (b"0." + b"0" * 200_000 + b"1,0.5,Normal\r\n", (
@@ -442,7 +473,9 @@ class TestForkedReader:
     def test_a_worker_error_is_raised_in_the_parent(self, tmp_path, monkeypatch,
                                                    forks, spans_of):
         """An exception other than a refusal leaves the workers' spans as it
-        is, with its class and message, and no worker behind."""
+        is, with its class and message, and no worker behind. The first
+        call is on the first span's first distinct label in sorted order,
+        as a plain str."""
         def fails(token):
             raise RuntimeError("no label for %r" % token)
 
@@ -453,7 +486,7 @@ class TestForkedReader:
         with pytest.raises(RuntimeError) as info:
             ds.load_csv(p, small_schema(2))
         assert type(info.value) is RuntimeError
-        assert str(info.value) == "no label for 'normal\\r\\n'"
+        assert str(info.value) == "no label for 'ATTACK'"
         assert forks == [2]
         assert multiprocessing.active_children() == []
 
