@@ -7,9 +7,11 @@ column. The schema JSON names every feature and its kind::
     {"features": [{"name": "LIT101", "kind": "sensor"}, ...],
      "label": "Normal/Attack"}
 
-Floats are written with ``repr`` so a save/load round trip is lossless and
-byte-identical across runs. ``save_csv`` formats the body in blocks of
-``BLOCK_CELLS`` cells, each by one ``%`` call (``format_block``).
+Floats are written as ``repr`` writes them, so a save/load round trip is
+lossless and byte-identical across runs. ``save_csv`` formats the body in
+blocks of ``BLOCK_CELLS`` cells (``format_block``), each with array
+operations: ``floatrepr.repr_cells`` gives every cell's ``repr`` bytes at
+once, with no Python call per cell.
 
 ``load_csv`` has one fast path, for the format ``save_csv`` writes: the
 header bytes it writes (``_header``), CRLF or LF line ends, and rows of
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forking
+from . import floatrepr, forking
 from .errors import (
     OPEN_FRACTION,
     EmptyInputError,
@@ -70,6 +72,10 @@ _KINDS = (SENSOR, ACTUATOR)
 NORMAL_TOKEN = "Normal"
 ATTACK_TOKEN = "Attack"
 _TOKENS = np.array([NORMAL_TOKEN, ATTACK_TOKEN], dtype=object)
+# the end of a body line, by label: the token and CRLF (the tokens are of
+# one length)
+_LINE_ENDS = np.array([list(("%s\r\n" % t).encode("ascii")) for t in _TOKENS],
+                      dtype=np.uint8)
 
 # cells in one CSV body block: the unit ``save_csv`` formats and writes at
 # once, and hands to a forked worker
@@ -296,9 +302,15 @@ def _read_span(path, n_features, span):
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(-1 if stop is None else stop - start)
-    lines = data.split(b"\n")
-    if (b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n")
-            or max(map(len, lines)) > csv.field_size_limit()):
+    # one pass per byte value, and no list of lines: the LFs, whether every
+    # CR ends a CRLF, and the longest line
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    bare_cr = (np.count_nonzero(raw == ord("\r"))
+               != np.count_nonzero(raw[ends[ends > 0] - 1] == ord("\r")))
+    longest = np.diff(ends, prepend=-1, append=len(data)).max() - 1
+    if (b'"' in data or b"\0" in data or bare_cr
+            or longest > csv.field_size_limit()):
         return None
     if not data.strip(b"\r\n"):  # loadtxt warns on a span of no rows
         return None if data else (np.empty((0, n_features)), b"")
@@ -308,7 +320,7 @@ def _read_span(path, n_features, span):
                           delimiter=",", comments=None, ndmin=1)
         tokens, codes = np.unique(rows["label"], return_inverse=True)
         tokens = tokens.tolist()  # plain str
-        if (len(rows) < len(lines) - (lines[-1] == b"")
+        if (len(rows) < len(ends) + (data[-1:] != b"\n")
                 or max(map(len, tokens)) >= _LABEL_WIDTH):
             return None
         encoded = np.array([label_encode(t) for t in tokens], dtype=np.uint8)
@@ -365,12 +377,13 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the canonical CSV format (repr floats, tokens).
 
     Only the header goes through ``csv.writer``, which quotes a column name
-    holding a comma, quote or line break; a row of repr floats and a label
-    token holds none of them. The body is written block by block
+    holding a comma, quote or line break; a row of ``repr`` floats and a
+    label token holds none of them. The body is written block by block
     (``format_block``, through ``forking.ordered``), so a body of two
     blocks or more is formatted by forked workers unless a pool of the
     package is open: its workers hold the cores then, as a run's do while
-    the parent writes its logs.
+    the parent writes its logs. Each block's cells are formatted together
+    by ``floatrepr.repr_cells``, to the bytes ``repr`` gives one by one.
     """
     with open(path, "wb") as fh:
         fh.write(_header(dataset.schema.feature_names
@@ -402,16 +415,21 @@ def block_starts(dataset: Dataset) -> range:
 def format_block(dataset: Dataset, start: int) -> bytes:
     """The CSV lines of the body block that starts at row ``start``.
 
-    One ``%`` call formats the whole block: ``%r`` is ``repr``, the
-    shortest string that reads back to the same float.
+    ``floatrepr.repr_cells`` lays out every cell's ``repr`` bytes, the
+    shortest text that reads back to the same float, with a spare slot
+    after each that takes its comma; each row ends in its label token and
+    CRLF, and one mask keeps the block's bytes in order.
     """
     rows = slice(start, start + _block_rows(dataset.n_features))
-    X = dataset.X[rows]
-    n, d = X.shape
-    cells = np.empty((n, d + 1), dtype=object)
-    cells[:, :d] = X  # as Python floats
-    cells[:, d] = _TOKENS[dataset.y[rows]]
-    return ((("%r," * d + "%s\r\n") * n) % tuple(cells.ravel())).encode("ascii")
+    chars, keep = floatrepr.repr_cells(dataset.X[rows])
+    chars[..., -1] = ord(",")
+    keep[..., -1] = True
+    n, width = len(chars), dataset.n_features * floatrepr.WIDTH
+    text = np.concatenate([chars.reshape(n, width), _LINE_ENDS[dataset.y[rows]]],
+                          axis=1)
+    keep = np.concatenate([keep.reshape(n, width),
+                           np.ones((n, _LINE_ENDS.shape[1]), dtype=bool)], axis=1)
+    return text[keep].tobytes()
 
 
 @dataclass(frozen=True)
